@@ -88,7 +88,7 @@ def middle_product_nonzero(left: Sequence[Vector], right: Sequence[Vector]):
 
 def _check_resolvent_point(A: Matrix, lam: ComplexRational):
     n = A.rows
-    shifted = A - Matrix.identity(n).scale(lam)
+    shifted = A.minus_identity(lam)
     if shifted.exact_rank() < n:
         raise ResolventError(f"resolvent point {lam} lies in the spectrum")
     return shifted

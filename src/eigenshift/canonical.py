@@ -295,7 +295,7 @@ def eigenspace_odd(oc: OddCanonical):
     else:
         literal = [_stack3(e1, ZERO, zero)]
     S = oc.matrix()
-    null = (S - Matrix.identity(S.rows).scale(oc.lam)).null_space_basis()
+    null = S.minus_identity(oc.lam).null_space_basis()
     diags = []
     joint = stack_vectors_as_rows(literal + null).exact_rank()
     independent = stack_vectors_as_rows(literal).exact_rank() == len(literal)
@@ -321,7 +321,7 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
     y = Vector([ZERO] + [a[i] for i in range(k - 1)])
     z = Vector([-b[i] for i in range(1, k)] + [ZERO])
     J = jordan_block(lam, k)
-    Nup = J - Matrix.identity(k).scale(lam)  # J_k(lam) - lam I
+    Nup = J.minus_identity(lam)  # J_k(lam) - lam I
     yb = Matrix(k, k, [y[i] * b[j] for i in range(k) for j in range(k)])
     az = Matrix(k, k, [a[i] * z[j] for i in range(k) for j in range(k)])
     Ny = Nup @ y

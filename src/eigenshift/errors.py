@@ -53,7 +53,8 @@ class ReductionError(EigenShiftError):
 
 
 class ClassificationError(EigenShiftError):
-    """Internal cycle verification failed with no usable fallback."""
+    """Internal cycle verification failed with no usable fallback, or
+    the rank-sequence oracle found its own invariants broken."""
 
 
 class MissingEigenvalueError(EigenShiftError):

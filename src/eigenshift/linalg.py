@@ -1,18 +1,29 @@
 """Dense exact linear algebra over complex rationals.
 
 Everything is immutable and every operation returns a fresh value, so
-values are safe to share freely.  Elimination uses exact division with
-first-nonzero pivoting: pivot magnitude is irrelevant in exact
-arithmetic and a deterministic pivot choice keeps golden outputs
-stable.
+values are safe to share freely.
+
+Products, rank, determinant, solve, inverse and null space run on one
+fraction-free integer kernel.  Each row (or column) is cleared to a
+common denominator, leaving integer numerators, or Gaussian-integer
+(re, im) pairs when some imaginary part is nonzero.  Products are
+integer dot products; elimination is Bareiss's fraction-free scheme,
+whose division by the previous pivot is exact in Z and in Z[i]
+(Bareiss 1968).  The pivot is the first nonzero entry in its column, so
+the pivot columns are those of hand elimination.  Every entry of a
+result is rebuilt from integers once, and the results equal those of
+elimination over ``ComplexRational``: the same values, in the same
+canonical form.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from math import lcm, prod
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import BackendError, ShapeError, SingularMatrixError
-from .scalars import CR, ComplexRational, ONE, ZERO, conj, is_exact
+from .scalars import CR, ComplexRational, ONE, ZERO, conj, from_integers
 
 
 def _coerce_scalar(x):
@@ -35,9 +46,7 @@ class Vector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(
-            self, "entries", tuple(_coerce_scalar(e) for e in entries)
-        )
+        object.__setattr__(self, "entries", tuple(map(_coerce_scalar, entries)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -80,8 +89,7 @@ class Vector:
         return Vector(-a for a in self.entries)
 
     def scale(self, c) -> "Vector":
-        c = _coerce_scalar(c)
-        return Vector(c * a for a in self.entries)
+        return Vector(_scaled(self.entries, c))
 
     def __eq__(self, other):
         return (
@@ -114,20 +122,8 @@ def inner(u: Vector, v: Vector):
     """u* v, conjugate-linear in the left argument."""
     if u.dim != v.dim:
         raise ShapeError("inner product of different dimensions")
-    s = ZERO
-    for a, b in zip(u.entries, v.entries):
-        s = s + conj(a) * b
-    return s
-
-
-def dot(u: Vector, v: Vector):
-    """Plain bilinear u^T v (no conjugation)."""
-    if u.dim != v.dim:
-        raise ShapeError("dot product of different dimensions")
-    s = ZERO
-    for a, b in zip(u.entries, v.entries):
-        s = s + a * b
-    return s
+    d, re, im = _clear(u.entries)
+    return _dot((d, re, im and [-x for x in im]), _clear(v.entries))
 
 
 def outer_conj(u: Vector, v: Vector) -> "Matrix":
@@ -148,7 +144,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(_coerce_scalar(e) for e in entries)
+        entries = tuple(map(_coerce_scalar, entries))
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
@@ -204,10 +200,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(e) for e in self.entries)
-
     def __getitem__(self, key):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -224,10 +216,11 @@ class Matrix:
         return [self.col(j) for j in range(self.cols)]
 
     def row_list(self):
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
+        return [list(row) for row in self._row_slices()]
+
+    def _row_slices(self):
+        c, e = self.cols, self.entries
+        return [e[i * c : (i + 1) * c] for i in range(self.rows)]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Rows r0:r1, columns c0:c1 (half-open, 0-based)."""
@@ -261,35 +254,30 @@ class Matrix:
         return Matrix(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c) -> "Matrix":
-        c = _coerce_scalar(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        return Matrix(self.rows, self.cols, _scaled(self.entries, c))
+
+    def minus_identity(self, lam) -> "Matrix":
+        """self - lam I, changing only the diagonal (square matrices)."""
+        if not self.is_square:
+            raise ShapeError(f"{self.shape} matrix minus a multiple of I")
+        lam = _coerce_scalar(lam)
+        entries = list(self.entries)
+        for t in range(0, len(entries), self.cols + 1):
+            entries[t] = entries[t] - lam
+        return Matrix(self.rows, self.cols, entries)
 
     def __matmul__(self, other):
         if isinstance(other, Vector):
             if self.cols != other.dim:
                 raise ShapeError(f"{self.shape} @ vector of dim {other.dim}")
-            return Vector(
-                sum(
-                    (self[i, k] * other[k] for k in range(self.cols)),
-                    start=ZERO,
-                )
-                for i in range(self.rows)
-            )
+            return Vector(_product(self._row_slices(), [other.entries]))
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        n, m, p = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            for j in range(p):
-                s = ZERO
-                for k in range(m):
-                    s = s + arow[k] * b[k * p + j]
-                out.append(s)
-        return Matrix(n, p, out)
+        p, b = other.cols, other.entries
+        columns = [b[j::p] for j in range(p)]
+        return Matrix(self.rows, p, _product(self._row_slices(), columns))
 
     def __eq__(self, other):
         return (
@@ -323,9 +311,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
 
-    def map(self, fn: Callable) -> "Matrix":
-        return Matrix(self.rows, self.cols, [fn(e) for e in self.entries])
-
     def to_float_rows(self):
         """Nested lists of Python complex, for demonstration output only."""
         return [
@@ -342,77 +327,33 @@ class Matrix:
 
     # -- exact elimination ---------------------------------------------------
 
-    def _require_exact(self, op: str):
-        if not self.is_exact:
-            raise BackendError(
-                f"{op} needs the exact scalar backend; "
-                "the floating backend is for demonstration output only"
-            )
-
-    def _echelon(self, rows):
-        """In-place echelon form of a list-of-lists copy.
-
-        Returns (pivot column list, determinant scale).  The scale is the
-        product of pivots times the swap sign, so for square input with
-        full rank it equals the determinant of the triangularized rows,
-        i.e. the determinant itself.
-        """
-        n = len(rows)
-        m = len(rows[0]) if n else 0
-        piv_cols = []
-        det = ONE
-        r = 0
-        for c in range(m):
-            pr = next((i for i in range(r, n) if rows[i][c]), None)
-            if pr is None:
-                continue
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-                det = -det
-            pivot = rows[r][c]
-            det = det * pivot
-            for i in range(r + 1, n):
-                f = rows[i][c]
-                if not f:
-                    continue
-                f = f / pivot
-                rows[i][c] = ZERO
-                for j in range(c + 1, m):
-                    rows[i][j] = rows[i][j] - f * rows[r][j]
-            piv_cols.append(c)
-            r += 1
-            if r == n:
-                break
-        return piv_cols, det
-
     def exact_rank(self) -> int:
         """Rank over the complex rationals."""
-        self._require_exact("exact_rank")
         if self.rows == 0 or self.cols == 0:
             return 0
-        rows = self.row_list()
-        piv_cols, _ = self._echelon(rows)
-        return len(piv_cols)
+        _, rows, gaussian = _integer_rows(self._row_slices())
+        return len(_eliminate(rows, self.cols, gaussian)[0])
 
     def det(self):
         """Exact determinant (square matrices only)."""
-        self._require_exact("det")
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
-        if self.rows == 0:
+        n = self.rows
+        if n == 0:
             return ONE
-        rows = self.row_list()
-        piv_cols, det = self._echelon(rows)
-        if len(piv_cols) < self.rows:
+        scales, rows, gaussian = _integer_rows(self._row_slices())
+        piv_cols, sign = _eliminate(rows, n, gaussian)
+        if len(piv_cols) < n:
             return ZERO
-        return det
+        # the last pivot is the determinant of the scaled, permuted rows
+        re, im = rows[-1][-1] if gaussian else (rows[-1][-1], 0)
+        return from_integers(re, im, sign * prod(scales))
 
     def solve(self, rhs):
         """Solve self @ X = rhs for square nonsingular self.
 
         rhs may be a Vector or a Matrix; the result has matching kind.
         """
-        self._require_exact("solve")
         if not self.is_square:
             raise ShapeError("solve requires a square matrix")
         vector_rhs = isinstance(rhs, Vector)
@@ -420,58 +361,206 @@ class Matrix:
         if B.rows != self.rows:
             raise ShapeError("right-hand side has wrong number of rows")
         n, m = self.rows, B.cols
-        rows = [
-            list(self.entries[i * n : (i + 1) * n])
-            + list(B.entries[i * m : (i + 1) * m])
-            for i in range(n)
-        ]
-        piv_cols, _ = self._echelon(rows)
-        if len(piv_cols) < n or any(c >= n for c in piv_cols):
+        _, rows, gaussian = _integer_rows(
+            [a + b for a, b in zip(self._row_slices(), B._row_slices())]
+        )
+        piv_cols, _ = _eliminate(rows, n, gaussian, reduced=True)
+        if len(piv_cols) < n:
             raise SingularMatrixError(
-                f"matrix is singular (rank {len([c for c in piv_cols if c < n])})",
-                rank=len([c for c in piv_cols if c < n]),
+                f"matrix is singular (rank {len(piv_cols)})",
+                rank=len(piv_cols),
             )
-        # back substitution
-        sol = [[ZERO] * m for _ in range(n)]
-        for r in range(n - 1, -1, -1):
-            pivot = rows[r][r]
-            for j in range(m):
-                s = rows[r][n + j]
-                for c in range(r + 1, n):
-                    s = s - rows[r][c] * sol[c][j]
-                sol[r][j] = s / pivot
-        out = Matrix(n, m, [sol[i][j] for i in range(n) for j in range(m)])
+        # rows are now d [I | X] with d the last pivot
+        d = rows[-1][n - 1] if n else 1
+        out = Matrix(
+            n, m, [_quotient(x, d, gaussian) for row in rows for x in row[n:]]
+        )
         return out.col(0) if vector_rhs else out
 
     def inverse(self) -> "Matrix":
         return self.solve(Matrix.identity(self.rows))
 
     def null_space_basis(self):
-        """Exact basis (list of Vectors) of the right null space."""
-        self._require_exact("null_space_basis")
+        """Exact basis (list of Vectors) of the right null space.
+
+        One vector per non-pivot column fc: 1 at fc, 0 at the other
+        non-pivot columns.
+        """
         n, m = self.rows, self.cols
         if m == 0:
             return []
         if n == 0:
             return [Vector.unit(m, j) for j in range(m)]
-        rows = self.row_list()
-        piv_cols, _ = self._echelon(rows)
-        rank = len(piv_cols)
+        _, rows, gaussian = _integer_rows(self._row_slices())
+        piv_cols, _ = _eliminate(rows, m, gaussian, reduced=True)
+        # the pivot rows are now d times the reduced echelon form
+        d = rows[len(piv_cols) - 1][piv_cols[-1]] if piv_cols else 1
+        neg_d = (-d[0], -d[1]) if gaussian else -d
         piv_set = set(piv_cols)
-        free_cols = [c for c in range(m) if c not in piv_set]
         basis = []
-        for fc in free_cols:
+        for fc in range(m):
+            if fc in piv_set:
+                continue
             x = [ZERO] * m
             x[fc] = ONE
-            for r in range(rank - 1, -1, -1):
-                pc = piv_cols[r]
-                s = ZERO
-                for c in range(pc + 1, m):
-                    if x[c]:
-                        s = s + rows[r][c] * x[c]
-                x[pc] = -s / rows[r][pc]
+            for row, pc in zip(rows, piv_cols):
+                x[pc] = _quotient(row[fc], neg_d, gaussian)
             basis.append(Vector(x))
         return basis
+
+
+# -- fraction-free integer kernel ----------------------------------------------
+
+
+def _clear(values):
+    """(d, re, im): d * values[t] == re[t] + im[t] i with integer lists.
+
+    d is the least common denominator of every real and imaginary part;
+    im is None when every imaginary part is zero.
+    """
+    try:
+        res = [x.re for x in values]
+        ims = [x.im for x in values]
+    except AttributeError:
+        raise BackendError(
+            "exact linear algebra needs exact scalars; "
+            "the floating backend is for demonstration output only"
+        ) from None
+    re, re_den = [q.numerator for q in res], [q.denominator for q in res]
+    im, im_den = [q.numerator for q in ims], []
+    if any(im):
+        im_den = [q.denominator for q in ims]
+    else:
+        im = None
+    d = lcm(*set(re_den), *set(im_den))
+    if d != 1:
+        re = [a * (d // e) for a, e in zip(re, re_den)]
+        if im:
+            im = [a * (d // e) for a, e in zip(im, im_den)]
+    return d, re, im
+
+
+def _product(rows, columns):
+    """Row-major entries of rows[i] . columns[j]."""
+    a = [_clear(r) for r in rows]
+    b = [_clear(c) for c in columns]
+    return [_dot(x, y) for x in a for y in b]
+
+
+def _dot(a, b):
+    """a . b for vectors cleared by _clear, as one ComplexRational."""
+    da, ar, ai = a
+    db, br, bi = b
+    re = sum(map(mul, ar, br))
+    im = sum(map(mul, ar, bi)) if bi else 0
+    if ai:
+        im += sum(map(mul, ai, br))
+        if bi:
+            re -= sum(map(mul, ai, bi))
+    return from_integers(re, im, da * db)
+
+
+def _scaled(entries, c):
+    """c * entries[t] for each t."""
+    d, re, im = _clear(entries)
+    dc, (cr,), ci = _clear((_coerce_scalar(c),))
+    if not (im or ci):
+        return [from_integers(x * cr, 0, d * dc) for x in re]
+    ci = ci[0] if ci else 0
+    return [
+        from_integers(x * cr - y * ci, x * ci + y * cr, d * dc)
+        for x, y in zip(re, im or [0] * len(re))
+    ]
+
+
+def _integer_rows(rows):
+    """(row scales, integer rows, gaussian): rows[i] times scales[i] is
+    integral; entries are ints, or (re, im) pairs when gaussian."""
+    cleared = [_clear(r) for r in rows]
+    scales = [d for d, _, _ in cleared]
+    if all(im is None for _, _, im in cleared):
+        return scales, [re for _, re, _ in cleared], False
+    return (
+        scales,
+        [list(zip(re, im or [0] * len(re))) for _, re, im in cleared],
+        True,
+    )
+
+
+def _eliminate(rows, ncols, gaussian, reduced=False):
+    """Bareiss elimination of integer rows, in place.
+
+    Pivots are searched in the first ncols columns; each is the first
+    nonzero entry at or below the current row.  Each row update is
+    (p * row - f * pivot_row) / previous pivot, where p and f are the
+    entries of the pivot row and of the row in the pivot column.  The
+    division is exact in Z and in Z[i], and the last pivot ends as the
+    determinant of the leading pivot minor.  With reduced=True the rows
+    above the pivot are updated too (fraction-free Gauss-Jordan): the
+    pivot rows end as d times the reduced echelon form, d being the
+    last pivot.  Returns (pivot columns, sign of the row permutation).
+    """
+    step = _step_gaussian if gaussian else _step_integer
+    n = len(rows)
+    piv_cols = []
+    sign = 1
+    prev = (1, 0) if gaussian else 1
+    nonzero = any if gaussian else bool
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, n) if nonzero(rows[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        top = rows[r]
+        if reduced:
+            for i in range(r):
+                rows[i] = step(rows[i], top, c, prev, 0)
+        # below the pivot row every entry left of c is already zero
+        for i in range(r + 1, n):
+            rows[i] = step(rows[i], top, c, prev, c)
+        prev = top[c]
+        piv_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    return piv_cols, sign
+
+
+def _step_integer(row, top, c, prev, lo):
+    """One Bareiss row update over Z, from column lo on."""
+    p, f = top[c], row[c]
+    if not f and p == prev:
+        return row
+    return row[:lo] + [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+
+
+def _step_gaussian(row, top, c, prev, lo):
+    """One Bareiss row update over Z[i], from column lo on; the division
+    by q is a product with conj(q) and an exact division by |q|^2."""
+    (pr, pi), (fr, fi), (qr, qi) = top[c], row[c], prev
+    if not (fr or fi) and pr == qr and pi == qi:
+        return row
+    nq = qr * qr + qi * qi
+    out = row[:lo]
+    for (xr, xi), (yr, yi) in zip(row[lo:], top[lo:]):
+        zr = pr * xr - pi * xi - fr * yr + fi * yi
+        zi = pr * xi + pi * xr - fr * yi - fi * yr
+        out.append(((zr * qr + zi * qi) // nq, (zi * qr - zr * qi) // nq))
+    return out
+
+
+def _quotient(z, d, gaussian):
+    """z / d as a ComplexRational; z and d are ints, or (re, im) pairs
+    when gaussian."""
+    if not gaussian:
+        return from_integers(z, 0, d)
+    (zr, zi), (dr, di) = z, d
+    if not di:
+        return from_integers(zr, zi, dr)
+    return from_integers(zr * dr + zi * di, zi * dr - zr * di, dr * dr + di * di)
 
 
 def jordan_block(lam, k: int) -> Matrix:

@@ -10,15 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MissingEigenvalueError
+from .errors import ClassificationError, MissingEigenvalueError
 from .linalg import Matrix, Vector, stack_vectors_as_rows
 from .scalars import ComplexRational
-from .shifting import charpoly_ratio_check
 from .synthesis import SegreCharacteristic, _as_scalar
-
-# Re-exported: spectrum verification shares its implementation with the
-# shift module's polynomial identity test.
-spectrum_multiset_check = charpoly_ratio_check
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ def weyr_profile(M: Matrix, lam) -> WeyrProfile:
     """Exact nullity sequence of (M - lam I)^j, stopping when stable."""
     lam = _as_scalar(lam)
     n = M.rows
-    N = M - Matrix.identity(n).scale(lam)
+    N = M.minus_identity(lam)
     null_dims = []
     power = N
     prev = 0
@@ -70,9 +65,10 @@ def weyr_profile(M: Matrix, lam) -> WeyrProfile:
         power = power @ N
     prof = WeyrProfile(lam, tuple(null_dims))
     inc = prof.increments
-    assert all(
-        inc[i] >= inc[i + 1] for i in range(len(inc) - 1)
-    ), "Weyr increments must be non-increasing"
+    if any(inc[i] < inc[i + 1] for i in range(len(inc) - 1)):
+        raise ClassificationError(
+            f"Weyr increments {inc} at {lam} are not non-increasing"
+        )
     return prof
 
 
@@ -109,7 +105,7 @@ def jordan_cycles(M: Matrix, lam):
     """
     lam = _as_scalar(lam)
     n = M.rows
-    N = M - Matrix.identity(n).scale(lam)
+    N = M.minus_identity(lam)
     kernels = []  # basis of ker N^j for j = 1..s
     power = N
     prev_dim = 0
@@ -144,7 +140,11 @@ def jordan_cycles(M: Matrix, lam):
             trial = context + picked + [cand]
             if rank_of(trial) > base_rank + len(picked):
                 picked.append(cand)
-        assert len(picked) == needed, "kernel filtration walk failed"
+        if len(picked) != needed:
+            raise ClassificationError(
+                f"kernel filtration walk at level {j} found {len(picked)} "
+                f"of {needed} chain tops"
+            )
         for top in picked:
             cycle = [top]
             for _ in range(j - 1):
@@ -159,7 +159,7 @@ def jordan_cycles(M: Matrix, lam):
 def verify_cycles(M: Matrix, lam, cycles) -> bool:
     """Chain recurrences hold and the stacked cycles have full rank."""
     lam = _as_scalar(lam)
-    N = M - Matrix.identity(M.rows).scale(lam)
+    N = M.minus_identity(lam)
     flat = []
     for cycle in cycles:
         prev = Vector.zero(M.rows)

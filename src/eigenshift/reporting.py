@@ -163,11 +163,11 @@ def parse_shift_job(doc) -> ShiftJob:
     try:
         lam0 = str_to_scalar(doc["target_eigenvalue"])
         lam1 = str_to_scalar(doc["new_eigenvalue"])
-        k = int(doc["k"])
+        k = doc["k"]
     except KeyError as exc:
         raise JobParseError(f"job is missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise JobParseError(f"bad job field: {exc}") from exc
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise JobParseError(f"k must be an integer, got {k!r}")
     backend = doc.get("backend", "exact")
     if backend not in ("exact", "float"):
         raise JobParseError(f"unknown backend {backend!r}")
@@ -183,11 +183,11 @@ def parse_shift_job(doc) -> ShiftJob:
         chains = doc.get("chains")
         if not isinstance(chains, dict):
             raise JobParseError("explicit-matrix jobs need a chains object")
-        try:
-            job.left_chain = [obj_to_vector(u) for u in chains["left"]]
-            job.right_chain = [obj_to_vector(v) for v in chains["right"]]
-        except KeyError as exc:
-            raise JobParseError(f"chains object missing {exc}") from exc
+        for side in ("left", "right"):
+            if not isinstance(chains.get(side), list):
+                raise JobParseError(f"chains.{side} must be a list of vectors")
+        job.left_chain = [obj_to_vector(u) for u in chains["left"]]
+        job.right_chain = [obj_to_vector(v) for v in chains["right"]]
     else:
         raise JobParseError("job needs either a segre or an explicit matrix")
     if "r_free" in doc:
@@ -458,7 +458,6 @@ def _resolvent_point(A: Matrix, exclude):
     from .scalars import CR
 
     n = A.rows
-    ident = Matrix.identity(n)
     t = 0
     tried = 0
     while tried <= n + len(exclude) + 2:
@@ -467,7 +466,7 @@ def _resolvent_point(A: Matrix, exclude):
         if any(s == x for x in exclude):
             continue
         tried += 1
-        if not (A - ident.scale(s)).det().is_zero:
+        if not A.minus_identity(s).det().is_zero:
             return s
     return None
 

@@ -2,8 +2,8 @@
 
 The default backend stores a complex number as a pair of arbitrary
 precision rationals, so every zero test made by the classifiers is
-decidable.  ``gmpy2.mpq`` is used when available (it is a drop-in for
-``fractions.Fraction`` here), otherwise the stdlib ``Fraction``.
+decidable.  ``gmpy2.mpq`` is used when it is importable, otherwise the
+stdlib ``Fraction``.
 
 The optional floating backend is plain Python ``complex``; it exists
 only for demonstration output and is rejected by every operation that
@@ -16,7 +16,10 @@ import re as _re
 
 try:
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is optional and often absent
+    # The linear algebra kernel reads only ``.numerator``/``.denominator``
+    # and builds results with ``_Q(num, den)``, so ``mpq`` should work
+    # there too; that combination has not been tested.
     from fractions import Fraction as _Q
 
 
@@ -114,6 +117,8 @@ class ComplexRational:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "ComplexRational":
+        if not self.im:
+            return self  # immutable, so a real value is its own conjugate
         return ComplexRational(self.re, -self.im)
 
     @property
@@ -151,6 +156,21 @@ class ComplexRational:
 ZERO = ComplexRational(0)
 ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
+_Q0 = ZERO.re
+
+
+def from_integers(re: int, im: int, den: int) -> ComplexRational:
+    """(re + im i) / den for integers re, im and nonzero den.
+
+    Builds the value directly, without the coercions of the constructor;
+    the exact linear algebra kernel returns all its entries this way.
+    """
+    if not re and not im:
+        return ZERO
+    x = object.__new__(ComplexRational)
+    object.__setattr__(x, "re", _Q(re, den) if re else _Q0)
+    object.__setattr__(x, "im", _Q(im, den) if im else _Q0)
+    return x
 
 
 def CR(re, im=0) -> ComplexRational:
@@ -161,10 +181,6 @@ def CR(re, im=0) -> ComplexRational:
 def conj(x):
     """Conjugate that works for both scalar backends."""
     return x.conjugate()
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, ComplexRational)
 
 
 def format_scalar(x: ComplexRational) -> str:

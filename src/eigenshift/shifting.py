@@ -227,7 +227,6 @@ def charpoly_ratio_check(
     if A_hat.shape != A.shape or not A.is_square:
         raise ShapeError("charpoly_ratio_check needs two equal square matrices")
     needed = n + m + 1
-    ident = Matrix.identity(n)
     t = 0
     checked = 0
     while checked < needed:
@@ -235,8 +234,8 @@ def charpoly_ratio_check(
         t += 1
         if s == lambda0 or s == lambda1:
             continue
-        lhs = (A_hat - ident.scale(s)).det() * (lambda0 - s) ** m
-        rhs = (A - ident.scale(s)).det() * (lambda1 - s) ** m
+        lhs = A_hat.minus_identity(s).det() * (lambda0 - s) ** m
+        rhs = A.minus_identity(s).det() * (lambda1 - s) ** m
         if lhs != rhs:
             return False
         checked += 1

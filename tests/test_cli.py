@@ -97,6 +97,33 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert run_cli(["shift", write(tmp_path, "s.json", bad_scalar)]) == 2
 
 
+@pytest.mark.parametrize("k", [1.5, True, "2", None, [2]])
+def test_non_integer_k_exit_2(tmp_path, capsys, k):
+    job = write(tmp_path, "job.json", dict(GOLDEN_JOB, k=k))
+    assert run_cli(["shift", job]) == 2
+    assert "k must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "chains",
+    [
+        {"left": 3, "right": []},
+        {"left": [], "right": "abc"},
+        {"right": []},
+        {"left": [["1"]], "right": [3]},
+    ],
+)
+def test_malformed_chains_exit_2(tmp_path, chains):
+    job = {
+        "target_eigenvalue": "1",
+        "new_eigenvalue": "2",
+        "k": 0,
+        "matrix": [["1"]],
+        "chains": chains,
+    }
+    assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 2
+
+
 def test_precondition_error_exit_3(tmp_path):
     job = dict(GOLDEN_JOB, k=1)  # k inconsistent with the 4-chain
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3

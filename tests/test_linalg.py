@@ -125,6 +125,12 @@ def test_float_entries_refused_for_exact_ops():
         F.det()
     with pytest.raises(BackendError):
         F.exact_rank()
+    with pytest.raises(BackendError):
+        F.solve(Vector([ONE, ONE]))
+    with pytest.raises(BackendError):
+        F.null_space_basis()
+    with pytest.raises(BackendError):
+        _ = F @ Matrix.identity(2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,13 @@
 """Rank-sequence oracle: Weyr profiles, segre recovery, generic cycles."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from eigenshift.errors import MissingEigenvalueError
+import eigenshift
+from eigenshift.errors import ClassificationError, MissingEigenvalueError
 from eigenshift.linalg import Matrix, direct_sum, jordan_block
 from eigenshift.oracle import (
     WeyrProfile,
@@ -126,3 +129,23 @@ def test_verify_cycles_rejects_dependent_cycles():
 
     dep = [[Vector.unit(2, 0)], [Vector.unit(2, 0)]]
     assert not verify_cycles(M, 1, dep)
+
+
+def test_weyr_check_raises_instead_of_asserting(monkeypatch):
+    # ranks 3, 1, 1 of the powers give nullities 1, 3: increments (1, 2)
+    ranks = iter([3, 1, 1])
+    monkeypatch.setattr(Matrix, "exact_rank", lambda self: next(ranks))
+    with pytest.raises(ClassificationError):
+        weyr_profile(jordan_block(CR(0), 4), 0)
+
+
+def test_package_has_no_assert_statements():
+    """Internal checks must also run under python -O, which strips asserts."""
+    package = Path(eigenshift.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
