@@ -4,139 +4,36 @@ Shift one eigenvalue of a matrix to a new value through a rank-k
 update built from left/right Jordan chains, predict the Jordan
 structure of the result by exact closed-form case analysis, and verify
 the prediction against an independent rank-sequence oracle.
+
+The names below are the paper's entry points; everything else is
+imported from its submodule (``eigenshift.linalg``,
+``eigenshift.canonical`` and so on).
 """
 
-from .canonical import (
-    ConcentratedForm,
-    EvenCanonical,
-    OddCanonical,
-    StructurePrediction,
-    classify_even,
-    classify_odd,
-    eigenspace_even,
-    eigenspace_odd,
-    extract_even_canonical,
-    extract_odd_canonical,
-    predict_structure,
-    reduce_to_concentrated,
-)
-from .errors import (
-    BackendError,
-    ClassificationError,
-    EigenShiftError,
-    ExtractionError,
-    InvalidChainError,
-    InvalidParameterError,
-    InverseIdentityError,
-    MissingEigenvalueError,
-    NormalizationError,
-    ReductionError,
-    ResolventError,
-    ShapeError,
-    SingularMatrixError,
-)
-from .linalg import (
-    Matrix,
-    Vector,
-    direct_sum,
-    hstack,
-    inner,
-    jordan_block,
-    outer_conj,
-    outer_plain,
-    vstack,
-)
-from .oracle import (
-    WeyrProfile,
-    jordan_cycles,
-    oracle_segre,
-    verify_cycles,
-    weyr_profile,
-)
-from .scalars import CR, ComplexRational, format_scalar, parse_scalar
-from .shifting import (
-    ShiftPlan,
-    ShiftResult,
-    brauer_shift,
-    charpoly_ratio_check,
-    half_chain_invariance_holds,
-    make_left_inverse,
-    make_right_inverse,
-    shift_even,
-    shift_odd,
-    update_rank,
-)
-from .synthesis import (
-    ChainPair,
-    SegreCharacteristic,
-    build_matrix,
-    generate_parametric_chains_single,
-    generate_parametric_chains_two_blocks,
-    jordan_matrix,
-    random_unimodular,
-)
+from .canonical import predict_structure
+from .errors import EigenShiftError
+from .linalg import Matrix, Vector
+from .oracle import oracle_segre
+from .scalars import CR, ComplexRational, parse_scalar
+from .shifting import brauer_shift, charpoly_ratio_check, shift_even, shift_odd
+from .synthesis import ChainPair, SegreCharacteristic, build_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendError",
     "CR",
     "ChainPair",
-    "ClassificationError",
     "ComplexRational",
-    "ConcentratedForm",
     "EigenShiftError",
-    "EvenCanonical",
-    "ExtractionError",
-    "InvalidChainError",
-    "InvalidParameterError",
-    "InverseIdentityError",
     "Matrix",
-    "MissingEigenvalueError",
-    "NormalizationError",
-    "OddCanonical",
-    "ReductionError",
-    "ResolventError",
     "SegreCharacteristic",
-    "ShapeError",
-    "ShiftPlan",
-    "ShiftResult",
-    "SingularMatrixError",
-    "StructurePrediction",
     "Vector",
-    "WeyrProfile",
     "brauer_shift",
     "build_matrix",
     "charpoly_ratio_check",
-    "classify_even",
-    "classify_odd",
-    "direct_sum",
-    "eigenspace_even",
-    "eigenspace_odd",
-    "extract_even_canonical",
-    "extract_odd_canonical",
-    "format_scalar",
-    "generate_parametric_chains_single",
-    "generate_parametric_chains_two_blocks",
-    "half_chain_invariance_holds",
-    "hstack",
-    "inner",
-    "jordan_block",
-    "jordan_cycles",
-    "jordan_matrix",
-    "make_left_inverse",
-    "make_right_inverse",
     "oracle_segre",
-    "outer_conj",
-    "outer_plain",
     "parse_scalar",
     "predict_structure",
-    "random_unimodular",
-    "reduce_to_concentrated",
     "shift_even",
     "shift_odd",
-    "update_rank",
-    "verify_cycles",
-    "vstack",
-    "weyr_profile",
 ]

@@ -578,10 +578,6 @@ def _extract_leading_block(shift: ShiftResult, P: Matrix, m: int) -> Matrix:
     n = shift.A_hat.rows
     if P.shape != (n, n):
         raise ExtractionError(f"basis must be {n}x{n}, got {P.shape}")
-    delta = (shift.R1 @ shift.R2.H).scale(
-        shift.plan.lambda1 - shift.plan.lambda0
-    )
-    A = shift.A_hat - delta
     P_inv = P.inverse()
     M = P_inv @ shift.A_hat @ P
     if n == m:
@@ -590,7 +586,7 @@ def _extract_leading_block(shift: ShiftResult, P: Matrix, m: int) -> Matrix:
         raise ExtractionError("shift update couples into the lower block rows")
     if not M.submatrix(0, m, m, n).is_zero:
         raise ExtractionError("shift update couples into the trailing columns")
-    rest_before = (P_inv @ A @ P).submatrix(m, n, m, n)
+    rest_before = (P_inv @ shift.A @ P).submatrix(m, n, m, n)
     if M.submatrix(m, n, m, n) != rest_before:
         raise ExtractionError("complementary Jordan part was modified")
     return M.submatrix(0, m, 0, m)

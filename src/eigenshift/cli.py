@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    eigenshift shift <job.json> [-o report.json] [--backend exact|float]
+    eigenshift shift <job.json> [-o report.json]
     eigenshift verify <matrix.json> <chains.json> [-o report.json]
     eigenshift classify <form.json> [-o report.json]
     eigenshift selftest [--seed N] [--count N]
@@ -16,7 +16,7 @@ import json
 import random
 import sys
 
-from .errors import BackendError, EigenShiftError
+from .errors import EigenShiftError
 from .oracle import oracle_segre
 from .reporting import (
     FAIL,
@@ -29,7 +29,6 @@ from .reporting import (
     run_classify_job,
     run_shift_job,
     run_verify_job,
-    segre_to_obj,
 )
 
 EXIT_OK = 0
@@ -59,16 +58,12 @@ def _emit(report: dict, out_path):
 
 def _cmd_shift(args) -> int:
     job = parse_shift_job(_load_json(args.job))
-    if args.backend is not None:
-        job.backend = args.backend
     report = run_shift_job(job)
     _emit(report, args.output)
     return report_exit_code(report)
 
 
 def _cmd_verify(args) -> int:
-    if args.backend == "float":
-        raise BackendError("the verify suite requires the exact backend")
     A = obj_to_matrix(_load_json(args.matrix))
     pairs = parse_chain_sets(_load_json(args.chains))
     report = run_verify_job(A, pairs)
@@ -77,11 +72,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.backend == "float":
-        raise BackendError(
-            "classification needs exact zero tests; the float backend "
-            "cannot run it"
-        )
     report = run_classify_job(_load_json(args.form))
     _emit(report, args.output)
     return report_exit_code(report)
@@ -142,12 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact eigenvalue shifting with Jordan-structure prediction "
             "and rank-sequence verification."
         ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("exact", "float"),
-        default=None,
-        help="arithmetic backend for report rendering (default: exact)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,7 @@ class SingularMatrixError(EigenShiftError):
 
 
 class BackendError(EigenShiftError):
-    """Operation requires the exact scalar backend."""
+    """A float or complex value was given where an exact scalar is needed."""
 
 
 class InvalidParameterError(EigenShiftError):

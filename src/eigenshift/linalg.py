@@ -32,8 +32,10 @@ def _coerce_scalar(x):
     if isinstance(x, int):
         return CR(x)
     if isinstance(x, (float, complex)):
-        # floating entries are kept as-is; exact operations refuse them
-        return x
+        raise BackendError(
+            f"{x!r} is not exact; matrix entries must be int, Fraction or "
+            "ComplexRational"
+        )
     try:
         return CR(x)
     except (TypeError, ValueError):
@@ -311,13 +313,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
 
-    def to_float_rows(self):
-        """Nested lists of Python complex, for demonstration output only."""
-        return [
-            [complex(self[i, j]) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-
     def __repr__(self):
         body = "; ".join(
             ", ".join(str(self[i, j]) for j in range(self.cols))
@@ -418,14 +413,8 @@ def _clear(values):
     d is the least common denominator of every real and imaginary part;
     im is None when every imaginary part is zero.
     """
-    try:
-        res = [x.re for x in values]
-        ims = [x.im for x in values]
-    except AttributeError:
-        raise BackendError(
-            "exact linear algebra needs exact scalars; "
-            "the floating backend is for demonstration output only"
-        ) from None
+    res = [x.re for x in values]
+    ims = [x.im for x in values]
     re, re_den = [q.numerator for q in res], [q.denominator for q in res]
     im, im_den = [q.numerator for q in ims], []
     if any(im):

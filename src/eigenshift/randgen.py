@@ -21,12 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .canonical import ConcentratedForm
 from .errors import InvalidParameterError
 from .linalg import Matrix, Vector, vstack
-from .scalars import CR, ComplexRational, ONE, ZERO
+from .scalars import CR, ComplexRational, ZERO
 from .shifting import ShiftResult, shift_even, shift_odd
 from .synthesis import (
     ChainPair,
@@ -269,12 +268,4 @@ def targeted_concentrated_form(
             row[j] = sc()
     return ConcentratedForm(
         k, lam, ak, b1, Vector(row), Matrix.identity(2 * k + 1)
-    )
-
-
-def random_concentrated_form(
-    rng: random.Random, max_k: int = 4
-) -> ConcentratedForm:
-    return targeted_concentrated_form(
-        rng, rng.choice(ODD_CASE_LABELS), max_k
     )

@@ -2,10 +2,8 @@
 
 Jobs and reports are single JSON documents.  All scalars travel as
 exact strings ("3", "-1/2", "1/2+3i") so no value is ever routed
-through floating point; the float backend only affects how matrices
-are *rendered* in the report, never how they are computed.  Reports
-embed their normalized input job, so re-running a report's job
-reproduces the report byte for byte.
+through floating point.  Reports embed their normalized input job, so
+re-running a report's job reproduces the report byte for byte.
 """
 
 from __future__ import annotations
@@ -60,19 +58,6 @@ def matrix_to_obj(M: Matrix):
     return [[scalar_to_str(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
 
 
-def matrix_to_float_obj(M: Matrix):
-    """Float rendering for reports; real entries stay plain numbers and
-    complex ones become [re, im] pairs (JSON has no complex type)."""
-    out = []
-    for row in M.to_float_rows():
-        rendered = []
-        for e in row:
-            c = complex(e)
-            rendered.append(c.real if c.imag == 0.0 else [c.real, c.imag])
-        out.append(rendered)
-    return out
-
-
 def obj_to_matrix(obj) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(
         isinstance(r, list) and len(r) == len(obj[0]) for r in obj
@@ -122,7 +107,6 @@ class ShiftJob:
     target_eigenvalue: ComplexRational
     new_eigenvalue: ComplexRational
     k: int
-    backend: str = "exact"
     segre: Optional[SegreCharacteristic] = None
     change_of_basis: Optional[Matrix] = None
     matrix: Optional[Matrix] = None
@@ -138,7 +122,6 @@ class ShiftJob:
             "target_eigenvalue": scalar_to_str(self.target_eigenvalue),
             "new_eigenvalue": scalar_to_str(self.new_eigenvalue),
             "k": self.k,
-            "backend": self.backend,
         }
         if self.segre is not None:
             doc["segre"] = segre_to_obj(self.segre)
@@ -168,12 +151,12 @@ def parse_shift_job(doc) -> ShiftJob:
         raise JobParseError(f"job is missing required field {exc}") from exc
     if isinstance(k, bool) or not isinstance(k, int):
         raise JobParseError(f"k must be an integer, got {k!r}")
-    backend = doc.get("backend", "exact")
-    if backend not in ("exact", "float"):
-        raise JobParseError(f"unknown backend {backend!r}")
+    # older reports embed "backend": "exact" in their job; keep them parsing
+    if doc.get("backend", "exact") != "exact":
+        raise JobParseError(f"unknown backend {doc['backend']!r}")
     if k < 0:
         raise JobParseError("k must be >= 0")
-    job = ShiftJob(lam0, lam1, k, backend)
+    job = ShiftJob(lam0, lam1, k)
     if "segre" in doc:
         job.segre = obj_to_segre(doc["segre"])
         if "change_of_basis" in doc:
@@ -288,12 +271,7 @@ def run_shift_job(job: ShiftJob) -> dict:
     predicted_obj = None
     cycles_obj = None
     report_oracle = None
-    if job.backend != "exact":
-        verdicts["prediction_vs_oracle"] = NA
-        diagnostics.append(
-            "float backend: classification skipped (exact backend required)"
-        )
-    elif P is None:
+    if P is None:
         verdicts["prediction_vs_oracle"] = NA
         diagnostics.append(
             "no full-dimension Jordan basis available for an explicit "
@@ -333,11 +311,7 @@ def run_shift_job(job: ShiftJob) -> dict:
     report = {
         "kind": "shift-report",
         "job": job.normalized(),
-        "shifted_matrix": (
-            matrix_to_obj(shift.A_hat)
-            if job.backend == "exact"
-            else matrix_to_float_obj(shift.A_hat)
-        ),
+        "shifted_matrix": matrix_to_obj(shift.A_hat),
         "prediction": predicted_obj,
         "oracle_segre": report_oracle,
         "cycles": cycles_obj,
@@ -477,7 +451,6 @@ def _resolvent_point(A: Matrix, exclude):
 
 def run_classify_job(doc) -> dict:
     from .canonical import (
-        ConcentratedForm,
         EvenCanonical,
         OddCanonical,
         classify_even,

@@ -1,31 +1,18 @@
 """Exact complex-rational scalars.
 
-The default backend stores a complex number as a pair of arbitrary
-precision rationals, so every zero test made by the classifiers is
-decidable.  ``gmpy2.mpq`` is used when it is importable, otherwise the
-stdlib ``Fraction``.
-
-The optional floating backend is plain Python ``complex``; it exists
-only for demonstration output and is rejected by every operation that
-needs an exact zero test.
+A complex number is a pair of stdlib ``Fraction``s, so every zero test
+made by the classifiers is decidable.
 """
 
 from __future__ import annotations
 
 import re as _re
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # gmpy2 is optional and often absent
-    # The linear algebra kernel reads only ``.numerator``/``.denominator``
-    # and builds results with ``_Q(num, den)``, so ``mpq`` should work
-    # there too; that combination has not been tested.
-    from fractions import Fraction as _Q
+from fractions import Fraction
 
 
-def rational(x) -> "_Q":
-    """Coerce an int, string 'p/q' or rational to the rational backend."""
-    return _Q(x)
+def rational(x) -> Fraction:
+    """Coerce an int, string 'p/q' or rational to a ``Fraction``."""
+    return Fraction(x)
 
 
 class ComplexRational:
@@ -34,8 +21,8 @@ class ComplexRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _Q(re))
-        object.__setattr__(self, "im", _Q(im))
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
@@ -46,7 +33,7 @@ class ComplexRational:
     def _coerce(x):
         if isinstance(x, ComplexRational):
             return x
-        if isinstance(x, (int, type(_Q(0)))):
+        if isinstance(x, (int, Fraction)):
             return ComplexRational(x)
         return NotImplemented
 
@@ -168,8 +155,8 @@ def from_integers(re: int, im: int, den: int) -> ComplexRational:
     if not re and not im:
         return ZERO
     x = object.__new__(ComplexRational)
-    object.__setattr__(x, "re", _Q(re, den) if re else _Q0)
-    object.__setattr__(x, "im", _Q(im, den) if im else _Q0)
+    object.__setattr__(x, "re", Fraction(re, den) if re else _Q0)
+    object.__setattr__(x, "im", Fraction(im, den) if im else _Q0)
     return x
 
 
@@ -179,7 +166,7 @@ def CR(re, im=0) -> ComplexRational:
 
 
 def conj(x):
-    """Conjugate that works for both scalar backends."""
+    """Complex conjugate of a ``ComplexRational``."""
     return x.conjugate()
 
 
@@ -219,16 +206,15 @@ def parse_scalar(text) -> ComplexRational:
         raise ValueError(f"malformed scalar string {text!r}")
     re_s = m.group("re")
     im_s = m.group("im")
-    re_q = _Q(re_s) if re_s is not None else _Q(0)
+    re_q = Fraction(re_s) if re_s is not None else Fraction(0)
     if im_s is None:
-        im_q = _Q(0)
+        im_q = Fraction(0)
     else:
         im_s = im_s.replace(" ", "")
         if im_s in ("", "+"):
-            im_q = _Q(1)
+            im_q = Fraction(1)
         elif im_s == "-":
-            im_q = _Q(-1)
+            im_q = Fraction(-1)
         else:
-            # gmpy2's mpq rejects a leading '+', so drop it explicitly
-            im_q = _Q(im_s.lstrip("+"))
+            im_q = Fraction(im_s)
     return ComplexRational(re_q, im_q)

@@ -40,6 +40,7 @@ class ShiftPlan:
 
 @dataclass(frozen=True)
 class ShiftResult:
+    A: Matrix
     A_hat: Matrix
     plan: ShiftPlan
     R1: Matrix
@@ -152,7 +153,7 @@ def shift_even(
     R2 = hstack(R, U)
     A_hat = A + (R1 @ R2.H).scale(lambda1 - chains.lam)
     plan = ShiftPlan(chains.lam, lambda1, k, U, V, R, L, middle=None)
-    return ShiftResult(A_hat, plan, R1, R2)
+    return ShiftResult(A, A_hat, plan, R1, R2)
 
 
 def shift_odd(
@@ -192,7 +193,7 @@ def shift_odd(
     R2 = hstack(R, r.as_column(), U)
     A_hat = A + (R1 @ R2.H).scale(lambda1 - chains.lam)
     plan = ShiftPlan(chains.lam, lambda1, k, U, V, R, L, middle=(v_mid, r))
-    return ShiftResult(A_hat, plan, R1, R2)
+    return ShiftResult(A, A_hat, plan, R1, R2)
 
 
 def half_chain_invariance_holds(shift: ShiftResult) -> bool:
@@ -244,7 +245,4 @@ def charpoly_ratio_check(
 
 def update_rank(shift: ShiftResult) -> int:
     """Rank of A_hat - A (bounded by the shifted multiplicity)."""
-    delta = (shift.R1 @ shift.R2.H).scale(
-        shift.plan.lambda1 - shift.plan.lambda0
-    )
-    return delta.exact_rank()
+    return (shift.A_hat - shift.A).exact_rank()

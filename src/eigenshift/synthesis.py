@@ -20,7 +20,7 @@ from .linalg import (
     direct_sum,
     jordan_block,
 )
-from .scalars import CR, ComplexRational, ONE, ZERO
+from .scalars import CR, ComplexRational, ZERO
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,7 @@ def test_report_round_trip_byte_identical(tmp_path):
     out2 = tmp_path / "r2.json"
     assert run_cli(["shift", path, "-o", str(out1)]) == 0
     embedded = json.loads(out1.read_text())["job"]
+    assert "backend" not in embedded
     path2 = write(tmp_path, "job2.json", embedded)
     assert run_cli(["shift", path2, "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -129,19 +130,17 @@ def test_precondition_error_exit_3(tmp_path):
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
 
 
-def test_float_backend_skips_classification(tmp_path):
+def test_float_backend_job_exit_2(tmp_path, capsys):
     job = dict(GOLDEN_JOB, backend="float")
-    out = tmp_path / "report.json"
-    assert run_cli(["shift", write(tmp_path, "job.json", job), "-o", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["verdicts"]["prediction_vs_oracle"] == "not-applicable"
-    assert report["prediction"] is None
-    assert isinstance(report["shifted_matrix"][0][0], (int, float))
+    assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 2
+    assert "unknown backend 'float'" in capsys.readouterr().err
 
 
-def test_float_backend_refuses_classify(tmp_path):
+def test_backend_option_rejected(tmp_path):
     form = write(tmp_path, "form.json", {"kind": "even", "k": 2, "lambda": "0"})
-    assert run_cli(["--backend", "float", "classify", form]) == 3
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--backend", "float", "classify", form])
+    assert exc.value.code == 2
 
 
 def test_classify_even_zero_coupling(tmp_path, capsys):

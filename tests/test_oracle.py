@@ -149,3 +149,24 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module imports is read somewhere in that module."""
+    package = Path(eigenshift.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
