@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidChainError, ResolventError, ShapeError
-from .linalg import Matrix, Vector, inner
+from .linalg import Matrix, Vector, _as_scalar, inner
 from .scalars import ComplexRational, ONE, ZERO
-from .synthesis import ChainPair, _as_scalar
+from .synthesis import ChainPair
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,10 @@ def resolvent_orthogonality_check(A: Matrix, lam, pair: ChainPair) -> bool:
     lam = _as_scalar(lam)
     shifted = _check_resolvent_point(A, lam)
     p = pair.length
-    inv_images = {}
-    for j in range(1, p + 1):
-        inv_images[j] = shifted.solve(pair.right[j - 1])
+    # (A - lam I)^{-1} v_j for every j, from one solve
+    images = shifted.solve(Matrix.from_columns(list(pair.right)))
     for i in range(1, p + 1):
         for j in range(1, p - i + 1):
-            if not inner(pair.left[i - 1], inv_images[j]).is_zero:
+            if not inner(pair.left[i - 1], images.col(j - 1)).is_zero:
                 return False
     return True

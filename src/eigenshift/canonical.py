@@ -150,11 +150,11 @@ def _stack3(x: Vector, xi, z: Vector) -> Vector:
 
 def extract_even_canonical(shift: ShiftResult, P: Matrix) -> EvenCanonical:
     """Read C off P^{-1} A_hat P and assert the block-triangular shape."""
-    if shift.plan.middle is not None:
+    if shift.middle is not None:
         raise ExtractionError("even extraction applied to an odd shift")
-    k = shift.plan.k
+    k = shift.k
     lead = _extract_leading_block(shift, P, 2 * k)
-    lam1 = shift.plan.lambda1
+    lam1 = shift.lambda1
     J = jordan_block(lam1, k)
     if lead.submatrix(0, k, 0, k) != J or lead.submatrix(k, 2 * k, k, 2 * k) != J:
         raise ExtractionError("diagonal blocks are not J_k(lambda1)")
@@ -237,12 +237,12 @@ def classify_even(ec: EvenCanonical) -> StructurePrediction:
 
 def extract_odd_canonical(shift: ShiftResult, P: Matrix) -> OddCanonical:
     """Read (a, b, C) off P^{-1} A_hat P and assert the block shape."""
-    if shift.plan.middle is None:
+    if shift.middle is None:
         raise ExtractionError("odd extraction applied to an even shift")
-    k = shift.plan.k
+    k = shift.k
     m = 2 * k + 1
     lead = _extract_leading_block(shift, P, m)
-    lam1 = shift.plan.lambda1
+    lam1 = shift.lambda1
     if k == 0:
         if lead[0, 0] != lam1:
             raise ExtractionError("1x1 block does not equal lambda1")
@@ -343,8 +343,6 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
         ),
         hstack(Matrix.zeros(k, k), Matrix.zeros(k, 1), Matrix.identity(k)),
     )
-    S = oc.matrix()
-    transformed = Y @ S @ Y.inverse()
     # last row by the telescoped formula, cross-checked below
     last = []
     for j in range(1, k + 1):
@@ -355,7 +353,9 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
     cf = ConcentratedForm(
         k, lam, a[k - 1], b[0], Vector(last), Y
     )
-    if transformed != cf.matrix():
+    # Y is unit block upper triangular, hence invertible, so Y S Y^{-1}
+    # equals the concentrated form exactly when Y S does S~ Y
+    if Y @ oc.matrix() != cf.matrix() @ Y:
         raise ReductionError(
             "Y-transform did not reach the expected concentrated form"
         )
@@ -595,7 +595,7 @@ def _extract_leading_block(shift: ShiftResult, P: Matrix, m: int) -> Matrix:
 def predict_structure(shift: ShiftResult, P: Matrix) -> StructurePrediction:
     """End-to-end prediction: extract, (reduce,) classify, verify."""
     m = shift.multiplicity
-    lam1 = shift.plan.lambda1
+    lam1 = shift.lambda1
     if m == 1:
         lead = _extract_leading_block(shift, P, 1)
         if lead[0, 0] != lam1:

@@ -22,24 +22,18 @@ from math import lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import BackendError, ShapeError, SingularMatrixError
-from .scalars import CR, ComplexRational, ONE, ZERO, conj, from_integers
+from .errors import ShapeError, SingularMatrixError
+from .scalars import ComplexRational, ONE, ZERO, conj, from_integers
 
 
-def _coerce_scalar(x):
+def _as_scalar(x) -> ComplexRational:
+    """x as an exact scalar; a float or complex raises BackendError."""
     if isinstance(x, ComplexRational):
         return x
-    if isinstance(x, int):
-        return CR(x)
-    if isinstance(x, (float, complex)):
-        raise BackendError(
-            f"{x!r} is not exact; matrix entries must be int, Fraction or "
-            "ComplexRational"
-        )
     try:
-        return CR(x)
+        return ComplexRational(x)
     except (TypeError, ValueError):
-        raise TypeError(f"cannot use {x!r} as a matrix entry") from None
+        raise TypeError(f"cannot use {x!r} as an exact scalar") from None
 
 
 class Vector:
@@ -48,7 +42,7 @@ class Vector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(map(_coerce_scalar, entries)))
+        object.__setattr__(self, "entries", tuple(map(_as_scalar, entries)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -146,7 +140,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(map(_coerce_scalar, entries))
+        entries = tuple(map(_as_scalar, entries))
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
@@ -262,7 +256,7 @@ class Matrix:
         """self - lam I, changing only the diagonal (square matrices)."""
         if not self.is_square:
             raise ShapeError(f"{self.shape} matrix minus a multiple of I")
-        lam = _coerce_scalar(lam)
+        lam = _as_scalar(lam)
         entries = list(self.entries)
         for t in range(0, len(entries), self.cols + 1):
             entries[t] = entries[t] - lam
@@ -452,7 +446,7 @@ def _dot(a, b):
 def _scaled(entries, c):
     """c * entries[t] for each t."""
     d, re, im = _clear(entries)
-    dc, (cr,), ci = _clear((_coerce_scalar(c),))
+    dc, (cr,), ci = _clear((_as_scalar(c),))
     if not (im or ci):
         return [from_integers(x * cr, 0, d * dc) for x in re]
     ci = ci[0] if ci else 0
@@ -556,7 +550,7 @@ def jordan_block(lam, k: int) -> Matrix:
     """k-by-k upper bidiagonal Jordan block: lam on the diagonal, 1 above."""
     if k < 1:
         raise ShapeError(f"Jordan block size must be >= 1, got {k}")
-    lam = _coerce_scalar(lam)
+    lam = _as_scalar(lam)
     entries = []
     for i in range(k):
         for j in range(k):

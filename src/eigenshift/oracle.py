@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassificationError, MissingEigenvalueError
-from .linalg import Matrix, Vector, stack_vectors_as_rows
+from .linalg import Matrix, Vector, _as_scalar, stack_vectors_as_rows
 from .scalars import ComplexRational
-from .synthesis import SegreCharacteristic, _as_scalar
+from .synthesis import SegreCharacteristic
 
 
 @dataclass(frozen=True)

@@ -183,10 +183,7 @@ def _make_instance(
     R = L = None
     if guarded:  # structured factors also keep the update decoupled
         R, L = _structured_inverses(rng, P0, left_j, right_j, m, k, n)
-    if m % 2 == 0:
-        shift = shift_even(A, chains, lam1, R=R, L=L)
-    else:
-        shift = shift_odd(A, chains, lam1, R=R, L=L)
+    shift = (shift_odd if m % 2 else shift_even)(A, chains, lam1, R=R, L=L)
     # Jordan basis whose leading m columns are the full right chain
     cols = [P0 @ v for v in right_j] + [
         P0.col(j) for j in range(m, n)

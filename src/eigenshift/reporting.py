@@ -17,6 +17,7 @@ from .errors import (
     EigenShiftError,
     ExtractionError,
     InvalidParameterError,
+    ShapeError,
 )
 from .linalg import Matrix, Vector
 from .oracle import oracle_segre, weyr_profile
@@ -54,6 +55,13 @@ def str_to_scalar(s) -> ComplexRational:
         raise JobParseError(f"bad scalar {s!r}: {exc}") from exc
 
 
+def _int_field(value, name: str) -> int:
+    """A JSON integer field; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_to_obj(M: Matrix):
     return [[scalar_to_str(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
 
@@ -86,7 +94,10 @@ def segre_to_obj(segre: SegreCharacteristic):
 def obj_to_segre(obj) -> SegreCharacteristic:
     try:
         return SegreCharacteristic(
-            [(str_to_scalar(lam), int(size)) for lam, size in obj]
+            [
+                (str_to_scalar(lam), _int_field(size, "block size"))
+                for lam, size in obj
+            ]
         )
     except (TypeError, ValueError) as exc:
         raise JobParseError(f"bad segre description: {exc}") from exc
@@ -146,11 +157,9 @@ def parse_shift_job(doc) -> ShiftJob:
     try:
         lam0 = str_to_scalar(doc["target_eigenvalue"])
         lam1 = str_to_scalar(doc["new_eigenvalue"])
-        k = doc["k"]
+        k = _int_field(doc["k"], "k")
     except KeyError as exc:
         raise JobParseError(f"job is missing required field {exc}") from exc
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise JobParseError(f"k must be an integer, got {k!r}")
     # older reports embed "backend": "exact" in their job; keep them parsing
     if doc.get("backend", "exact") != "exact":
         raise JobParseError(f"unknown backend {doc['backend']!r}")
@@ -192,33 +201,24 @@ def _job_inputs(job: ShiftJob):
             if job.change_of_basis is not None
             else Matrix.identity(n)
         )
-        A, chain_list = build_matrix(segre, P0)
-        picked = [
-            (i, cp)
-            for i, (cp, (lam, _)) in enumerate(zip(chain_list, segre.blocks))
-            if lam == lam0
-        ]
-        if len(picked) != 1:
+        if P0.shape != (n, n):
+            raise ShapeError(
+                f"change of basis must be {n}x{n}, got {P0.rows}x{P0.cols}"
+            )
+        targets = [i for i, (lam, _) in enumerate(segre.blocks) if lam == lam0]
+        if len(targets) != 1:
             raise InvalidParameterError(
                 "the target eigenvalue must occupy exactly one Jordan block"
             )
-        idx, chains = picked[0]
-        m = chains.length
-        # prediction basis: the shifted block's right chain first,
-        # then every other block's columns in original order
-        offsets = []
-        off = 0
-        for lam, size in segre.blocks:
-            offsets.append((off, size))
-            off += size
-        cols = [P0.col(offsets[idx][0] + i) for i in range(m)]
-        others = []
-        for i, (lam, size) in enumerate(segre.blocks):
-            if i != idx:
-                cols.extend(P0.col(offsets[i][0] + t) for t in range(size))
-                others.append((lam, size))
-        P = Matrix.from_columns(cols, dim=n)
-        return A, chains, P, others
+        # Move the target block and its basis columns to the front: A =
+        # P J P^{-1} is unchanged, and P is then the prediction basis.
+        cols = iter(P0.columns())
+        parts = [(b, [next(cols) for _ in range(b[1])]) for b in segre.blocks]
+        parts.insert(0, parts.pop(targets[0]))
+        blocks = [b for b, _ in parts]
+        P = Matrix.from_columns([v for _, vs in parts for v in vs])
+        A, chain_list = build_matrix(SegreCharacteristic(blocks), P)
+        return A, chain_list[0], P, blocks[1:]
     A = job.matrix
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     m = chains.length
@@ -237,26 +237,14 @@ def run_shift_job(job: ShiftJob) -> dict:
         raise InvalidParameterError(
             f"k={job.k} is inconsistent with a chain of length {m}"
         )
-    R = (
-        make_right_inverse(
-            Matrix.from_columns(list(chains.right[: job.k]), dim=A.rows),
-            free=job.r_free,
-        )
-        if job.k > 0
-        else None
-    )
-    L = (
-        make_left_inverse(
-            Matrix.from_columns(list(chains.left[: job.k]), dim=A.rows),
-            free=job.l_free,
-        )
-        if job.k > 0
-        else None
-    )
-    if m % 2 == 0:
-        shift = shift_even(A, chains, lam1, R=R, L=L)
-    else:
-        shift = shift_odd(A, chains, lam1, R=R, L=L)
+    R = L = None  # without a free part the shift builds the default
+    if job.r_free is not None:
+        V = Matrix.from_columns(list(chains.right[: job.k]), dim=A.rows)
+        R = make_right_inverse(V, free=job.r_free)
+    if job.l_free is not None:
+        U = Matrix.from_columns(list(chains.left[: job.k]), dim=A.rows)
+        L = make_left_inverse(U, free=job.l_free)
+    shift = (shift_odd if m % 2 else shift_even)(A, chains, lam1, R=R, L=L)
 
     diagnostics = []
     verdicts = {}
@@ -332,11 +320,8 @@ def report_exit_code(report: dict) -> int:
 
 def parse_chain_sets(doc):
     """Chains document: {"chains": [{"lambda", "left", "right"}, ...]}."""
-    if isinstance(doc, dict) and "chains" in doc:
-        items = doc["chains"]
-    elif isinstance(doc, list):
-        items = doc
-    else:
+    items = doc.get("chains") if isinstance(doc, dict) else doc
+    if not isinstance(items, list):
         raise JobParseError("chains document must hold a 'chains' array")
     pairs = []
     for item in items:
@@ -363,6 +348,7 @@ def run_verify_job(A: Matrix, pairs) -> dict:
     verdicts = {}
     diagnostics = []
     lams = [p.lam for p in pairs]
+    point = ...  # the resolvent point, searched for once on first use
     for i, pair in enumerate(pairs):
         tag = f"chain_{i}"
         try:
@@ -386,7 +372,8 @@ def run_verify_job(A: Matrix, pairs) -> dict:
             except InvalidChainError as exc:
                 verdicts[f"{tag}:middle_product"] = FAIL
                 diagnostics.append(f"{tag}: {exc}")
-        point = _resolvent_point(A, exclude=lams)
+        if point is ...:
+            point = _resolvent_point(A, exclude=lams)
         if point is None:
             verdicts[f"{tag}:resolvent_identities"] = NA
             diagnostics.append(
@@ -462,12 +449,10 @@ def run_classify_job(doc) -> dict:
         raise JobParseError("form document must be a single object")
     kind = doc.get("kind")
     try:
-        k = int(doc["k"])
+        k = _int_field(doc["k"], "k")
         lam = str_to_scalar(doc["lambda"])
     except KeyError as exc:
         raise JobParseError(f"form is missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise JobParseError(f"bad form field: {exc}") from exc
     if k < 1:
         raise JobParseError("classification needs k >= 1")
     if kind == "even":

@@ -9,6 +9,8 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
+from .errors import BackendError
+
 
 def rational(x) -> Fraction:
     """Coerce an int, string 'p/q' or rational to a ``Fraction``."""
@@ -21,6 +23,11 @@ class ComplexRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
+            raise BackendError(
+                f"({re!r}, {im!r}) is not exact; scalar parts must be int, "
+                "Fraction or a rational string"
+            )
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -127,9 +134,6 @@ class ComplexRational:
     def sort_key(self):
         """Lexicographic key on (re, im) for deterministic ordering."""
         return (self.re, self.im)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     # -- formatting ---------------------------------------------------------
 

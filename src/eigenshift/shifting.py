@@ -1,8 +1,9 @@
 """Rank-one and rank-k eigenvalue shifts.
 
 Builds the updated matrix A + (lam1 - lam0) R1 R2* for the rank-one
-case (single eigenvector, plain-transpose normalization), the even
-multiplicity case R1 = [V L], R2 = [R U], and the odd multiplicity case
+case (single eigenvector, plain-transpose normalization) and, from one
+construction, for a chain of length 2k or 2k + 1: the even update
+R1 = [V L], R2 = [R U], which an odd chain extends by its middle pair to
 R1 = [V v_{k+1} L], R2 = [R r U] with the normalized middle vector r.
 """
 
@@ -19,36 +20,43 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Vector, hstack, inner, outer_plain
+from .linalg import Matrix, Vector, _as_scalar, hstack, inner, outer_plain
 from .scalars import ComplexRational, ONE
-from .synthesis import ChainPair, _as_scalar
-
-
-@dataclass(frozen=True)
-class ShiftPlan:
-    """All ingredients of one shift: chains halves plus their inverses."""
-
-    lambda0: ComplexRational
-    lambda1: ComplexRational
-    k: int
-    U: Matrix
-    V: Matrix
-    R: Matrix
-    L: Matrix
-    middle: Optional[tuple] = None  # (v_{k+1}, r) in the odd case
+from .synthesis import ChainPair
 
 
 @dataclass(frozen=True)
 class ShiftResult:
+    """A_hat = A + (lam1 - lam0) R1 R2*, the chain pair it shifted, whose
+    first k vectors are U and V, and the middle pair (v_{k+1}, r) of an
+    odd chain."""
+
     A: Matrix
     A_hat: Matrix
-    plan: ShiftPlan
-    R1: Matrix
-    R2: Matrix
+    chains: ChainPair
+    lambda1: ComplexRational
+    middle: Optional[tuple] = None
 
     @property
     def multiplicity(self) -> int:
-        return 2 * self.plan.k + (1 if self.plan.middle is not None else 0)
+        return self.chains.length
+
+    @property
+    def k(self) -> int:
+        return self.multiplicity // 2
+
+    @property
+    def U(self) -> Matrix:
+        return _leading(self.chains.left, self.k, self.A.rows)
+
+    @property
+    def V(self) -> Matrix:
+        return _leading(self.chains.right, self.k, self.A.rows)
+
+
+def _leading(chain, k: int, n: int) -> Matrix:
+    """The first k vectors of a chain as the columns of an n x k matrix."""
+    return Matrix.from_columns(list(chain[:k]), dim=n)
 
 
 def brauer_shift(A: Matrix, v: Vector, r: Vector, lambda0, lambda1) -> Matrix:
@@ -67,148 +75,110 @@ def brauer_shift(A: Matrix, v: Vector, r: Vector, lambda0, lambda1) -> Matrix:
     return A + outer_plain(v, r).scale(lambda1 - lambda0)
 
 
+def _one_sided_inverse(X: Matrix, free: Optional[Matrix], name: str):
+    """X (X* X)^{-1} plus an optional free part F with F* X = 0."""
+    n, k = X.shape
+    if k == 0:
+        return Matrix(n, 0, [])
+    rank = X.exact_rank()
+    if rank < k:
+        raise SingularMatrixError(
+            f"{name} must have full column rank", rank=rank
+        )
+    out = X @ (X.H @ X).inverse()
+    if free is not None:
+        if free.shape != (n, k):
+            raise ShapeError(f"free part must be {n}x{k}, got {free.shape}")
+        if not (free.H @ X).is_zero:
+            raise InvalidParameterError(f"free part F needs F* {name} = 0")
+        out = out + free
+    return out
+
+
 def make_right_inverse(V: Matrix, free: Optional[Matrix] = None) -> Matrix:
     """R with R* V = I_k.
 
     Default is the minimal solution R = V (V* V)^{-1}; an optional free
     part may add any matrix whose conjugate transpose annihilates V.
     """
-    n, k = V.rows, V.cols
-    if k == 0:
-        return Matrix(n, 0, [])
-    if V.exact_rank() < k:
-        raise SingularMatrixError(
-            "V must have full column rank", rank=V.exact_rank()
-        )
-    gram = V.H @ V
-    R = V @ gram.inverse()
-    if free is not None:
-        if free.shape != (n, k):
-            raise ShapeError(f"free part must be {n}x{k}, got {free.shape}")
-        if not (free.H @ V).is_zero:
-            raise InvalidParameterError(
-                "free part must satisfy free* V = 0 to preserve R* V = I"
-            )
-        R = R + free
-    return R
+    return _one_sided_inverse(V, free, "V")
 
 
 def make_left_inverse(U: Matrix, free: Optional[Matrix] = None) -> Matrix:
-    """L with U* L = I_k; mirror of make_right_inverse."""
-    n, k = U.rows, U.cols
-    if k == 0:
-        return Matrix(n, 0, [])
-    if U.exact_rank() < k:
-        raise SingularMatrixError(
-            "U must have full column rank", rank=U.exact_rank()
-        )
-    L = U @ (U.H @ U).inverse()
-    if free is not None:
-        if free.shape != (n, k):
-            raise ShapeError(f"free part must be {n}x{k}, got {free.shape}")
-        if not (U.H @ free).is_zero:
-            raise InvalidParameterError(
-                "free part must satisfy U* free = 0 to preserve U* L = I"
+    """L with U* L = I_k; the same construction as make_right_inverse."""
+    return _one_sided_inverse(U, free, "U")
+
+
+def _shift(A, chains: ChainPair, lambda1, R, L, parity: int) -> ShiftResult:
+    """The shift of a chain of the given parity (0 even, 1 odd).
+
+    For an odd chain the middle pair v_{k+1}, r with
+    r = u_{k+1} / (v_{k+1}* u_{k+1}) joins R1 and R2; the middle product
+    is nonzero for genuine chains and is checked.
+    """
+    p = chains.length
+    if p % 2 != parity:
+        name = ("even", "odd")[parity]
+        raise InvalidChainError(f"{name} shift needs an {name} chain, got {p}")
+    lambda1 = _as_scalar(lambda1)
+    chains.verify_against(A)
+    k = p // 2
+    U = _leading(chains.left, k, A.rows)
+    V = _leading(chains.right, k, A.rows)
+    middle = None
+    if p % 2:
+        v_mid, u_mid = chains.right[k], chains.left[k]
+        mu = inner(v_mid, u_mid)  # v_{k+1}* u_{k+1}
+        if mu.is_zero:
+            raise InvalidChainError(
+                "v_{k+1}* u_{k+1} = 0: not a genuine odd chain pair"
             )
-        L = L + free
-    return L
-
-
-def _halves(chains: ChainPair, k: int):
-    n = chains.right[0].dim
-    U = Matrix.from_columns(list(chains.left[:k]), dim=n)
-    V = Matrix.from_columns(list(chains.right[:k]), dim=n)
-    return U, V
-
-
-def _check_inverse_identities(U, V, R, L, k):
+        middle = (v_mid, u_mid.scale(ONE / mu))
+    if R is None:
+        R = make_right_inverse(V)
+    if L is None:
+        L = make_left_inverse(U)
     ident = Matrix.identity(k)
     if R.H @ V != ident:
         raise InverseIdentityError("R* V != I_k")
     if U.H @ L != ident:
         raise InverseIdentityError("U* L != I_k")
+    mid = [[x.as_column()] for x in middle] if middle else [[], []]
+    R1 = hstack(V, *mid[0], L)  # [V v_{k+1} L], or [V L] when even
+    R2 = hstack(R, *mid[1], U)  # [R r U], or [R U] when even
+    A_hat = A + (R1 @ R2.H).scale(lambda1 - chains.lam)
+    return ShiftResult(A, A_hat, chains, lambda1, middle)
 
 
 def shift_even(
-    A: Matrix,
-    chains: ChainPair,
-    lambda1,
-    R: Optional[Matrix] = None,
-    L: Optional[Matrix] = None,
+    A: Matrix, chains: ChainPair, lambda1,
+    R: Optional[Matrix] = None, L: Optional[Matrix] = None,
 ) -> ShiftResult:
     """Shift an eigenvalue of even algebraic multiplicity 2k."""
-    lambda1 = _as_scalar(lambda1)
-    p = chains.length
-    if p % 2 != 0:
-        raise InvalidChainError(f"even shift needs an even chain, got {p}")
-    chains.verify_against(A)
-    k = p // 2
-    U, V = _halves(chains, k)
-    if R is None:
-        R = make_right_inverse(V)
-    if L is None:
-        L = make_left_inverse(U)
-    _check_inverse_identities(U, V, R, L, k)
-    R1 = hstack(V, L)
-    R2 = hstack(R, U)
-    A_hat = A + (R1 @ R2.H).scale(lambda1 - chains.lam)
-    plan = ShiftPlan(chains.lam, lambda1, k, U, V, R, L, middle=None)
-    return ShiftResult(A, A_hat, plan, R1, R2)
+    return _shift(A, chains, lambda1, R, L, parity=0)
 
 
 def shift_odd(
-    A: Matrix,
-    chains: ChainPair,
-    lambda1,
-    R: Optional[Matrix] = None,
-    L: Optional[Matrix] = None,
+    A: Matrix, chains: ChainPair, lambda1,
+    R: Optional[Matrix] = None, L: Optional[Matrix] = None,
 ) -> ShiftResult:
-    """Shift an eigenvalue of odd algebraic multiplicity 2k + 1.
-
-    The middle pair contributes the extra rank-one term v_{k+1} r* with
-    r = u_{k+1} / (v_{k+1}* u_{k+1}); the middle product is nonzero for
-    genuine chains and is checked.
-    """
-    lambda1 = _as_scalar(lambda1)
-    p = chains.length
-    if p % 2 != 1:
-        raise InvalidChainError(f"odd shift needs an odd chain, got {p}")
-    chains.verify_against(A)
-    k = (p - 1) // 2
-    U, V = _halves(chains, k)
-    v_mid = chains.right[k]
-    u_mid = chains.left[k]
-    mu = inner(v_mid, u_mid)  # v_{k+1}* u_{k+1}
-    if mu.is_zero:
-        raise InvalidChainError(
-            "v_{k+1}* u_{k+1} = 0: not a genuine odd chain pair"
-        )
-    r = u_mid.scale(ONE / mu)
-    if R is None:
-        R = make_right_inverse(V)
-    if L is None:
-        L = make_left_inverse(U)
-    _check_inverse_identities(U, V, R, L, k)
-    R1 = hstack(V, v_mid.as_column(), L)
-    R2 = hstack(R, r.as_column(), U)
-    A_hat = A + (R1 @ R2.H).scale(lambda1 - chains.lam)
-    plan = ShiftPlan(chains.lam, lambda1, k, U, V, R, L, middle=(v_mid, r))
-    return ShiftResult(A, A_hat, plan, R1, R2)
+    """Shift an eigenvalue of odd algebraic multiplicity 2k + 1."""
+    return _shift(A, chains, lambda1, R, L, parity=1)
 
 
 def half_chain_invariance_holds(shift: ShiftResult) -> bool:
     """A_hat V = V J_k(lam1) and U* A_hat = J_k(lam1)^T U*, entrywise."""
     from .linalg import jordan_block
 
-    plan = shift.plan
-    k = plan.k
-    if k == 0:
-        v1 = plan.middle[0] if plan.middle else None
-        return v1 is None or shift.A_hat @ v1 == v1.scale(plan.lambda1)
-    Jk = jordan_block(plan.lambda1, k)
-    if shift.A_hat @ plan.V != plan.V @ Jk:
+    if shift.k == 0:
+        v1 = shift.chains.right[0]
+        return shift.A_hat @ v1 == v1.scale(shift.lambda1)
+    Jk = jordan_block(shift.lambda1, shift.k)
+    V = shift.V
+    if shift.A_hat @ V != V @ Jk:
         return False
-    return plan.U.H @ shift.A_hat == Jk.transpose() @ plan.U.H
+    UH = shift.U.H
+    return UH @ shift.A_hat == Jk.transpose() @ UH
 
 
 def charpoly_ratio_check(

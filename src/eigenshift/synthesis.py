@@ -17,6 +17,7 @@ from .errors import InvalidChainError, InvalidParameterError, ShapeError
 from .linalg import (
     Matrix,
     Vector,
+    _as_scalar,
     direct_sum,
     jordan_block,
 )
@@ -67,12 +68,6 @@ class SegreCharacteristic:
 
     def __hash__(self):
         return hash(self.canonical().blocks)
-
-
-def _as_scalar(x) -> ComplexRational:
-    if isinstance(x, ComplexRational):
-        return x
-    return CR(x)
 
 
 @dataclass(frozen=True)

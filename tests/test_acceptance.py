@@ -163,7 +163,7 @@ def test_criterion_4_half_chain_invariance(capsys, mixed_pool):
 def test_criterion_5_even_classifier(capsys, even_pool):
     ok = len(even_pool) >= 200
     for inst, pred in even_pool:
-        k = inst.shift.plan.k
+        k = inst.shift.k
         ok = ok and pred.sizes in ((2 * k,), (k, k))
         oracle = weyr_profile(inst.shift.A_hat, inst.lambda1).block_sizes()
         ok = ok and pred.sizes == oracle
@@ -185,7 +185,7 @@ def test_criterion_6_odd_classifier(capsys, odd_pool):
     shifts, targeted = odd_pool
     ok = len(shifts) >= 200
     for inst, pred in shifts:
-        k = inst.shift.plan.k
+        k = inst.shift.k
         ok = ok and _odd_family_member(pred.sizes, k)
         oracle = weyr_profile(inst.shift.A_hat, inst.lambda1).block_sizes()
         ok = ok and pred.sizes == oracle

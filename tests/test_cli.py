@@ -96,6 +96,9 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert run_cli(["shift", missing]) == 2
     bad_scalar = dict(GOLDEN_JOB, target_eigenvalue="1.5")
     assert run_cli(["shift", write(tmp_path, "s.json", bad_scalar)]) == 2
+    for size in (2.5, True, "2"):
+        bad_size = dict(GOLDEN_JOB, segre=[["1", 4], ["3", size]])
+        assert run_cli(["shift", write(tmp_path, "z.json", bad_size)]) == 2
 
 
 @pytest.mark.parametrize("k", [1.5, True, "2", None, [2]])
@@ -123,6 +126,15 @@ def test_malformed_chains_exit_2(tmp_path, chains):
         "chains": chains,
     }
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc", [{"chains": 5}, {"chains": "abc"}, {"other": []}, 5, [7]]
+)
+def test_malformed_chains_doc_exit_2(tmp_path, doc):
+    mat = write(tmp_path, "mat.json", [["1"]])
+    ch = write(tmp_path, "chains.json", doc)
+    assert run_cli(["verify", mat, ch]) == 2
 
 
 def test_precondition_error_exit_3(tmp_path):
@@ -177,8 +189,12 @@ def test_classify_odd_trivial(tmp_path, capsys):
 
 
 def test_classify_bad_form_exit_2(tmp_path):
-    form = write(tmp_path, "form.json", {"kind": "cube", "k": 1, "lambda": "0"})
-    assert run_cli(["classify", form]) == 2
+    bad_forms = [{"kind": "cube", "k": 1, "lambda": "0"}] + [
+        {"kind": "even", "k": k, "lambda": "0"} for k in (1.5, True, "2", None)
+    ]
+    for doc in bad_forms:
+        form = write(tmp_path, "form.json", doc)
+        assert run_cli(["classify", form]) == 2, doc
 
 
 def _chains_doc(chain_list):

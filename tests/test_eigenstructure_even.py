@@ -102,7 +102,7 @@ def test_even_classification_matches_oracle_randomized():
     for _ in range(25):
         inst = random_even_shift_instance(rng, guarded=True, max_k=3)
         pred = predict_structure(inst.shift, inst.P)
-        k = inst.shift.plan.k
+        k = inst.shift.k
         assert pred.sizes in ((k, k), (2 * k,))
         want = weyr_profile(pred.canonical, inst.lambda1).block_sizes()
         assert pred.sizes == want

@@ -20,7 +20,12 @@ from eigenshift.linalg import (
     vstack,
 )
 from eigenshift.scalars import CR, I, ONE, ZERO
-from eigenshift.synthesis import random_unimodular
+from eigenshift.shifting import shift_even
+from eigenshift.synthesis import (
+    SegreCharacteristic,
+    build_matrix,
+    random_unimodular,
+)
 
 
 def M(rows):
@@ -129,6 +134,17 @@ def test_float_entries_refused_for_exact_ops():
         Matrix.identity(2).scale(0.5)
     with pytest.raises(BackendError):
         Matrix.identity(2).minus_identity(0.5)
+    # ... and so is one that reaches a scalar or a public entry point
+    with pytest.raises(BackendError):
+        CR(0.1)
+    with pytest.raises(BackendError):
+        CR(1, 0.5)
+    segre = SegreCharacteristic([(1, 2)])
+    A, chains = build_matrix(segre, Matrix.identity(2))
+    with pytest.raises(BackendError):
+        shift_even(A, chains[0], 2.5)
+    with pytest.raises(BackendError):
+        SegreCharacteristic([(0.5, 2)])
 
 
 @settings(max_examples=25, deadline=None)

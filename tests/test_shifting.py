@@ -68,6 +68,13 @@ def test_make_left_inverse_mirror():
     U = Matrix.from_columns([Vector.unit(3, 2), Vector.unit(3, 1)])
     L = make_left_inverse(U)
     assert U.H @ L == Matrix.identity(2)
+    free = Matrix.from_columns([Vector.unit(3, 0), Vector.zero(3)])
+    L2 = make_left_inverse(U, free=free)
+    assert L2 == L + free
+    assert U.H @ L2 == Matrix.identity(2)
+    bad_free = Matrix.from_columns([Vector.zero(3), Vector.unit(3, 1)])
+    with pytest.raises(InvalidParameterError):
+        make_left_inverse(U, free=bad_free)
 
 
 def test_shift_even_golden_block():
@@ -79,12 +86,26 @@ def test_shift_even_golden_block():
     assert update_rank(shift) <= 4
 
 
+def test_shift_odd_golden_block():
+    """In the identity basis R1 R2* = I, so J_{2k+1}(1) becomes J_{2k+1}(3)."""
+    for k in range(4):
+        m = 2 * k + 1
+        segre = SegreCharacteristic([(1, m)])
+        A, chains = build_matrix(segre, Matrix.identity(m))
+        shift = shift_odd(A, chains[0], 3)
+        assert shift.A_hat == jordan_block(CR(3), m)
+        assert (shift.k, shift.multiplicity) == (k, m)
+
+
 def test_shift_even_rejects_custom_factor_violating_identity():
-    segre = SegreCharacteristic([(1, 4)])
-    A, chains = build_matrix(segre, Matrix.identity(4))
-    bad_R = Matrix.from_columns([Vector.unit(4, 2), Vector.unit(4, 3)])
-    with pytest.raises(InverseIdentityError):
-        shift_even(A, chains[0], 2, R=bad_R)
+    for shift, m in ((shift_even, 4), (shift_odd, 5)):
+        segre = SegreCharacteristic([(1, m)])
+        A, chains = build_matrix(segre, Matrix.identity(m))
+        bad = Matrix.from_columns([Vector.unit(m, 2), Vector.unit(m, 3)])
+        with pytest.raises(InverseIdentityError):
+            shift(A, chains[0], 2, R=bad)
+        with pytest.raises(InverseIdentityError):
+            shift(A, chains[0], 2, L=bad.scale(2))
 
 
 def test_shift_parity_enforced():
@@ -103,7 +124,7 @@ def test_shift_odd_middle_vector_normalization():
     A, chains = build_matrix(segre, Matrix.identity(3))
     shift = shift_odd(A, chains[0], 4)
     assert shift.multiplicity == 3
-    v_mid, r = shift.plan.middle
+    v_mid, r = shift.middle
     from eigenshift.linalg import inner
 
     assert inner(r, v_mid) == ONE  # r* v_{k+1} = 1 by construction

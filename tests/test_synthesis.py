@@ -160,5 +160,5 @@ def test_random_unimodular_entry_bound():
     rng = random.Random(3)
     for n in (1, 2, 5):
         U = random_unimodular(n, rng, max_abs=3)
-        assert all(abs(complex(e).real) <= 3 for e in U.entries)
+        assert all(e.im == 0 and abs(e.re) <= 3 for e in U.entries)
         assert U.det() in (ONE, -ONE)
