@@ -2,6 +2,8 @@
 
 Inner products are conjugate-linear in the left argument throughout
 (u* v), matching the star convention used by the shift construction.
+The left chain of A at lam0 is a right chain of A* at conj(lam0), so
+the left resolvent identity is the right one computed for A*.
 """
 
 from __future__ import annotations
@@ -9,9 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidChainError, ResolventError, ShapeError
+from .errors import (
+    InvalidChainError,
+    ResolventError,
+    ShapeError,
+    SingularMatrixError,
+)
 from .linalg import Matrix, Vector, _as_scalar, inner
-from .scalars import ComplexRational, ONE, ZERO
+from .scalars import ONE, ZERO
 from .synthesis import ChainPair
 
 
@@ -86,67 +93,63 @@ def middle_product_nonzero(left: Sequence[Vector], right: Sequence[Vector]):
     return x
 
 
-def _check_resolvent_point(A: Matrix, lam: ComplexRational):
-    n = A.rows
-    shifted = A.minus_identity(lam)
-    if shifted.exact_rank() < n:
-        raise ResolventError(f"resolvent point {lam} lies in the spectrum")
-    return shifted
+def _resolvent_solve(A: Matrix, lam, rhs):
+    """(A - lam I)^{-1} rhs; a point of the spectrum raises ResolventError."""
+    try:
+        return A.minus_identity(lam).solve(rhs)
+    except SingularMatrixError:
+        raise ResolventError(
+            f"resolvent point {lam} lies in the spectrum"
+        ) from None
+
+
+def _resolvent_apply(A: Matrix, lam, lam0, chain, i: int, side: str):
+    """(A - lam I)^{-1} x_i for a chain x of A at lam0, cross-checked.
+
+    The closed form is sum_{j=1}^{i} (-1)^{i-j} x_j / (lam0 - lam)^{i-j+1};
+    solving the linear system and evaluating the sum validate each other.
+    """
+    solved = _resolvent_solve(A, lam, chain[i - 1])
+    d = lam0 - lam
+    acc = Vector.zero(solved.dim)
+    for j in range(1, i + 1):
+        coeff = (ONE if (i - j) % 2 == 0 else -ONE) / d ** (i - j + 1)
+        acc = acc + chain[j - 1].scale(coeff)
+    if solved != acc:
+        raise InvalidChainError(
+            "resolvent closed form disagrees with the exact solve; "
+            f"input is not a genuine {side} chain"
+        )
+    return solved
 
 
 def resolvent_apply_right(
     A: Matrix, lam, pair: ChainPair, i: int
 ) -> Vector:
-    """(A - lam I)^{-1} v_i, exactly, cross-checked against the closed form.
-
-    The closed form is sum_{j=1}^{i} (-1)^{i-j} v_j / (lam0 - lam)^{i-j+1}
-    where lam0 is the chain eigenvalue; solving the linear system and
-    evaluating the sum validate each other.
-    """
+    """(A - lam I)^{-1} v_i, exactly, cross-checked against the closed form."""
     lam = _as_scalar(lam)
-    shifted = _check_resolvent_point(A, lam)
-    v = pair.right[i - 1]
-    solved = shifted.solve(v)
-    d = pair.lam - lam
-    acc = Vector.zero(v.dim)
-    for j in range(1, i + 1):
-        coeff = (ONE if (i - j) % 2 == 0 else -ONE) / d ** (i - j + 1)
-        acc = acc + pair.right[j - 1].scale(coeff)
-    if solved != acc:
-        raise InvalidChainError(
-            "resolvent closed form disagrees with the exact solve; "
-            "input is not a genuine right chain"
-        )
-    return solved
+    return _resolvent_apply(A, lam, pair.lam, pair.right, i, "right")
 
 
 def resolvent_apply_left(A: Matrix, lam, pair: ChainPair, i: int) -> Vector:
-    """w with w* = u_i* (A - lam I)^{-1}, cross-checked likewise."""
-    lam = _as_scalar(lam)
-    shifted = _check_resolvent_point(A, lam)
-    u = pair.left[i - 1]
-    solved = shifted.H.solve(u)
-    d = pair.lam - lam
-    acc = Vector.zero(u.dim)
-    for j in range(1, i + 1):
-        coeff = (ONE if (i - j) % 2 == 0 else -ONE) / d ** (i - j + 1)
-        # w* = sum coeff * u_j*  =>  w = sum conj(coeff) * u_j
-        acc = acc + pair.left[j - 1].scale(coeff.conjugate())
-    if solved != acc:
-        raise InvalidChainError(
-            "resolvent closed form disagrees with the exact solve; "
-            "input is not a genuine left chain"
-        )
-    return solved
+    """w with w* = u_i* (A - lam I)^{-1}, cross-checked likewise.
+
+    w = (A* - conj(lam) I)^{-1} u_i, and the u_i form a right chain of A*
+    at conj(lam0), so this is the right-side computation for A*.
+    """
+    return _resolvent_apply(
+        A.H, _as_scalar(lam).conjugate(), pair.lam.conjugate(), pair.left,
+        i, "left",
+    )
 
 
 def resolvent_orthogonality_check(A: Matrix, lam, pair: ChainPair) -> bool:
     """True iff u_i* (A - lam I)^{-1} v_j = 0 for all i + j <= p."""
-    lam = _as_scalar(lam)
-    shifted = _check_resolvent_point(A, lam)
-    p = pair.length
     # (A - lam I)^{-1} v_j for every j, from one solve
-    images = shifted.solve(Matrix.from_columns(list(pair.right)))
+    images = _resolvent_solve(
+        A, _as_scalar(lam), Matrix.from_columns(list(pair.right))
+    )
+    p = pair.length
     for i in range(1, p + 1):
         for j in range(1, p - i + 1):
             if not inner(pair.left[i - 1], images.col(j - 1)).is_zero:

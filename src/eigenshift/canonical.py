@@ -121,12 +121,9 @@ class StructurePrediction:
 # small vector building helpers
 
 
-def _neg_lower_shift_apply(x: Vector, times: int = 1) -> Vector:
+def _neg_lower_shift_apply(x: Vector) -> Vector:
     """Apply N_k (with N_k^T = lam I - J_k(lam), i.e. -1 on the subdiagonal)."""
-    for _ in range(times):
-        k = x.dim
-        x = Vector([ZERO] + [-x[i] for i in range(k - 1)])
-    return x
+    return Vector([ZERO] + [-x[i] for i in range(x.dim - 1)])
 
 
 def _unit(k: int, idx1: int) -> Vector:
@@ -134,10 +131,6 @@ def _unit(k: int, idx1: int) -> Vector:
     if 1 <= idx1 <= k:
         return Vector.unit(k, idx1 - 1)
     return Vector.zero(k)
-
-
-def _stack2(x: Vector, z: Vector) -> Vector:
-    return x.concat(z)
 
 
 def _stack3(x: Vector, xi, z: Vector) -> Vector:
@@ -154,13 +147,12 @@ def extract_even_canonical(shift: ShiftResult, P: Matrix) -> EvenCanonical:
         raise ExtractionError("even extraction applied to an odd shift")
     k = shift.k
     lead = _extract_leading_block(shift, P, 2 * k)
-    lam1 = shift.lambda1
-    J = jordan_block(lam1, k)
-    if lead.submatrix(0, k, 0, k) != J or lead.submatrix(k, 2 * k, k, 2 * k) != J:
-        raise ExtractionError("diagonal blocks are not J_k(lambda1)")
-    if not lead.submatrix(k, 2 * k, 0, k).is_zero:
-        raise ExtractionError("lower-left residual block is not zero")
-    return EvenCanonical(k, lam1, lead.submatrix(0, k, k, 2 * k))
+    form = EvenCanonical(k, shift.lambda1, lead.submatrix(0, k, k, 2 * k))
+    if form.matrix() != lead:
+        raise ExtractionError(
+            "leading block is not [[J_k(lambda1), C], [0, J_k(lambda1)]]"
+        )
+    return form
 
 
 def eigenspace_even(ec: EvenCanonical):
@@ -171,64 +163,36 @@ def eigenspace_even(ec: EvenCanonical):
     e1 = Vector.unit(k, 0)
     zero = Vector.zero(k)
     if ck1.is_zero and Ce1.is_zero:
-        return [_stack2(e1, zero), _stack2(zero, e1)]
+        return [e1.concat(zero), zero.concat(e1)]
     if ck1.is_zero:
-        return [_stack2(e1, zero), _stack2(_neg_lower_shift_apply(Ce1), e1)]
-    return [_stack2(e1, zero)]
-
-
-def _even_case1_cycles(k: int, C: Matrix):
-    e = lambda i: _unit(k, i)
-    zero = Vector.zero(k)
-    gamma1 = [_stack2(e(m), zero) for m in range(1, k + 1)]
-    gamma2 = [_stack2(zero, e(1))]
-    for m in range(2, k + 1):
-        x = Vector.zero(k)
-        for i in range(2, m + 1):
-            x = x + _neg_lower_shift_apply(C.col(i - 1), m - i + 1)
-        gamma2.append(_stack2(x, e(m)))
-    return [gamma1, gamma2]
-
-
-def _even_case2_cycles(k: int, C: Matrix):
-    e = lambda i: _unit(k, i)
-    zero = Vector.zero(k)
-    gamma1 = [_stack2(e(m), zero) for m in range(1, k + 1)]
-    gamma2 = []
-    for m in range(1, k + 1):
-        x = Vector.zero(k)
-        for i in range(1, m + 1):
-            x = x + _neg_lower_shift_apply(C.col(i - 1), m - i + 1)
-        gamma2.append(_stack2(x, e(m)))
-    return [gamma1, gamma2]
-
-
-def _even_case3_cycle(k: int, C: Matrix):
-    e = lambda i: _unit(k, i)
-    zero = Vector.zero(k)
-    ck1 = C[k - 1, 0]
-    gamma = [_stack2(e(m).scale(ck1), zero) for m in range(1, k + 1)]
-    for m in range(1, k + 1):
-        x = Vector.zero(k)
-        for i in range(1, m + 1):
-            x = x + _neg_lower_shift_apply(C.col(i - 1), m - i + 1)
-        gamma.append(_stack2(x, e(m)))
-    return [gamma]
+        return [e1.concat(zero), _neg_lower_shift_apply(Ce1).concat(e1)]
+    return [e1.concat(zero)]
 
 
 def classify_even(ec: EvenCanonical) -> StructurePrediction:
-    """Jordan structure of T from the even case split, cycles verified."""
+    """Jordan structure of T from the even case split, cycles verified.
+
+    gamma_2 is (x_m, e_m) with x_m = sum_{i<=m} N^{m-i+1} C e_i, that is
+    x_m = N (x_{m-1} + C e_m), in every case; Even1's display starts its
+    sum at i = 2, which is the same because C e_1 = 0 there.  Even3
+    chains gamma_2 onto gamma_1 = (c_{k1} e_m, 0) in one cycle.
+    """
     k, lam, C = ec.k, ec.lam, ec.C
-    T = ec.matrix()
     ck1 = C[k - 1, 0]
-    Ce1 = C.col(0)
-    if ck1.is_zero and Ce1.is_zero:
-        label, claimed, cycles = "Even1", (k, k), _even_case1_cycles(k, C)
-    elif ck1.is_zero:
-        label, claimed, cycles = "Even2", (k, k), _even_case2_cycles(k, C)
+    if not ck1.is_zero:
+        label, claimed, lead = "Even3", (2 * k,), ck1
     else:
-        label, claimed, cycles = "Even3", (2 * k,), _even_case3_cycle(k, C)
-    return _finalize(T, lam, label, claimed, cycles)
+        label = "Even1" if C.col(0).is_zero else "Even2"
+        claimed, lead = (k, k), ONE
+    zero = Vector.zero(k)
+    gamma1 = [Vector.unit(k, m).scale(lead).concat(zero) for m in range(k)]
+    gamma2 = []
+    x = zero
+    for m in range(k):
+        x = _neg_lower_shift_apply(x + C.col(m))
+        gamma2.append(x.concat(Vector.unit(k, m)))
+    cycles = [gamma1 + gamma2] if label == "Even3" else [gamma1, gamma2]
+    return _finalize(ec.matrix(), lam, label, claimed, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +211,19 @@ def extract_odd_canonical(shift: ShiftResult, P: Matrix) -> OddCanonical:
         if lead[0, 0] != lam1:
             raise ExtractionError("1x1 block does not equal lambda1")
         return OddCanonical(0, lam1, Vector([]), Vector([]), Matrix(0, 0, []))
-    J = jordan_block(lam1, k)
-    if lead.submatrix(0, k, 0, k) != J or lead.submatrix(k + 1, m, k + 1, m) != J:
-        raise ExtractionError("diagonal blocks are not J_k(lambda1)")
-    if lead[k, k] != lam1:
-        raise ExtractionError("middle diagonal entry is not lambda1")
-    if not (
-        lead.submatrix(k, m, 0, k).is_zero
-        and lead.submatrix(k + 1, m, k, k + 1).is_zero
-    ):
-        raise ExtractionError("sub-diagonal residual blocks are not zero")
-    a = lead.submatrix(0, k, k, k + 1).col(0)
-    b = lead.submatrix(k, k + 1, k + 1, m).row(0)
-    C = lead.submatrix(0, k, k + 1, m)
-    return OddCanonical(k, lam1, a, b, C)
+    form = OddCanonical(
+        k,
+        lam1,
+        lead.submatrix(0, k, k, k + 1).col(0),
+        lead.submatrix(k, k + 1, k + 1, m).row(0),
+        lead.submatrix(0, k, k + 1, m),
+    )
+    if form.matrix() != lead:
+        raise ExtractionError(
+            "leading block is not [[J_k(lambda1), a, C], [0, lambda1, b^T], "
+            "[0, 0, J_k(lambda1)]]"
+        )
+    return form
 
 
 def eigenspace_odd(oc: OddCanonical):
@@ -594,20 +557,14 @@ def _extract_leading_block(shift: ShiftResult, P: Matrix, m: int) -> Matrix:
 
 def predict_structure(shift: ShiftResult, P: Matrix) -> StructurePrediction:
     """End-to-end prediction: extract, (reduce,) classify, verify."""
-    m = shift.multiplicity
-    lam1 = shift.lambda1
-    if m == 1:
-        lead = _extract_leading_block(shift, P, 1)
-        if lead[0, 0] != lam1:
-            raise ExtractionError("1x1 block does not equal lambda1")
-        return StructurePrediction(
-            segre=SegreCharacteristic([(lam1, 1)]),
-            cycles=((Vector([ONE]),),),
-            case_label="Odd0",
-            canonical=lead,
-        )
-    if m % 2 == 0:
+    if shift.multiplicity % 2 == 0:
         return classify_even(extract_even_canonical(shift, P))
     oc = extract_odd_canonical(shift, P)
-    cf = reduce_to_concentrated(oc)
-    return classify_odd(cf)
+    if oc.k == 0:
+        return StructurePrediction(
+            segre=SegreCharacteristic([(oc.lam, 1)]),
+            cycles=((Vector([ONE]),),),
+            case_label="Odd0",
+            canonical=Matrix(1, 1, [oc.lam]),
+        )
+    return classify_odd(reduce_to_concentrated(oc))

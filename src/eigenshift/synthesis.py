@@ -5,13 +5,16 @@ together with the left/right generalized eigenvector chains of every
 block, read off from the columns of P and the rows of P^{-1}.  Also
 provides the parametrized chain families for a single Jordan block and
 for a pair of equal blocks.
+
+A chain pair is checked as two matrix equations, A V = V J_p(lam) and
+U* A = J_p(lam)^T U*; the shift's half-chain invariance runs the same
+check on A_hat.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import InvalidChainError, InvalidParameterError, ShapeError
 from .linalg import (
@@ -31,9 +34,12 @@ class SegreCharacteristic:
     blocks: tuple
 
     def __init__(self, blocks):
-        norm = tuple((_as_scalar(lam), int(size)) for lam, size in blocks)
-        if any(size < 1 for _, size in norm):
-            raise ShapeError("all Jordan block sizes must be >= 1")
+        norm = tuple((_as_scalar(lam), size) for lam, size in blocks)
+        if any(
+            isinstance(size, bool) or not isinstance(size, int) or size < 1
+            for _, size in norm
+        ):
+            raise ShapeError("all Jordan block sizes must be integers >= 1")
         object.__setattr__(self, "blocks", norm)
 
     @property
@@ -99,34 +105,32 @@ class ChainPair:
 
     def verify_against(self, A: Matrix) -> None:
         """Check the defining recurrences exactly; raise on violation."""
-        verify_right_chain(A, self.lam, self.right)
-        verify_left_chain(A, self.lam, self.left)
+        _check_chains(A, self.lam, self.left, self.right)
 
 
-def verify_right_chain(A: Matrix, lam, chain: Sequence[Vector]) -> None:
-    lam = _as_scalar(lam)
-    prev = None
-    for i, v in enumerate(chain):
-        want = v.scale(lam) if prev is None else v.scale(lam) + prev
-        if A @ v != want:
+def _check_chains(A: Matrix, lam, left, right) -> None:
+    """A V = V J_p(lam) and U* A = J_p(lam)^T U*, or InvalidChainError.
+
+    Column i of V J_p(lam) is lam v_i + v_{i-1} and row i of
+    J_p(lam)^T U* is lam u_i* + u_{i-1}*, so the first failing column
+    (right chain, checked first) or row (left chain) is the first index
+    at which the chain recurrence fails.
+    """
+    V = Matrix.from_columns(list(right))
+    J = jordan_block(lam, V.cols)
+    _first_failure("right", (A @ V).columns(), (V @ J).columns())
+    UH = Matrix.from_columns(list(left)).H
+    JT = jordan_block(lam, UH.rows).transpose()
+    _first_failure("left", (UH @ A).row_list(), (JT @ UH).row_list())
+
+
+def _first_failure(side: str, got, want) -> None:
+    """Raise at the first index whose column (or row) of got is not want's."""
+    for i, (x, y) in enumerate(zip(got, want)):
+        if x != y:
             raise InvalidChainError(
-                f"right chain recurrence fails at index {i + 1}"
+                f"{side} chain recurrence fails at index {i + 1}"
             )
-        prev = v
-
-
-def verify_left_chain(A: Matrix, lam, chain: Sequence[Vector]) -> None:
-    # u_i* A = lam u_i* + u_{i-1}*  <=>  A* u_i = conj(lam) u_i + u_{i-1}
-    AH = A.H
-    lam_c = _as_scalar(lam).conjugate()
-    prev = None
-    for i, u in enumerate(chain):
-        want = u.scale(lam_c) if prev is None else u.scale(lam_c) + prev
-        if AH @ u != want:
-            raise InvalidChainError(
-                f"left chain recurrence fails at index {i + 1}"
-            )
-        prev = u
 
 
 def jordan_matrix(segre: SegreCharacteristic) -> Matrix:

@@ -139,8 +139,16 @@ def test_resolvent_apply_matches_definition():
 def test_resolvent_rejects_spectrum_point():
     segre = SegreCharacteristic([(2, 2)])
     A, chains = build_matrix(segre, Matrix.identity(2))
-    with pytest.raises(ResolventError):
-        resolvent_apply_right(A, CR(2), chains[0], 1)
+    pair = chains[0]
+    for check in (
+        lambda: resolvent_apply_right(A, CR(2), pair, 1),
+        lambda: resolvent_apply_left(A, CR(2), pair, 2),
+        lambda: resolvent_orthogonality_check(A, CR(2), pair),
+    ):
+        with pytest.raises(
+            ResolventError, match="^resolvent point 2 lies in the spectrum$"
+        ):
+            check()
 
 
 def test_resolvent_orthogonality():

@@ -1,6 +1,7 @@
 """Rank-one and rank-k shift construction and its defining identities."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from eigenshift.errors import (
     InverseIdentityError,
     NormalizationError,
 )
-from eigenshift.linalg import Matrix, Vector, jordan_block
+from eigenshift.linalg import Matrix, Vector, jordan_block, outer_conj
 from eigenshift.randgen import (
     random_even_shift_instance,
     random_odd_shift_instance,
@@ -170,6 +171,39 @@ def test_half_chain_invariance_random():
         for maker in (random_even_shift_instance, random_odd_shift_instance):
             inst = maker(rng, guarded=False, max_k=2)
             assert half_chain_invariance_holds(inst.shift)
+
+
+def test_half_chain_invariance_detects_each_side():
+    """A_hat + x y* breaks A_hat V = V J exactly when y* V != 0, and
+    U* A_hat = J^T U* exactly when U* x != 0."""
+    rng = random.Random(61)
+    A, chains = build_matrix(
+        SegreCharacteristic([(1, 4), (2, 2)]), random_unimodular(6, rng)
+    )
+    pair = chains[0]
+    shift = shift_even(A, pair, 3)
+    assert half_chain_invariance_holds(shift)
+    # u_i* v_j = 0 for i + j <= 4, so U* v_1 = 0 and u_1* V = 0,
+    # while u_4* v_1 and u_1* v_4 are nonzero
+    right_only = outer_conj(pair.right[0], pair.left[3])
+    left_only = outer_conj(pair.right[3], pair.left[0])
+    for E in (right_only, left_only):
+        bad = replace(shift, A_hat=shift.A_hat + E)
+        assert not half_chain_invariance_holds(bad)
+
+    # k = 0: the middle pair (v_1, u_1) is the half chain on both sides
+    A, chains = build_matrix(
+        SegreCharacteristic([(3, 1), (7, 2)]), random_unimodular(3, rng)
+    )
+    pair, other = chains
+    shift = shift_odd(A, pair, -2)
+    assert shift.k == 0 and half_chain_invariance_holds(shift)
+    # the other block's vectors are orthogonal to the shifted pair
+    right_only = outer_conj(other.right[0], pair.left[0])
+    left_only = outer_conj(pair.right[0], other.left[0])
+    for E in (right_only, left_only):
+        bad = replace(shift, A_hat=shift.A_hat + E)
+        assert not half_chain_invariance_holds(bad)
 
 
 def test_rank_one_via_odd_shift_k0():

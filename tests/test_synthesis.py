@@ -16,8 +16,6 @@ from eigenshift.synthesis import (
     generate_parametric_chains_two_blocks,
     jordan_matrix,
     random_unimodular,
-    verify_left_chain,
-    verify_right_chain,
 )
 
 
@@ -32,8 +30,10 @@ def test_segre_canonicalization_and_equality():
 
 
 def test_segre_rejects_bad_sizes():
-    with pytest.raises(ShapeError):
-        SegreCharacteristic([(1, 0)])
+    # a bool, float or string is refused, not truncated by int()
+    for size in (0, -1, 2.5, 1.0, True, False, "2", None):
+        with pytest.raises(ShapeError):
+            SegreCharacteristic([(3, 2), (1, size)])
 
 
 def test_jordan_matrix_layout():
@@ -102,16 +102,40 @@ def test_chain_pair_rejects_empty_or_zero_lead():
 
 
 def test_chain_verification_catches_corruption():
-    segre = SegreCharacteristic([(1, 3)])
-    A, chains = build_matrix(segre, Matrix.identity(3))
+    A, chains = build_matrix(SegreCharacteristic([(1, 3)]), Matrix.identity(3))
     good = chains[0]
     bad = ChainPair(
         good.lam,
         good.left,
         [good.right[0], good.right[1] + Vector.unit(3, 0), good.right[2]],
     )
-    with pytest.raises(InvalidChainError):
+    # v_2 + e_1 still satisfies its own recurrence; v_3 is the first to fail
+    with pytest.raises(
+        InvalidChainError, match="^right chain recurrence fails at index 3$"
+    ):
         bad.verify_against(A)
+    # e_2 is no eigenvector, so adding it breaks the recurrence right there
+    for side in ("right", "left"):
+        for index in (1, 2, 3):
+            chain = list(getattr(good, side))
+            chain[index - 1] = chain[index - 1] + Vector.unit(3, 1)
+            left = chain if side == "left" else good.left
+            right = chain if side == "right" else good.right
+            with pytest.raises(InvalidChainError) as exc:
+                ChainPair(good.lam, left, right).verify_against(A)
+            assert str(exc.value) == (
+                f"{side} chain recurrence fails at index {index}"
+            )
+    # with both chains broken, the right chain is reported first
+    both = ChainPair(
+        good.lam,
+        [good.left[0] + Vector.unit(3, 1)] + list(good.left[1:]),
+        list(good.right[:2]) + [good.right[2] + Vector.unit(3, 1)],
+    )
+    with pytest.raises(
+        InvalidChainError, match="^right chain recurrence fails at index 3$"
+    ):
+        both.verify_against(A)
 
 
 def test_parametric_single_family_verifies():
@@ -124,9 +148,7 @@ def test_parametric_single_family_verifies():
             CR(rng.randint(-2, 2)) for _ in range(twok - 1)
         ]
         pair = generate_parametric_chains_single(CR(3), twok, a, b)
-        J = jordan_block(CR(3), twok)
-        verify_right_chain(J, CR(3), pair.right)
-        verify_left_chain(J, CR(3), pair.left)
+        pair.verify_against(jordan_block(CR(3), twok))
 
 
 def test_parametric_single_rejects_zero_lead():
@@ -145,8 +167,7 @@ def test_parametric_two_blocks_verifies():
     left, right = generate_parametric_chains_two_blocks(
         lam, k, [1, 0, 2], [1, -1, 0], [0, 1, 1], [1, 2, -1]
     )
-    verify_left_chain(J2, lam, left)
-    verify_right_chain(J2, lam, right)
+    ChainPair(lam, left, right).verify_against(J2)
 
 
 def test_parametric_two_blocks_rejects_double_zero_lead():
