@@ -13,12 +13,14 @@ whose division by the previous pivot is exact in Z and in Z[i]
 the pivot columns are those of hand elimination.  Every entry of a
 result is rebuilt from integers once, and the results equal those of
 elimination over ``ComplexRational``: the same values, in the same
-canonical form.
+canonical form.  ``Matrix.dets_minus_identity`` (det(A - t I) at many
+integer points) and ``power_ranks`` (the ranks of N, N^2, ...) clear
+their matrix once for every point or power.
 """
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -325,18 +327,42 @@ class Matrix:
 
     def det(self):
         """Exact determinant (square matrices only)."""
+        return self.dets_minus_identity([0])[0]
+
+    def dets_minus_identity(self, points) -> list:
+        """[det(self - t I) for t in points], for integer points t.
+
+        The matrix is cleared to integer rows once: row i times its
+        scale s_i is integral, so the scaled rows of self - t I are
+        those rows with s_i t taken off the diagonal, and each
+        determinant is divided by the product of the scales.
+        """
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
+        points = list(points)
+        if not all(isinstance(t, int) for t in points):
+            raise TypeError(f"points must be integers, got {points!r}")
         n = self.rows
         if n == 0:
-            return ONE
+            return [ONE] * len(points)
         scales, rows, gaussian = _integer_rows(self._row_slices())
-        piv_cols, sign = _eliminate(rows, n, gaussian)
-        if len(piv_cols) < n:
-            return ZERO
-        # the last pivot is the determinant of the scaled, permuted rows
-        re, im = rows[-1][-1] if gaussian else (rows[-1][-1], 0)
-        return from_integers(re, im, sign * prod(scales))
+        den = prod(scales)
+        dets = []
+        for t in points:
+            shifted = list(rows)  # the kernel replaces rows, never edits them
+            if t:
+                for i, s in enumerate(scales):
+                    row = shifted[i] = list(rows[i])
+                    x = row[i]
+                    row[i] = (x[0] - s * t, x[1]) if gaussian else x - s * t
+            piv_cols, sign = _eliminate(shifted, n, gaussian)
+            if len(piv_cols) < n:
+                dets.append(ZERO)
+                continue
+            # the last pivot is the determinant of the scaled, permuted rows
+            re, im = shifted[-1][-1] if gaussian else (shifted[-1][-1], 0)
+            dets.append(from_integers(re, im, sign * den))
+        return dets
 
     def solve(self, rhs):
         """Solve self @ X = rhs for square nonsingular self.
@@ -398,6 +424,32 @@ class Matrix:
         return basis
 
 
+def power_ranks(N: Matrix):
+    """Yield rank(N), rank(N^2), rank(N^3), ... of a square matrix.
+
+    N is cleared once to Z = d N, integral (or Gaussian-integral) for
+    the common denominator d; Z^j and N^j have the same rank.  The row
+    space of Z^(j+1) is spanned by (rows spanning that of Z^j) Z, so
+    each step multiplies only the rank(Z^j) pivot rows that elimination
+    leaves by the columns of Z.  The pivot rows are reduced (fraction-free
+    Gauss-Jordan) and cut to their least integer multiples, which depend
+    on the row space alone, so entries do not grow from step to step.
+    """
+    if not N.is_square:
+        raise ShapeError(f"powers of a {N.rows}x{N.cols} matrix")
+    n = N.rows
+    _, re, im = _clear(N.entries)
+    gaussian = im is not None
+    flat = list(zip(re, im)) if gaussian else re
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    columns = [flat[j::n] for j in range(n)]
+    times = _times_gaussian if gaussian else _times_integer
+    while True:
+        rank = len(_eliminate(rows, n, gaussian, reduced=True)[0])
+        yield rank
+        rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
+
+
 # -- fraction-free integer kernel ----------------------------------------------
 
 
@@ -441,6 +493,40 @@ def _dot(a, b):
         if bi:
             re -= sum(map(mul, ai, bi))
     return from_integers(re, im, da * db)
+
+
+def _times_integer(row, columns):
+    """The integer row times the matrix whose columns are given."""
+    return [sum(map(mul, row, col)) for col in columns]
+
+
+def _times_gaussian(row, columns):
+    """_times_integer over Z[i], on (re, im) pairs."""
+    out = []
+    for col in columns:
+        re = im = 0
+        for (ar, ai), (br, bi) in zip(row, col):
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        out.append((re, im))
+    return out
+
+
+def _primitive(row, gaussian):
+    """The least integer multiple of a nonzero reduced echelon row.
+
+    A Gaussian row is first multiplied by the conjugate of its leading
+    entry, which makes that entry real; then the row is divided by the
+    gcd of its integer parts.
+    """
+    if not gaussian:
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+    pr, pi = next(z for z in row if z[0] or z[1])
+    if pi:
+        row = [(a * pr + b * pi, b * pr - a * pi) for a, b in row]
+    g = gcd(*(x for z in row for x in z))
+    return [(a // g, b // g) for a, b in row] if g > 1 else row
 
 
 def _scaled(entries, c):

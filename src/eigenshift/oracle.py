@@ -1,9 +1,11 @@
 """Independent ground truth for Jordan structure via exact rank sequences.
 
 The Weyr characteristic (nullity increments of powers of M - lam I) is
-the conjugate partition of the block sizes at lam.  Nothing here
-depends on the closed-form classifiers; this module is what they are
-verified against.
+the conjugate partition of the block sizes at lam.  Its ranks are taken
+on one integer clearing of M - lam I, each power's row space spanned by
+the previous power's pivot rows times M - lam I.  Nothing here depends
+on the closed-form classifiers; this module is what they are verified
+against.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassificationError, MissingEigenvalueError
-from .linalg import Matrix, Vector, _as_scalar, stack_vectors_as_rows
+from .linalg import (
+    Matrix,
+    Vector,
+    _as_scalar,
+    power_ranks,
+    stack_vectors_as_rows,
+)
 from .scalars import ComplexRational
 from .synthesis import SegreCharacteristic
 
@@ -47,22 +55,23 @@ class WeyrProfile:
 
 
 def weyr_profile(M: Matrix, lam) -> WeyrProfile:
-    """Exact nullity sequence of (M - lam I)^j, stopping when stable."""
+    """Exact nullity sequence of (M - lam I)^j, stopping when stable.
+
+    The ranks of the powers come from ``power_ranks``, which clears
+    M - lam I to integers once and never forms a full power.
+    """
     lam = _as_scalar(lam)
     n = M.rows
-    N = M.minus_identity(lam)
     null_dims = []
-    power = N
     prev = 0
-    while True:
-        d = n - power.exact_rank()
+    for rank in power_ranks(M.minus_identity(lam)):
+        d = n - rank
         if d == prev:
             break
         null_dims.append(d)
         prev = d
         if d == n:
             break
-        power = power @ N
     prof = WeyrProfile(lam, tuple(null_dims))
     inc = prof.increments
     if any(inc[i] < inc[i + 1] for i in range(len(inc) - 1)):

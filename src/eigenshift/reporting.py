@@ -220,6 +220,8 @@ def _job_inputs(job: ShiftJob):
         A, chain_list = build_matrix(SegreCharacteristic(blocks), P)
         return A, chain_list[0], P, blocks[1:]
     A = job.matrix
+    if not A.is_square:
+        raise ShapeError(f"matrix must be square, got {A.rows}x{A.cols}")
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     m = chains.length
     P = None

@@ -99,14 +99,17 @@ class ComplexRational:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = ONE
-        base = self
+        if not self.im:
+            return ComplexRational(self.re**n)
+        # square and multiply on the Fraction parts; one object at the end
+        re, im = _Q1, _Q0
+        br, bi = self.re, self.im
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                re, im = re * br - im * bi, re * bi + im * br
+            br, bi = br * br - bi * bi, 2 * br * bi
             n >>= 1
-        return out
+        return ComplexRational(re, im)
 
     # -- structure ----------------------------------------------------------
 
@@ -148,6 +151,7 @@ ZERO = ComplexRational(0)
 ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
 _Q0 = ZERO.re
+_Q1 = ONE.re
 
 
 def from_integers(re: int, im: int, den: int) -> ComplexRational:

@@ -5,6 +5,9 @@ case (single eigenvector, plain-transpose normalization) and, from one
 construction, for a chain of length 2k or 2k + 1: the even update
 R1 = [V L], R2 = [R U], which an odd chain extends by its middle pair to
 R1 = [V v_{k+1} L], R2 = [R r U] with the normalized middle vector r.
+The checks test that the half chains carry over to lam1 and that the
+spectrum changes only in lam0 -> lam1 (the characteristic polynomials,
+compared at integer points).
 """
 
 from __future__ import annotations
@@ -176,30 +179,32 @@ def charpoly_ratio_check(
     """Polynomial identity test for the spectrum replacement claim.
 
     Verifies det(A_hat - x I) (lam0 - x)^m = det(A - x I) (lam1 - x)^m
-    at n + m + 1 distinct rational points; both sides are polynomials of
-    degree n + m, so agreement everywhere follows.  Points equal to
-    lam0 or lam1 are skipped (they correspond to the poles of the ratio
-    form of the identity); other spectrum collisions are harmless.
+    at n + m + 1 distinct integer points x = 0, 1, 2, ...; both sides
+    are polynomials of degree n + m, so agreement everywhere follows.
+    Points equal to lam0 or lam1 are skipped (they correspond to the
+    poles of the ratio form of the identity); other spectrum collisions
+    are harmless.  Each matrix is cleared to integers once for all its
+    points (``Matrix.dets_minus_identity``).
     """
     lambda0 = _as_scalar(lambda0)
     lambda1 = _as_scalar(lambda1)
     n = A.rows
     if A_hat.shape != A.shape or not A.is_square:
         raise ShapeError("charpoly_ratio_check needs two equal square matrices")
-    needed = n + m + 1
+    points = []
     t = 0
-    checked = 0
-    while checked < needed:
-        s = _as_scalar(t)
+    while len(points) < n + m + 1:
+        if lambda0 != t and lambda1 != t:
+            points.append(t)
         t += 1
-        if s == lambda0 or s == lambda1:
-            continue
-        lhs = A_hat.minus_identity(s).det() * (lambda0 - s) ** m
-        rhs = A.minus_identity(s).det() * (lambda1 - s) ** m
-        if lhs != rhs:
-            return False
-        checked += 1
-    return True
+    return all(
+        lhs * (lambda0 - t) ** m == rhs * (lambda1 - t) ** m
+        for t, lhs, rhs in zip(
+            points,
+            A_hat.dets_minus_identity(points),
+            A.dets_minus_identity(points),
+        )
+    )
 
 
 def update_rank(shift: ShiftResult) -> int:

@@ -142,6 +142,23 @@ def test_precondition_error_exit_3(tmp_path):
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
 
 
+def test_non_square_matrix_job_is_a_shape_error(tmp_path, capsys):
+    job = {
+        "target_eigenvalue": "1",
+        "new_eigenvalue": "2",
+        "k": 1,
+        "matrix": [["1", "1", "0"], ["0", "1", "0"]],
+        "chains": {
+            "left": [["0", "1"], ["1", "0"]],
+            "right": [["1", "0", "0"], ["0", "1", "0"]],
+        },
+    }
+    assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
+    err = capsys.readouterr().err
+    assert "matrix must be square, got 2x3" in err
+    assert "recurrence" not in err
+
+
 def test_float_backend_job_exit_2(tmp_path, capsys):
     job = dict(GOLDEN_JOB, backend="float")
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 2

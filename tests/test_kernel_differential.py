@@ -5,19 +5,24 @@ division and first-nonzero pivoting, written out directly; it is what
 ``linalg`` ran before its integer kernel.  Every kernel result must
 equal the reference value exactly, on real and complex-rational
 matrices of every shape, including rank-deficient, empty and all-zero
-ones.
+ones.  The determinants at integer points and the ranks of powers,
+which clear a matrix to integers once, are checked the same way against
+one reference determinant per point and one rank per explicit power.
 """
 
 import random
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift.errors import SingularMatrixError
-from eigenshift.linalg import Matrix, Vector, inner
+from eigenshift.errors import ShapeError, SingularMatrixError
+from eigenshift.linalg import Matrix, Vector, inner, jordan_block, power_ranks
 from eigenshift.scalars import CR, ONE, ZERO, conj
+from eigenshift.shifting import charpoly_ratio_check, shift_even, shift_odd
+from eigenshift.synthesis import SegreCharacteristic, build_matrix, random_unimodular
 
 # -- reference: elimination over ComplexRational --------------------------------
 
@@ -288,3 +293,143 @@ def test_kernel_matches_reference_property(A):
     square = A @ A.transpose()
     assert square == ref_matmul(A, A.transpose())
     assert_kernel_matches(square)
+
+
+# -- determinants at integer points and ranks of powers -------------------------
+
+
+def power_rank_list(M, count):
+    return list(islice(power_ranks(M), count))
+
+
+def explicit_power_ranks(M, count):
+    ranks, power = [], M
+    for _ in range(count):
+        ranks.append(power.exact_rank())
+        power = power @ M
+    return ranks
+
+
+def special_square_matrices(complex_prob):
+    """Nilpotent, singular, zero, identity, empty and generic matrices."""
+    rng = random.Random(int(10 * complex_prob) + 5)
+    strict = Matrix(
+        4,
+        4,
+        [
+            random_scalar(rng, complex_prob) if j > i else ZERO
+            for i in range(4)
+            for j in range(4)
+        ],
+    )
+    S = Matrix.identity(4) + strict.transpose()  # unit lower triangular
+    unit = CR(0, 1) if complex_prob else ONE
+    return [
+        ref_matmul(ref_matmul(S, strict), S.inverse()),  # nilpotent
+        jordan_block(ZERO, 5).scale(unit),  # nilpotent of index 5
+        random_matrix(rng, 5, 5, complex_prob, rank=2),  # singular
+        Matrix.zeros(3, 3),
+        Matrix.identity(4).scale(unit),
+        Matrix(0, 0, []),
+        random_matrix(rng, 5, 5, complex_prob),
+    ]
+
+
+POINTS = [0, 1, -1, 2, 5, 0]
+
+
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5])
+def test_dets_at_points_match_shifted_dets(complex_prob):
+    for M in special_square_matrices(complex_prob):
+        expected = [ref_det(M.minus_identity(t)) for t in POINTS]
+        assert M.dets_minus_identity(POINTS) == expected
+        assert [M.minus_identity(t).det() for t in POINTS] == expected
+        assert M.det() == expected[0]
+    assert Matrix.identity(2).dets_minus_identity([]) == []
+
+
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5, 1.0])
+def test_power_ranks_match_explicit_powers(complex_prob):
+    for M in special_square_matrices(complex_prob):
+        count = M.rows + 2
+        assert power_rank_list(M, count) == explicit_power_ranks(M, count)
+        for lam in (ZERO, ONE, CR(0, 1)):
+            N = M.minus_identity(lam)
+            assert power_rank_list(N, count) == explicit_power_ranks(N, count)
+
+
+def test_points_and_powers_refuse_bad_input():
+    wide = Matrix.zeros(2, 3)
+    with pytest.raises(ShapeError):
+        wide.dets_minus_identity([0])
+    with pytest.raises(ShapeError):
+        next(power_ranks(wide))
+    with pytest.raises(TypeError):
+        Matrix.identity(2).dets_minus_identity([Fraction(1, 2)])
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    real_only = draw(st.booleans())
+    upper_only = draw(st.booleans())  # strictly upper: nilpotent
+    entries = draw(
+        st.lists(
+            st.tuples(part, st.just(Fraction(0)) if real_only else part),
+            min_size=n * n,
+            max_size=n * n,
+        )
+    )
+    dropped = draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0))))
+    return Matrix(
+        n,
+        n,
+        [
+            ZERO
+            if t % n in dropped or (upper_only and t % n <= t // n)
+            else CR(re, im)
+            for t, (re, im) in enumerate(entries)
+        ],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(), st.lists(st.integers(-4, 4), max_size=4))
+def test_points_and_powers_property(M, points):
+    assert M.dets_minus_identity(points) == [
+        ref_det(M.minus_identity(t)) for t in points
+    ]
+    count = M.rows + 1
+    assert power_rank_list(M, count) == [
+        ref_rank(P) for P in islice(accumulate(repeat(M), ref_matmul), count)
+    ]
+
+
+def ref_charpoly_ratio_check(A, A_hat, lambda0, lambda1, m):
+    """The spectrum identity at the same points, one reference det each."""
+    points = [t for t in range(A.rows + m + 3) if t != lambda0 and t != lambda1]
+    return all(
+        ref_det(A_hat.minus_identity(t)) * (lambda0 - t) ** m
+        == ref_det(A.minus_identity(t)) * (lambda1 - t) ** m
+        for t in points[: A.rows + m + 1]
+    )
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("lambda1", [CR(-1, 2), CR(1)])
+def test_charpoly_check_with_complex_eigenvalue(size, lambda1):
+    lambda0 = CR(Fraction(1, 2), 1)
+    segre = SegreCharacteristic([(lambda0, size), (CR(2), 1), (CR(1, -1), 1)])
+    P = random_unimodular(segre.total_size, random.Random(size))
+    A, chains = build_matrix(segre, P)
+    shift = (shift_odd if size % 2 else shift_even)(A, chains[0], lambda1)
+    args = (A, shift.A_hat, lambda0, lambda1, size)
+    assert charpoly_ratio_check(*args)
+    assert ref_charpoly_ratio_check(*args)
+    bumped = list(shift.A_hat.entries)
+    bumped[1] = bumped[1] + CR(0, Fraction(1, 3))
+    perturbed = Matrix(A.rows, A.cols, bumped)
+    args = (A, perturbed, lambda0, lambda1, size)
+    assert not charpoly_ratio_check(*args)
+    assert not ref_charpoly_ratio_check(*args)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import eigenshift
+from eigenshift import oracle
 from eigenshift.errors import ClassificationError, MissingEigenvalueError
 from eigenshift.linalg import Matrix, direct_sum, jordan_block
 from eigenshift.oracle import (
@@ -133,8 +134,7 @@ def test_verify_cycles_rejects_dependent_cycles():
 
 def test_weyr_check_raises_instead_of_asserting(monkeypatch):
     # ranks 3, 1, 1 of the powers give nullities 1, 3: increments (1, 2)
-    ranks = iter([3, 1, 1])
-    monkeypatch.setattr(Matrix, "exact_rank", lambda self: next(ranks))
+    monkeypatch.setattr(oracle, "power_ranks", lambda N: iter([3, 1, 1]))
     with pytest.raises(ClassificationError):
         weyr_profile(jordan_block(CR(0), 4), 0)
 

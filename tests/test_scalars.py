@@ -45,6 +45,31 @@ def test_powers():
     assert CR(7) ** 0 == ONE
 
 
+@pytest.mark.parametrize("base", [CR(Fraction(2, 3), -1), I, CR(0, Fraction(-5, 2))])
+def test_complex_powers_equal_repeated_products(base):
+    product = ONE
+    for n in range(9):
+        assert base**n == product
+        product = product * base
+
+
+@pytest.mark.parametrize("base", [CR(Fraction(-3, 4)), CR(0), ONE])
+def test_real_powers_stay_real(base):
+    for n in range(6):
+        power = base**n
+        assert isinstance(power, ComplexRational)
+        assert power.im == 0
+        assert power.re == base.re**n
+
+
+@pytest.mark.parametrize("n", [-1, Fraction(2), 1.5, "2"])
+def test_powers_refuse_negative_and_non_integer_exponents(n):
+    with pytest.raises(ValueError):
+        CR(1, 1) ** n
+    with pytest.raises(ValueError):
+        CR(3) ** n
+
+
 def test_conjugate_and_zero_test():
     a = CR(1, -2)
     assert a.conjugate() == CR(1, 2)
