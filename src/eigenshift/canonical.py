@@ -22,6 +22,7 @@ from .linalg import (
     Vector,
     hstack,
     jordan_block,
+    outer_plain,
     stack_vectors_as_rows,
     vstack,
 )
@@ -66,7 +67,7 @@ class OddCanonical:
         mid = hstack(
             Matrix.zeros(1, k),
             Matrix(1, 1, [self.lam]),
-            Matrix(1, k, list(self.b.entries)),
+            self.b.as_column().transpose(),
         )
         bot = hstack(Matrix.zeros(k, k), Matrix.zeros(k, 1), J)
         return vstack(top, mid, bot)
@@ -92,11 +93,7 @@ class ConcentratedForm:
         k = self.k
         a = Vector([ZERO] * (k - 1) + [self.a_k])
         b = Vector([self.b_1] + [ZERO] * (k - 1))
-        C = Matrix(
-            k,
-            k,
-            [ZERO] * (k * (k - 1)) + list(self.last_row.entries),
-        )
+        C = vstack(Matrix.zeros(k - 1, k), self.last_row.as_column().transpose())
         return OddCanonical(k, self.lam, a, b, C).matrix()
 
 
@@ -285,11 +282,7 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
     z = Vector([-b[i] for i in range(1, k)] + [ZERO])
     J = jordan_block(lam, k)
     Nup = J.minus_identity(lam)  # J_k(lam) - lam I
-    yb = Matrix(k, k, [y[i] * b[j] for i in range(k) for j in range(k)])
-    az = Matrix(k, k, [a[i] * z[j] for i in range(k) for j in range(k)])
-    Ny = Nup @ y
-    nyz = Matrix(k, k, [Ny[i] * z[j] for i in range(k) for j in range(k)])
-    D = C + yb - az + nyz
+    D = C + outer_plain(y, b) - outer_plain(a, z) + outer_plain(Nup @ y, z)
     # W recurrence: first row zero, then w_{i+1,j} = w_{i,j-1} + d_{i,j}
     w = [[ZERO] * k for _ in range(k)]
     for i in range(1, k):
@@ -302,7 +295,7 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
         hstack(
             Matrix.zeros(1, k),
             Matrix.identity(1),
-            Matrix(1, k, list(z.entries)),
+            z.as_column().transpose(),
         ),
         hstack(Matrix.zeros(k, k), Matrix.zeros(k, 1), Matrix.identity(k)),
     )

@@ -3,29 +3,36 @@
 Everything is immutable and every operation returns a fresh value, so
 values are safe to share freely.
 
-Products, rank, determinant, solve, inverse and null space run on one
-fraction-free integer kernel.  Each row (or column) is cleared to a
-common denominator, leaving integer numerators, or Gaussian-integer
-(re, im) pairs when some imaginary part is nonzero.  Products are
-integer dot products; elimination is Bareiss's fraction-free scheme,
-whose division by the previous pivot is exact in Z and in Z[i]
-(Bareiss 1968).  The pivot is the first nonzero entry in its column, so
-the pivot columns are those of hand elimination.  Every entry of a
-result is rebuilt from integers once, and the results equal those of
-elimination over ``ComplexRational``: the same values, in the same
-canonical form.  ``Matrix.dets_minus_identity`` (det(A - t I) at many
-integer points) and ``power_ranks`` (the ranks of N, N^2, ...) clear
-their matrix once for every point or power.
+A ``Matrix`` or ``Vector`` stores one integer form: a denominator
+``den`` > 0 and row-major tuples ``re`` and ``im`` of integer numerators,
+entry t being (re[t] + im[t] i) / den, with ``im`` None when every
+imaginary part is zero.  The form is canonical (gcd(den, every
+numerator) = 1), so equal values have equal fields.  Scalars are
+converted once, when a value is built from them; every operation reads
+and returns the form, and a ``ComplexRational`` is made only when an
+entry is read.
+
+Products are integer dot products.  Rank, determinant, solve, inverse
+and null space run on one fraction-free kernel: row i enters it as its
+numerators over g_i = gcd(den, content of row i), integers or
+Gaussian-integer (re, im) pairs.  Elimination is Bareiss's scheme, whose
+division by the previous pivot is exact in Z and in Z[i] (Bareiss 1968).
+The pivot is the first nonzero entry in its column, as in hand
+elimination, and the results equal those of elimination over
+``ComplexRational``.  ``Matrix.dets_minus_identity`` (det(A - t I) at
+many integer points) and ``power_ranks`` (the ranks of N, N^2, ...)
+reduce their matrix to integer rows once for every point or power.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import ComplexRational, ONE, ZERO, conj, from_integers
+from .scalars import ComplexRational, ONE, ZERO, from_integers
 
 
 def _as_scalar(x) -> ComplexRational:
@@ -38,79 +45,227 @@ def _as_scalar(x) -> ComplexRational:
         raise TypeError(f"cannot use {x!r} as an exact scalar") from None
 
 
-class Vector:
-    """An exact column vector."""
+# -- the integer form (den, re, im) --------------------------------------------
 
-    __slots__ = ("entries",)
 
-    def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(map(_as_scalar, entries)))
+def _clear(values):
+    """The form of ComplexRational values: den is the least common
+    denominator of every part, so no prime of den divides every
+    numerator, each part being a reduced Fraction."""
+    res = [x.re for x in values]
+    ims = [x.im for x in values]
+    re, re_den = [q.numerator for q in res], [q.denominator for q in res]
+    im, im_den = None, []
+    if any(ims):
+        im, im_den = [q.numerator for q in ims], [q.denominator for q in ims]
+    d = lcm(*set(re_den), *set(im_den))
+    if d != 1:
+        re = [a * (d // e) for a, e in zip(re, re_den)]
+        im = im and [a * (d // e) for a, e in zip(im, im_den)]
+    return d, tuple(re), im and tuple(im)
+
+
+def _normal(den, re, im):
+    """(den, re, im) made canonical with one gcd: den > 0, no common
+    factor, tuples, and im None when every imaginary part is zero."""
+    if im is not None and not any(im):
+        im = None
+    g = gcd(den, *re, *im) if im else gcd(den, *re)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, tuple(re), im and tuple(im)
+    return den // g, tuple(x // g for x in re), im and tuple(x // g for x in im)
+
+
+def _negated(xs):
+    return xs and tuple(map(neg, xs))
+
+
+def _common(forms):
+    """(d, res, ims): each form's numerators over the least common
+    denominator d; ims is None when every form is real, else a real
+    form's imaginary parts are zeros."""
+    d = lcm(*(den for den, _, _ in forms))
+    complex_ = any(im is not None for _, _, im in forms)
+    res, ims = [], []
+    for den, re, im in forms:
+        s = d // den
+        res.append(re if s == 1 else [s * x for x in re])
+        if complex_:
+            im = (0,) * len(re) if im is None else im
+            ims.append(im if s == 1 else [s * x for x in im])
+    return d, res, ims if complex_ else None
+
+
+def _sum(f, g, sign):
+    """The form of f + sign * g, entrywise."""
+    d, (ra, rb), ims = _common([f, g])
+    re = [x + sign * y for x, y in zip(ra, rb)]
+    return _normal(d, re, ims and [x + sign * y for x, y in zip(*ims)])
+
+
+def _concat(forms):
+    """The form whose numerators are those of forms, one after another."""
+    d, res, ims = _common(forms)
+    flat = lambda parts: [x for part in parts for x in part]
+    return _normal(d, flat(res), ims and flat(ims))
+
+
+def _mul(n, k, p, ar, ai, br, bi):
+    """(re, im), row-major, of the n x k by k x p product of the
+    numerators (ar, ai) and (br, bi); im is None for a real product."""
+
+    def dots(a, b):
+        rows = [a[i * k : (i + 1) * k] for i in range(n)]
+        cols = [b[j::p] for j in range(p)]
+        return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+    re = dots(ar, br)
+    if ai is None and bi is None:
+        return re, None
+    im = dots(ar, bi) if bi is not None else [0] * len(re)
+    if ai is not None:
+        im = [x + y for x, y in zip(im, dots(ai, br))]
+        if bi is not None:
+            re = [x - y for x, y in zip(re, dots(ai, bi))]
+    return re, im
+
+
+def _product(a, b, p, b_im):
+    """The form of a @ b, for b with p columns and imaginary parts b_im."""
+    return _normal(a.den * b.den, *_mul(a.rows, a.cols, p, a.re, a.im, b.re, b_im))
+
+
+def _scaled(form, c):
+    """The form of c times each entry: a column times a 1 x 1."""
+    den, re, im = form
+    dc, cr, ci = _clear((_as_scalar(c),))
+    return _normal(den * dc, *_mul(len(re), 1, 1, re, im, cr, ci))
+
+
+def _times_identity(n, c):
+    """The (not yet canonical) form of c I_n for a scalar c."""
+    d, (r,), i = _clear((_as_scalar(c),))
+
+    def diagonal(x):
+        out = [0] * (n * n)
+        out[:: n + 1] = [x] * n
+        return out
+
+    return d, diagonal(r), i and diagonal(i[0])
+
+
+def _divided(zs, d, gaussian):
+    """The form of [z / d for z in zs]; z and d are ints, or (re, im)
+    pairs when gaussian, where the division is a product with conj(d)
+    and a division by |d|^2."""
+    if not gaussian:
+        return _normal(d, zs, None)
+    dr, di = d
+    if not di:
+        return _normal(dr, [zr for zr, _ in zs], [zi for _, zi in zs])
+    return _normal(
+        dr * dr + di * di,
+        [zr * dr + zi * di for zr, zi in zs],
+        [zi * dr - zr * di for zr, zi in zs],
+    )
+
+
+class _Exact:
+    """The stored form shared by Matrix and Vector (see the module doc)."""
+
+    __slots__ = ("den", "re", "im")
 
     def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def _form(self):
+        return self.den, self.re, self.im
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as ComplexRationals, row-major, made on each read."""
+        im = self.im or repeat(0)
+        return tuple(map(from_integers, self.re, im, repeat(self.den)))
+
+    def _entry(self, t):
+        return from_integers(self.re[t], self.im[t] if self.im else 0, self.den)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.im is None and not any(self.re)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __neg__(self):
+        return self._like((self.den, _negated(self.re), _negated(self.im)))
+
+    def scale(self, c):
+        return self._like(_scaled(self._form, c))
+
+
+class Vector(_Exact):
+    """An exact column vector."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Iterable):
+        _set_form(self, _clear(tuple(map(_as_scalar, entries))))
+
+    def _like(self, form):
+        return _vector(form)
+
+    def _key(self):
+        return self._form
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.re)
 
     @staticmethod
     def zero(n: int) -> "Vector":
-        return Vector([ZERO] * n)
+        return _vector((1, (0,) * n, None))
 
     @staticmethod
     def unit(n: int, i: int) -> "Vector":
         """Standard basis vector e_{i+1} (0-based index i) in C^n."""
         if not 0 <= i < n:
             raise ShapeError(f"unit index {i} out of range for dim {n}")
-        return Vector([ONE if j == i else ZERO for j in range(n)])
+        return _vector((1, (0,) * i + (1,) + (0,) * (n - i - 1), None))
 
     def __getitem__(self, i: int):
-        return self.entries[i]
+        return self._entry(i)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.re)
 
     def __add__(self, other: "Vector") -> "Vector":
         if self.dim != other.dim:
             raise ShapeError("vector dimensions differ")
-        return Vector(a + b for a, b in zip(self.entries, other.entries))
+        return _vector(_sum(self._form, other._form, 1))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if self.dim != other.dim:
             raise ShapeError("vector dimensions differ")
-        return Vector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self):
-        return Vector(-a for a in self.entries)
-
-    def scale(self, c) -> "Vector":
-        return Vector(_scaled(self.entries, c))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Vector)
-            and self.dim == other.dim
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
+        return _vector(_sum(self._form, other._form, -1))
 
     def concat(self, other: "Vector") -> "Vector":
-        return Vector(self.entries + other.entries)
+        return _vector(_concat([self._form, other._form]))
 
     def conj(self) -> "Vector":
-        return Vector(conj(a) for a in self.entries)
+        return _vector((self.den, self.re, _negated(self.im)))
 
     def as_column(self) -> "Matrix":
-        return Matrix(self.dim, 1, self.entries)
+        return _matrix(self.dim, 1, self._form)
 
     def __repr__(self):
         return "Vector([" + ", ".join(str(e) for e in self.entries) + "])"
@@ -120,40 +275,37 @@ def inner(u: Vector, v: Vector):
     """u* v, conjugate-linear in the left argument."""
     if u.dim != v.dim:
         raise ShapeError("inner product of different dimensions")
-    d, re, im = _clear(u.entries)
-    return _dot((d, re, im and [-x for x in im]), _clear(v.entries))
+    (re,), im = _mul(1, u.dim, 1, u.re, _negated(u.im), v.re, v.im)
+    return from_integers(re, im[0] if im else 0, u.den * v.den)
 
 
 def outer_conj(u: Vector, v: Vector) -> "Matrix":
     """Rank-one matrix u v* (conjugate transpose of v)."""
-    return Matrix(
-        u.dim, v.dim, [a * conj(b) for a in u.entries for b in v.entries]
-    )
+    return _matrix(u.dim, v.dim, _product(u.as_column(), v, v.dim, _negated(v.im)))
 
 
 def outer_plain(u: Vector, v: Vector) -> "Matrix":
     """Rank-one matrix u v^T (plain transpose, Brauer's convention)."""
-    return Matrix(u.dim, v.dim, [a * b for a in u.entries for b in v.entries])
+    return _matrix(u.dim, v.dim, _product(u.as_column(), v, v.dim, v.im))
 
 
-class Matrix:
+class Matrix(_Exact):
     """Dense row-major matrix of exact scalars."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(map(_as_scalar, entries))
-        if len(entries) != rows * cols:
-            raise ShapeError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, "
-                f"got {len(entries)}"
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _check_size(rows, cols, len(entries))
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_form(self, _clear(entries))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    def _like(self, form):
+        return _matrix(self.rows, self.cols, form)
+
+    def _key(self):
+        return (self.rows, self.cols, *self._form)
 
     # -- constructors -------------------------------------------------------
 
@@ -170,23 +322,21 @@ class Matrix:
         if not columns:
             if dim is None:
                 raise ShapeError("cannot infer dimension of empty column set")
-            return Matrix(dim, 0, [])
+            return Matrix.zeros(dim, 0)
         n = columns[0].dim
         if any(v.dim != n for v in columns):
             raise ShapeError("columns of different dimensions")
-        return Matrix(
-            n, len(columns), [v[i] for i in range(n) for v in columns]
-        )
+        d, res, ims = _common([v._form for v in columns])
+        rows = lambda parts: [x for row in zip(*parts) for x in row]
+        return _matrix(n, len(columns), _normal(d, rows(res), ims and rows(ims)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [ZERO] * (rows * cols))
+        return _matrix(rows, cols, (1, (0,) * (rows * cols), None))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)]
-        )
+        return _matrix(n, n, _normal(*_times_identity(n, ONE)))
 
     # -- access -------------------------------------------------------------
 
@@ -202,118 +352,86 @@ class Matrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError(f"index {key} out of range for {self.shape}")
-        return self.entries[i * self.cols + j]
+        return self._entry(i * self.cols + j)
+
+    def _part(self, pick):
+        """The canonical form of pick(numerators), for re and im alike."""
+        return _normal(self.den, pick(self.re), self.im and pick(self.im))
 
     def row(self, i: int) -> Vector:
-        return Vector(self.entries[i * self.cols : (i + 1) * self.cols])
+        c = self.cols
+        return _vector(self._part(lambda xs: xs[i * c : (i + 1) * c]))
 
     def col(self, j: int) -> Vector:
-        return Vector(self.entries[i * self.cols + j] for i in range(self.rows))
+        c, n = self.cols, self.rows
+        return _vector(self._part(lambda xs: [xs[i * c + j] for i in range(n)]))
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
     def row_list(self):
-        return [list(row) for row in self._row_slices()]
-
-    def _row_slices(self):
         c, e = self.cols, self.entries
-        return [e[i * c : (i + 1) * c] for i in range(self.rows)]
+        return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Rows r0:r1, columns c0:c1 (half-open, 0-based)."""
-        return Matrix(
-            r1 - r0,
-            c1 - c0,
-            [self[i, j] for i in range(r0, r1) for j in range(c0, c1)],
-        )
+        rows, cols, c = r1 - r0, c1 - c0, self.cols
+        if rows > 0 and cols > 0 and not (0 <= r0 and r1 <= self.rows and 0 <= c0 and c1 <= c):
+            for i in range(r0, r1):  # raise at the first index out of range
+                for j in range(c0, c1):
+                    self[i, j]
+        _check_size(rows, cols, max(rows, 0) * max(cols, 0))
+        pick = lambda xs: [x for i in range(r0, r1) for x in xs[i * c + c0 : i * c + c1]]
+        return _matrix(rows, cols, self._part(pick))
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+        return self._like(_sum(self._form, other._form, 1))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, _scaled(self.entries, c))
+        return self._like(_sum(self._form, other._form, -1))
 
     def minus_identity(self, lam) -> "Matrix":
         """self - lam I, changing only the diagonal (square matrices)."""
         if not self.is_square:
             raise ShapeError(f"{self.shape} matrix minus a multiple of I")
-        lam = _as_scalar(lam)
-        entries = list(self.entries)
-        for t in range(0, len(entries), self.cols + 1):
-            entries[t] = entries[t] - lam
-        return Matrix(self.rows, self.cols, entries)
+        return self._like(_sum(self._form, _times_identity(self.rows, lam), -1))
 
     def __matmul__(self, other):
         if isinstance(other, Vector):
             if self.cols != other.dim:
                 raise ShapeError(f"{self.shape} @ vector of dim {other.dim}")
-            return Vector(_product(self._row_slices(), [other.entries]))
+            return _vector(_product(self, other, 1, other.im))
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        p, b = other.cols, other.entries
-        columns = [b[j::p] for j in range(p)]
-        return Matrix(self.rows, p, _product(self._row_slices(), columns))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.shape == other.shape
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        p = other.cols
+        return _matrix(self.rows, p, _product(self, other, p, other.im))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return _matrix(self.cols, self.rows, self._turned(self.im))
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [conj(self[i, j]) for j in range(self.cols) for i in range(self.rows)],
-        )
+        return _matrix(self.cols, self.rows, self._turned(_negated(self.im)))
+
+    def _turned(self, im):
+        """The transposed form, with im as the imaginary parts."""
+        c = self.cols
+        turn = lambda xs: tuple(x for j in range(c) for x in xs[j::c])
+        return self.den, turn(self.re), im and turn(im)
 
     @property
     def H(self) -> "Matrix":
         return self.conj_transpose()
 
-    @property
-    def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
-
     def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(self[i, j]) for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        body = "; ".join(", ".join(map(str, row)) for row in self.row_list())
         return f"Matrix({self.rows}x{self.cols}: [{body}])"
 
     # -- exact elimination ---------------------------------------------------
@@ -322,7 +440,7 @@ class Matrix:
         """Rank over the complex rationals."""
         if self.rows == 0 or self.cols == 0:
             return 0
-        _, rows, gaussian = _integer_rows(self._row_slices())
+        _, rows, gaussian = _integer_rows(self)
         return len(_eliminate(rows, self.cols, gaussian)[0])
 
     def det(self):
@@ -332,7 +450,7 @@ class Matrix:
     def dets_minus_identity(self, points) -> list:
         """[det(self - t I) for t in points], for integer points t.
 
-        The matrix is cleared to integer rows once: row i times its
+        The matrix is reduced to integer rows once: row i times its
         scale s_i is integral, so the scaled rows of self - t I are
         those rows with s_i t taken off the diagonal, and each
         determinant is divided by the product of the scales.
@@ -345,7 +463,7 @@ class Matrix:
         n = self.rows
         if n == 0:
             return [ONE] * len(points)
-        scales, rows, gaussian = _integer_rows(self._row_slices())
+        scales, rows, gaussian = _integer_rows(self)
         den = prod(scales)
         dets = []
         for t in points:
@@ -376,9 +494,7 @@ class Matrix:
         if B.rows != self.rows:
             raise ShapeError("right-hand side has wrong number of rows")
         n, m = self.rows, B.cols
-        _, rows, gaussian = _integer_rows(
-            [a + b for a, b in zip(self._row_slices(), B._row_slices())]
-        )
+        _, rows, gaussian = _integer_rows(_hcat([self, B]))
         piv_cols, _ = _eliminate(rows, n, gaussian, reduced=True)
         if len(piv_cols) < n:
             raise SingularMatrixError(
@@ -387,10 +503,8 @@ class Matrix:
             )
         # rows are now d [I | X] with d the last pivot
         d = rows[-1][n - 1] if n else 1
-        out = Matrix(
-            n, m, [_quotient(x, d, gaussian) for row in rows for x in row[n:]]
-        )
-        return out.col(0) if vector_rhs else out
+        form = _divided([x for row in rows for x in row[n:]], d, gaussian)
+        return _vector(form) if vector_rhs else _matrix(n, m, form)
 
     def inverse(self) -> "Matrix":
         return self.solve(Matrix.identity(self.rows))
@@ -406,7 +520,7 @@ class Matrix:
             return []
         if n == 0:
             return [Vector.unit(m, j) for j in range(m)]
-        _, rows, gaussian = _integer_rows(self._row_slices())
+        _, rows, gaussian = _integer_rows(self)
         piv_cols, _ = _eliminate(rows, m, gaussian, reduced=True)
         # the pivot rows are now d times the reduced echelon form
         d = rows[len(piv_cols) - 1][piv_cols[-1]] if piv_cols else 1
@@ -416,31 +530,58 @@ class Matrix:
         for fc in range(m):
             if fc in piv_set:
                 continue
-            x = [ZERO] * m
-            x[fc] = ONE
+            z = [(0, 0) if gaussian else 0] * m  # z / -d is the basis vector
+            z[fc] = neg_d
             for row, pc in zip(rows, piv_cols):
-                x[pc] = _quotient(row[fc], neg_d, gaussian)
-            basis.append(Vector(x))
+                z[pc] = row[fc]
+            basis.append(_vector(_divided(z, neg_d, gaussian)))
         return basis
+
+
+def _check_size(rows, cols, count):
+    if count != rows * cols:
+        raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {count}")
+
+
+# the slot setters, which the immutable classes' __setattr__ does not reach
+_set_den, _set_re, _set_im = (_Exact.__dict__[f].__set__ for f in _Exact.__slots__)
+_set_rows, _set_cols = (Matrix.__dict__[f].__set__ for f in Matrix.__slots__)
+
+
+def _set_form(out, form):
+    _set_den(out, form[0])
+    _set_re(out, form[1])
+    _set_im(out, form[2])
+    return out
+
+
+def _vector(form) -> Vector:
+    return _set_form(object.__new__(Vector), form)
+
+
+def _matrix(rows, cols, form) -> Matrix:
+    out = object.__new__(Matrix)
+    _set_rows(out, rows)
+    _set_cols(out, cols)
+    return _set_form(out, form)
 
 
 def power_ranks(N: Matrix):
     """Yield rank(N), rank(N^2), rank(N^3), ... of a square matrix.
 
-    N is cleared once to Z = d N, integral (or Gaussian-integral) for
-    the common denominator d; Z^j and N^j have the same rank.  The row
-    space of Z^(j+1) is spanned by (rows spanning that of Z^j) Z, so
-    each step multiplies only the rank(Z^j) pivot rows that elimination
-    leaves by the columns of Z.  The pivot rows are reduced (fraction-free
-    Gauss-Jordan) and cut to their least integer multiples, which depend
-    on the row space alone, so entries do not grow from step to step.
+    N's numerators are Z = den N, integral (or Gaussian-integral); Z^j
+    and N^j have the same rank.  The row space of Z^(j+1) is spanned by
+    (rows spanning that of Z^j) Z, so each step multiplies only the
+    rank(Z^j) pivot rows that elimination leaves by the columns of Z.
+    The pivot rows are reduced (fraction-free Gauss-Jordan) and cut to
+    their least integer multiples, which depend on the row space alone,
+    so entries do not grow from step to step.
     """
     if not N.is_square:
         raise ShapeError(f"powers of a {N.rows}x{N.cols} matrix")
     n = N.rows
-    _, re, im = _clear(N.entries)
-    gaussian = im is not None
-    flat = list(zip(re, im)) if gaussian else re
+    gaussian = N.im is not None
+    flat = list(zip(N.re, N.im)) if gaussian else list(N.re)
     rows = [flat[i * n : (i + 1) * n] for i in range(n)]
     columns = [flat[j::n] for j in range(n)]
     times = _times_gaussian if gaussian else _times_integer
@@ -453,46 +594,24 @@ def power_ranks(N: Matrix):
 # -- fraction-free integer kernel ----------------------------------------------
 
 
-def _clear(values):
-    """(d, re, im): d * values[t] == re[t] + im[t] i with integer lists.
-
-    d is the least common denominator of every real and imaginary part;
-    im is None when every imaginary part is zero.
-    """
-    res = [x.re for x in values]
-    ims = [x.im for x in values]
-    re, re_den = [q.numerator for q in res], [q.denominator for q in res]
-    im, im_den = [q.numerator for q in ims], []
-    if any(im):
-        im_den = [q.denominator for q in ims]
-    else:
-        im = None
-    d = lcm(*set(re_den), *set(im_den))
-    if d != 1:
-        re = [a * (d // e) for a, e in zip(re, re_den)]
-        if im:
-            im = [a * (d // e) for a, e in zip(im, im_den)]
-    return d, re, im
-
-
-def _product(rows, columns):
-    """Row-major entries of rows[i] . columns[j]."""
-    a = [_clear(r) for r in rows]
-    b = [_clear(c) for c in columns]
-    return [_dot(x, y) for x in a for y in b]
-
-
-def _dot(a, b):
-    """a . b for vectors cleared by _clear, as one ComplexRational."""
-    da, ar, ai = a
-    db, br, bi = b
-    re = sum(map(mul, ar, br))
-    im = sum(map(mul, ar, bi)) if bi else 0
-    if ai:
-        im += sum(map(mul, ai, br))
-        if bi:
-            re -= sum(map(mul, ai, bi))
-    return from_integers(re, im, da * db)
+def _integer_rows(M: Matrix):
+    """(row scales, integer rows, gaussian): row i is M's numerators over
+    g_i = gcd(den, content of row i), which is M's row i times
+    scales[i] = den / g_i; entries are ints, or (re, im) pairs when some
+    imaginary part of M is nonzero."""
+    den, re, im, c = M.den, M.re, M.im, M.cols
+    scales, rows = [], []
+    for i in range(M.rows):
+        r = re[i * c : (i + 1) * c]
+        if im is None:
+            g = gcd(den, *r)
+            rows.append([x // g for x in r] if g > 1 else list(r))
+        else:
+            s = im[i * c : (i + 1) * c]
+            g = gcd(den, *r, *s)
+            rows.append([(x // g, y // g) for x, y in zip(r, s)])
+        scales.append(den // g)
+    return scales, rows, im is not None
 
 
 def _times_integer(row, columns):
@@ -527,33 +646,6 @@ def _primitive(row, gaussian):
         row = [(a * pr + b * pi, b * pr - a * pi) for a, b in row]
     g = gcd(*(x for z in row for x in z))
     return [(a // g, b // g) for a, b in row] if g > 1 else row
-
-
-def _scaled(entries, c):
-    """c * entries[t] for each t."""
-    d, re, im = _clear(entries)
-    dc, (cr,), ci = _clear((_as_scalar(c),))
-    if not (im or ci):
-        return [from_integers(x * cr, 0, d * dc) for x in re]
-    ci = ci[0] if ci else 0
-    return [
-        from_integers(x * cr - y * ci, x * ci + y * cr, d * dc)
-        for x, y in zip(re, im or [0] * len(re))
-    ]
-
-
-def _integer_rows(rows):
-    """(row scales, integer rows, gaussian): rows[i] times scales[i] is
-    integral; entries are ints, or (re, im) pairs when gaussian."""
-    cleared = [_clear(r) for r in rows]
-    scales = [d for d, _, _ in cleared]
-    if all(im is None for _, _, im in cleared):
-        return scales, [re for _, re, _ in cleared], False
-    return (
-        scales,
-        [list(zip(re, im or [0] * len(re))) for _, re, im in cleared],
-        True,
-    )
 
 
 def _eliminate(rows, ncols, gaussian, reduced=False):
@@ -621,32 +713,26 @@ def _step_gaussian(row, top, c, prev, lo):
     return out
 
 
-def _quotient(z, d, gaussian):
-    """z / d as a ComplexRational; z and d are ints, or (re, im) pairs
-    when gaussian."""
-    if not gaussian:
-        return from_integers(z, 0, d)
-    (zr, zi), (dr, di) = z, d
-    if not di:
-        return from_integers(zr, zi, dr)
-    return from_integers(zr * dr + zi * di, zi * dr - zr * di, dr * dr + di * di)
+# -- building matrices from matrices -------------------------------------------
 
 
 def jordan_block(lam, k: int) -> Matrix:
     """k-by-k upper bidiagonal Jordan block: lam on the diagonal, 1 above."""
     if k < 1:
         raise ShapeError(f"Jordan block size must be >= 1, got {k}")
-    lam = _as_scalar(lam)
-    entries = []
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                entries.append(lam)
-            elif j == i + 1:
-                entries.append(ONE)
-            else:
-                entries.append(ZERO)
-    return Matrix(k, k, entries)
+    ones = [0] * (k * k)
+    ones[1 :: k + 1] = [1] * (k - 1)
+    return _matrix(k, k, _sum(_times_identity(k, lam), (1, ones, None), 1))
+
+
+def _hcat(mats) -> Matrix:
+    """The matrices, each with the same number of rows, side by side."""
+    n, widths = mats[0].rows, [m.cols for m in mats]
+    d, res, ims = _common([m._form for m in mats])
+    rows = lambda parts: [
+        x for i in range(n) for p, w in zip(parts, widths) for x in p[i * w : (i + 1) * w]
+    ]
+    return _matrix(n, sum(widths), _normal(d, rows(res), ims and rows(ims)))
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -656,39 +742,29 @@ def hstack(*mats: Matrix) -> Matrix:
     n = mats[0].rows
     if any(m.rows != n for m in mats):
         raise ShapeError("hstack with differing row counts")
-    entries = []
-    for i in range(n):
-        for m in mats:
-            entries.extend(m.entries[i * m.cols : (i + 1) * m.cols])
-    return Matrix(n, sum(m.cols for m in mats), entries)
+    return _hcat(mats)
 
 
 def vstack(*mats: Matrix) -> Matrix:
-    mats = list(mats)
     c = mats[0].cols
     if any(m.cols != c for m in mats):
         raise ShapeError("vstack with differing column counts")
-    entries = []
-    for m in mats:
-        entries.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), c, entries)
+    return _matrix(sum(m.rows for m in mats), c, _concat([m._form for m in mats]))
 
 
 def direct_sum(*mats: Matrix) -> Matrix:
-    n = sum(m.rows for m in mats)
-    c = sum(m.cols for m in mats)
-    out = [[ZERO] * c for _ in range(n)]
-    r0 = c0 = 0
+    c, c0, bands = sum(m.cols for m in mats), 0, []
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m[i, j]
-        r0 += m.rows
+        left, right = Matrix.zeros(m.rows, c0), Matrix.zeros(m.rows, c - c0 - m.cols)
+        bands.append(_hcat([left, m, right]))
         c0 += m.cols
-    return Matrix.from_rows(out)
+    return vstack(*bands) if bands else Matrix.zeros(0, 0)
 
 
 def stack_vectors_as_rows(vectors: Sequence[Vector]) -> Matrix:
     if not vectors:
         raise ShapeError("no vectors to stack")
-    return Matrix.from_rows([list(v.entries) for v in vectors])
+    n = vectors[0].dim
+    if any(v.dim != n for v in vectors):
+        raise ShapeError("ragged rows")
+    return _matrix(len(vectors), n, _concat([v._form for v in vectors]))

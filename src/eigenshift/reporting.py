@@ -63,7 +63,7 @@ def _int_field(value, name: str) -> int:
 
 
 def matrix_to_obj(M: Matrix):
-    return [[scalar_to_str(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
+    return [[scalar_to_str(e) for e in row] for row in M.row_list()]
 
 
 def obj_to_matrix(obj) -> Matrix:

@@ -158,7 +158,7 @@ def from_integers(re: int, im: int, den: int) -> ComplexRational:
     """(re + im i) / den for integers re, im and nonzero den.
 
     Builds the value directly, without the coercions of the constructor;
-    the exact linear algebra kernel returns all its entries this way.
+    a matrix or vector makes each entry this way when it is read.
     """
     if not re and not im:
         return ZERO
@@ -214,15 +214,9 @@ def parse_scalar(text) -> ComplexRational:
         raise ValueError(f"malformed scalar string {text!r}")
     re_s = m.group("re")
     im_s = m.group("im")
-    re_q = Fraction(re_s) if re_s is not None else Fraction(0)
-    if im_s is None:
-        im_q = Fraction(0)
-    else:
-        im_s = im_s.replace(" ", "")
-        if im_s in ("", "+"):
-            im_q = Fraction(1)
-        elif im_s == "-":
-            im_q = Fraction(-1)
-        else:
-            im_q = Fraction(im_s)
-    return ComplexRational(re_q, im_q)
+    im_s = "0" if im_s is None else im_s.replace(" ", "")
+    im_s = {"": "1", "+": "1", "-": "-1"}.get(im_s, im_s)
+    try:
+        return ComplexRational(Fraction(re_s or 0), Fraction(im_s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar string {text!r}") from None

@@ -113,20 +113,22 @@ def _check_chains(A: Matrix, lam, left, right) -> None:
 
     Column i of V J_p(lam) is lam v_i + v_{i-1} and row i of
     J_p(lam)^T U* is lam u_i* + u_{i-1}*, so the first failing column
-    (right chain, checked first) or row (left chain) is the first index
-    at which the chain recurrence fails.
+    (right chain, checked first) or row (left chain, a column of the
+    transposes) is the first index at which the chain recurrence fails.
     """
     V = Matrix.from_columns(list(right))
     J = jordan_block(lam, V.cols)
-    _first_failure("right", (A @ V).columns(), (V @ J).columns())
+    _first_failure("right", A @ V, V @ J)
     UH = Matrix.from_columns(list(left)).H
     JT = jordan_block(lam, UH.rows).transpose()
-    _first_failure("left", (UH @ A).row_list(), (JT @ UH).row_list())
+    _first_failure("left", (UH @ A).transpose(), (JT @ UH).transpose())
 
 
-def _first_failure(side: str, got, want) -> None:
-    """Raise at the first index whose column (or row) of got is not want's."""
-    for i, (x, y) in enumerate(zip(got, want)):
+def _first_failure(side: str, got: Matrix, want: Matrix) -> None:
+    """Raise at the first index whose column of got is not want's."""
+    if got == want:
+        return
+    for i, (x, y) in enumerate(zip(got.columns(), want.columns())):
         if x != y:
             raise InvalidChainError(
                 f"{side} chain recurrence fails at index {i + 1}"

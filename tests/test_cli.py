@@ -101,6 +101,28 @@ def test_parse_error_exit_2(tmp_path, capsys):
         assert run_cli(["shift", write(tmp_path, "z.json", bad_size)]) == 2
 
 
+def test_zero_denominator_shift_job_exit_2(tmp_path, capsys):
+    basis = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+    basis[0][1] = "1/0i"
+    job = write(tmp_path, "job.json", dict(GOLDEN_JOB, change_of_basis=basis))
+    assert run_cli(["shift", job]) == 2
+    assert "zero denominator in scalar string '1/0i'" in capsys.readouterr().err
+
+
+def test_zero_denominator_verify_matrix_exit_2(tmp_path, capsys):
+    mat = write(tmp_path, "mat.json", [["1/0"]])
+    doc = {"chains": [{"lambda": "1", "left": [["1"]], "right": [["1"]]}]}
+    ch = write(tmp_path, "chains.json", doc)
+    assert run_cli(["verify", mat, ch]) == 2
+    assert "zero denominator in scalar string '1/0'" in capsys.readouterr().err
+
+
+def test_zero_denominator_classify_lambda_exit_2(tmp_path, capsys):
+    form = write(tmp_path, "form.json", {"kind": "even", "k": 2, "lambda": "0/0"})
+    assert run_cli(["classify", form]) == 2
+    assert "zero denominator in scalar string '0/0'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", [1.5, True, "2", None, [2]])
 def test_non_integer_k_exit_2(tmp_path, capsys, k):
     job = write(tmp_path, "job.json", dict(GOLDEN_JOB, k=k))

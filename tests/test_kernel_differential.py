@@ -8,18 +8,34 @@ matrices of every shape, including rank-deficient, empty and all-zero
 ones.  The determinants at integer points and the ranks of powers,
 which clear a matrix to integers once, are checked the same way against
 one reference determinant per point and one rank per explicit power.
+The operations that slice, stack, add or transpose the stored integer
+form are checked against entrywise ComplexRational references, and
+every result must keep the canonical form.
 """
 
 import random
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenshift.errors import ShapeError, SingularMatrixError
-from eigenshift.linalg import Matrix, Vector, inner, jordan_block, power_ranks
+from eigenshift.linalg import (
+    Matrix,
+    Vector,
+    direct_sum,
+    hstack,
+    inner,
+    jordan_block,
+    outer_conj,
+    outer_plain,
+    power_ranks,
+    stack_vectors_as_rows,
+    vstack,
+)
 from eigenshift.scalars import CR, ONE, ZERO, conj
 from eigenshift.shifting import charpoly_ratio_check, shift_even, shift_odd
 from eigenshift.synthesis import SegreCharacteristic, build_matrix, random_unimodular
@@ -433,3 +449,202 @@ def test_charpoly_check_with_complex_eigenvalue(size, lambda1):
     args = (A, perturbed, lambda0, lambda1, size)
     assert not charpoly_ratio_check(*args)
     assert not ref_charpoly_ratio_check(*args)
+
+
+# -- the stored form: invariant and the non-kernel operations -------------------
+
+
+def assert_canonical(X):
+    """X's integer form is canonical and equals X rebuilt from its entries."""
+    assert type(X.den) is int and X.den > 0
+    assert type(X.re) is tuple and (X.im is None or type(X.im) is tuple)
+    parts = X.re + (X.im or ())
+    assert all(type(x) is int for x in parts)
+    assert gcd(X.den, *parts) == 1
+    assert (X.im is None) == all(e.im == 0 for e in X.entries)
+    if isinstance(X, Matrix):
+        rebuilt = Matrix(X.rows, X.cols, X.entries)
+    else:
+        rebuilt = Vector(X.entries)
+    assert X == rebuilt and hash(X) == hash(rebuilt)
+
+
+def ref_matrix(rows, cols, entry):
+    """The matrix whose (i, j) entry is the scalar entry(i, j)."""
+    return Matrix(rows, cols, [entry(i, j) for i in range(rows) for j in range(cols)])
+
+
+def form_results(A, B, S, v, w, lam, box, k):
+    """(result, entrywise reference) for every operation on the stored
+    form; A and B are r x c, S is r x r, v has c entries, w has r."""
+    (r, c), (r0, r1, c0, c1) = A.shape, box
+    pairs = [
+        (A + B, ref_matrix(r, c, lambda i, j: A[i, j] + B[i, j])),
+        (A - B, ref_matrix(r, c, lambda i, j: A[i, j] - B[i, j])),
+        (-A, ref_matrix(r, c, lambda i, j: -A[i, j])),
+        (A.scale(lam), ref_matrix(r, c, lambda i, j: lam * A[i, j])),
+        (S.minus_identity(lam), ref_matrix(r, r, lambda i, j: S[i, j] - lam * (i == j))),
+        (A.transpose(), ref_matrix(c, r, lambda i, j: A[j, i])),
+        (A.H, ref_matrix(c, r, lambda i, j: conj(A[j, i]))),
+        (
+            A.submatrix(r0, r1, c0, c1),
+            ref_matrix(r1 - r0, c1 - c0, lambda i, j: A[r0 + i, c0 + j]),
+        ),
+        (Matrix.from_columns([v, v.conj()]), ref_matrix(c, 2, lambda i, j: (v[i], conj(v[i]))[j])),
+        (Matrix.from_columns([], dim=r), Matrix(r, 0, [])),
+        (Matrix.zeros(r, c), ref_matrix(r, c, lambda i, j: ZERO)),
+        (Matrix.identity(r), ref_matrix(r, r, lambda i, j: ONE if i == j else ZERO)),
+        (Vector.zero(c), Vector([ZERO] * c)),
+        (v.concat(w), Vector(list(v) + list(w))),
+        (v.conj(), Vector([conj(x) for x in v])),
+        (v + v.conj(), Vector([x + conj(x) for x in v])),
+        (w.concat(v).concat(w).as_column().submatrix(r, r + c, 0, 1).col(0), v),
+        (v.scale(lam), Vector([lam * x for x in v])),
+        (-v, Vector([-x for x in v])),
+        (v.as_column(), ref_matrix(c, 1, lambda i, j: v[i])),
+        (vstack(A, B), ref_matrix(2 * r, c, lambda i, j: (A if i < r else B)[i % r, j])),
+        (
+            direct_sum(A, S),
+            ref_matrix(
+                2 * r,
+                c + r,
+                lambda i, j: A[i, j]
+                if i < r and j < c
+                else S[i - r, j - c]
+                if i >= r and j >= c
+                else ZERO,
+            ),
+        ),
+        (stack_vectors_as_rows([v, v.conj()]), ref_matrix(2, c, lambda i, j: (v[j], conj(v[j]))[i])),
+        (
+            jordan_block(lam, k),
+            ref_matrix(k, k, lambda i, j: lam if i == j else ONE if j == i + 1 else ZERO),
+        ),
+        (outer_conj(v, w), ref_matrix(c, r, lambda i, j: v[i] * conj(w[j]))),
+        (outer_plain(v, w), ref_matrix(c, r, lambda i, j: v[i] * w[j])),
+        (A @ v, ref_matmul(A, v.as_column()).col(0)),
+        (A @ A.H, ref_matmul(A, A.H)),
+    ]
+    if r or c:
+        pairs.append((hstack(A, B), ref_matrix(r, 2 * c, lambda i, j: (A if j < c else B)[i, j % c])))
+    pairs += [(A.row(i), Vector([A[i, j] for j in range(c)])) for i in range(r)]
+    pairs += [(A.col(j), Vector([A[i, j] for i in range(r)])) for j in range(c)]
+    pairs += [(Vector.unit(c, j), Vector([ONE * (t == j) for t in range(c)])) for j in range(c)]
+    return pairs
+
+
+def kernel_results(A, S):
+    """Matrices and vectors that solve, inverse and null space return."""
+    out = list(A.null_space_basis())
+    try:
+        out += [S.inverse(), S.solve(S.H), S.solve(S.col(0)) if S.rows else S]
+    except SingularMatrixError:
+        pass
+    return out
+
+
+def random_operands(rng, prob_a, prob_b):
+    r, c = rng.randint(0, 4), rng.randint(0, 4)
+    A, S = random_matrix(rng, r, c, prob_a), random_matrix(rng, r, r, prob_a)
+    B = random_matrix(rng, r, c, prob_b)
+    v = random_matrix(rng, c, 1, prob_b).col(0) if c else Vector([])
+    w = random_matrix(rng, r, 1, prob_a).col(0) if r else Vector([])
+    r0, c0 = rng.randint(0, r), rng.randint(0, c)
+    box = (r0, rng.randint(r0, r), c0, rng.randint(c0, c))
+    return A, B, S, v, w, random_scalar(rng, prob_b), box, rng.randint(1, 3)
+
+
+@pytest.mark.parametrize("prob_a,prob_b", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)])
+def test_form_operations_match_entrywise_reference(prob_a, prob_b):
+    rng = random.Random(int(10 * prob_a) * 7 + int(10 * prob_b))
+    for _ in range(12):
+        operands = random_operands(rng, prob_a, prob_b)
+        for result, expected in form_results(*operands):
+            assert result == expected
+            assert_canonical(result)
+
+
+@st.composite
+def sized_matrices(draw, rows, cols):
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    im = st.just(Fraction(0)) if draw(st.booleans()) else part
+    entries = draw(st.lists(st.tuples(part, im), min_size=rows * cols, max_size=rows * cols))
+    return Matrix(rows, cols, [CR(re, im) for re, im in entries])
+
+
+@st.composite
+def form_operands(draw):
+    """Operands for form_results over real, complex and mixed matrices,
+    empty ones (0 x n and n x 0) included."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    A, B, S = draw(sized_matrices(r, c)), draw(sized_matrices(r, c)), draw(sized_matrices(r, r))
+    v, w = (Vector(draw(sized_matrices(n, 1)).entries) for n in (c, r))
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    lam = CR(draw(part), draw(st.sampled_from([Fraction(0), draw(part)])))
+    r0, c0 = draw(st.integers(0, r)), draw(st.integers(0, c))
+    box = (r0, draw(st.integers(r0, r)), c0, draw(st.integers(c0, c)))
+    return A, B, S, v, w, lam, box, draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_operands())
+def test_every_result_keeps_the_canonical_form(operands):
+    A, _, S = operands[:3]
+    for result, expected in form_results(*operands):
+        assert_canonical(result)
+        assert result == expected and hash(result) == hash(expected)
+    for result in kernel_results(A, S):
+        assert_canonical(result)
+
+
+def test_matrices_and_vectors_are_immutable():
+    A = Matrix.from_rows([[CR(1, 2), CR(Fraction(1, 3))]])
+    v = A.row(0)
+    for value, names in ((A, ("rows", "cols", "den", "re", "im", "entries", "other")),
+                         (v, ("den", "re", "im", "entries", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+    assert A.shape == (1, 2) and A.entries == (CR(1, 2), CR(Fraction(1, 3)))
+
+
+def test_values_from_different_routes_are_equal_and_hash_alike():
+    rng = random.Random(23)
+    for prob in (0.0, 0.5, 1.0):
+        A = random_matrix(rng, 3, 4, prob)
+        B = random_matrix(rng, 3, 4, 1.0 - prob)
+        v = A.row(1)
+        routes = [
+            (A @ Matrix.identity(4), A),
+            ((A + B) - B, A),
+            (A.H.H, A),
+            (A.transpose().transpose(), A),
+            (A.scale(CR(0, 2)).scale(CR(0, Fraction(-1, 2))), A),
+            (Matrix.from_columns(A.columns()), A),
+            (vstack(A.submatrix(0, 1, 0, 4), A.submatrix(1, 3, 0, 4)), A),
+            (hstack(A.submatrix(0, 3, 0, 2), A.submatrix(0, 3, 2, 4)), A),
+            (direct_sum(A), A),
+            (A - A, Matrix.zeros(3, 4)),
+            (stack_vectors_as_rows(A.transpose().columns()), A),
+            (v.conj().conj(), v),
+            (A.transpose().col(1), v),
+            (v + B.row(0) - B.row(0), v),
+            (Vector.unit(3, 1).concat(Vector.zero(1)), Vector([ZERO, ONE, ZERO, ZERO])),
+        ]
+        for got, want in routes:
+            assert got == want and hash(got) == hash(want)
+        S = random_matrix(rng, 3, 3, prob)
+        assert S.inverse() @ S == Matrix.identity(3)
+
+
+def test_a_matrix_never_equals_a_vector():
+    x = CR(Fraction(1, 2), 1)
+    pairs = [
+        (Matrix(1, 1, [x]), Vector([x])),
+        (Matrix(0, 0, []), Vector([])),
+        (Vector([x, ONE]).as_column(), Vector([x, ONE])),
+        (Matrix.zeros(2, 1), Vector.zero(2)),
+    ]
+    for M, v in pairs:
+        assert M != v and v != M
+        assert not M == v and not v == M
