@@ -19,9 +19,11 @@ Gaussian-integer (re, im) pairs.  Elimination is Bareiss's scheme, whose
 division by the previous pivot is exact in Z and in Z[i] (Bareiss 1968).
 The pivot is the first nonzero entry in its column, as in hand
 elimination, and the results equal those of elimination over
-``ComplexRational``.  ``Matrix.dets_minus_identity`` (det(A - t I) at
-many integer points) and ``power_ranks`` (the ranks of N, N^2, ...)
-reduce their matrix to integer rows once for every point or power.
+``ComplexRational``.  ``power_ranks`` (the ranks of N, N^2, ...)
+reduces its matrix to integer rows once for every power.
+``Matrix.charpoly`` computes the coefficients of det(x I - M) with no
+division at all, by Berkowitz's algorithm on the numerators (Berkowitz
+1984).
 """
 
 from __future__ import annotations
@@ -444,43 +446,56 @@ class Matrix(_Exact):
         return len(_eliminate(rows, self.cols, gaussian)[0])
 
     def det(self):
-        """Exact determinant (square matrices only)."""
-        return self.dets_minus_identity([0])[0]
-
-    def dets_minus_identity(self, points) -> list:
-        """[det(self - t I) for t in points], for integer points t.
-
-        The matrix is reduced to integer rows once: row i times its
-        scale s_i is integral, so the scaled rows of self - t I are
-        those rows with s_i t taken off the diagonal, and each
-        determinant is divided by the product of the scales.
-        """
+        """Exact determinant (square matrices only): the last Bareiss
+        pivot of the integer rows, with the sign of the row swaps,
+        divided by the product of the row scales."""
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
-        points = list(points)
-        if not all(isinstance(t, int) for t in points):
-            raise TypeError(f"points must be integers, got {points!r}")
         n = self.rows
         if n == 0:
-            return [ONE] * len(points)
+            return ONE
         scales, rows, gaussian = _integer_rows(self)
-        den = prod(scales)
-        dets = []
-        for t in points:
-            shifted = list(rows)  # the kernel replaces rows, never edits them
-            if t:
-                for i, s in enumerate(scales):
-                    row = shifted[i] = list(rows[i])
-                    x = row[i]
-                    row[i] = (x[0] - s * t, x[1]) if gaussian else x - s * t
-            piv_cols, sign = _eliminate(shifted, n, gaussian)
-            if len(piv_cols) < n:
-                dets.append(ZERO)
-                continue
-            # the last pivot is the determinant of the scaled, permuted rows
-            re, im = shifted[-1][-1] if gaussian else (shifted[-1][-1], 0)
-            dets.append(from_integers(re, im, sign * den))
-        return dets
+        piv_cols, sign = _eliminate(rows, n, gaussian)
+        if len(piv_cols) < n:
+            return ZERO
+        re, im = rows[-1][-1] if gaussian else (rows[-1][-1], 0)
+        return from_integers(re, im, sign * prod(scales))
+
+    def charpoly(self) -> Vector:
+        """The n + 1 coefficients of det(x I - self), leading 1 first.
+
+        Berkowitz's division-free algorithm (Berkowitz 1984) on the
+        numerators Z = den self.  With Z_r the leading r x r block,
+        det(x I - Z_(r+1)) is the lower triangular Toeplitz matrix with
+        first column 1, -z, -R C, -R Z_r C, ..., -R Z_r^(r-1) C times the
+        coefficients of det(x I - Z_r), where z, R and C are the diagonal
+        entry, the row and the column that Z_(r+1) adds.  Coefficient j
+        of det(x I - self) is c_j / den^j for c_j that of det(x I - Z).
+        """
+        if not self.is_square:
+            raise ShapeError(f"charpoly of a {self.rows}x{self.cols} matrix")
+        n, den = self.rows, self.den
+        flat, gaussian, times = _numerators(self)
+        one, zero, negate = ((1, 0), (0, 0), _negated) if gaussian else (1, 0, neg)
+        poly = [one]
+        for r in range(n):
+            # the columns of Z_r and -C: one product gives R Z_r^(k+1) and -R Z_r^k C
+            cols = [flat[j : r * n : n] for j in range(r)]
+            cols.append([negate(z) for z in flat[r : r * n : n]])
+            row = flat[r * n : r * n + r]
+            t = [one, negate(flat[r * n + r])]
+            for _ in range(r):
+                *row, c = times(row, cols)
+                t.append(c)
+            # row i of the Toeplitz matrix is u[r + 1 - i : 2r + 2 - i]
+            u = t[::-1] + [zero] * r
+            poly = times(poly, [u[r + 1 - i : 2 * r + 2 - i] for i in range(r + 2)])
+        scaled = lambda xs: [x * den ** (n - j) for j, x in enumerate(xs)]
+        if gaussian:
+            re, im = scaled([z[0] for z in poly]), scaled([z[1] for z in poly])
+        else:
+            re, im = scaled(poly), None
+        return _vector(_normal(den**n, re, im))
 
     def solve(self, rhs):
         """Solve self @ X = rhs for square nonsingular self.
@@ -580,11 +595,9 @@ def power_ranks(N: Matrix):
     if not N.is_square:
         raise ShapeError(f"powers of a {N.rows}x{N.cols} matrix")
     n = N.rows
-    gaussian = N.im is not None
-    flat = list(zip(N.re, N.im)) if gaussian else list(N.re)
+    flat, gaussian, times = _numerators(N)
     rows = [flat[i * n : (i + 1) * n] for i in range(n)]
     columns = [flat[j::n] for j in range(n)]
-    times = _times_gaussian if gaussian else _times_integer
     while True:
         rank = len(_eliminate(rows, n, gaussian, reduced=True)[0])
         yield rank
@@ -612,6 +625,15 @@ def _integer_rows(M: Matrix):
             rows.append([(x // g, y // g) for x, y in zip(r, s)])
         scales.append(den // g)
     return scales, rows, im is not None
+
+
+def _numerators(M: Matrix):
+    """(flat, gaussian, times): M's numerators row-major, as ints or as
+    (re, im) pairs when some imaginary part is nonzero, and the
+    row-times-columns product for them."""
+    if M.im is None:
+        return list(M.re), False, _times_integer
+    return list(zip(M.re, M.im)), True, _times_gaussian
 
 
 def _times_integer(row, columns):

@@ -62,6 +62,12 @@ def _int_field(value, name: str) -> int:
     return value
 
 
+def _check_square(A: Matrix) -> Matrix:
+    if not A.is_square:
+        raise ShapeError(f"matrix must be square, got {A.rows}x{A.cols}")
+    return A
+
+
 def matrix_to_obj(M: Matrix):
     return [[scalar_to_str(e) for e in row] for row in M.row_list()]
 
@@ -219,9 +225,7 @@ def _job_inputs(job: ShiftJob):
         P = Matrix.from_columns([v for _, vs in parts for v in vs])
         A, chain_list = build_matrix(SegreCharacteristic(blocks), P)
         return A, chain_list[0], P, blocks[1:]
-    A = job.matrix
-    if not A.is_square:
-        raise ShapeError(f"matrix must be square, got {A.rows}x{A.cols}")
+    A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     m = chains.length
     P = None
@@ -347,6 +351,7 @@ def run_verify_job(A: Matrix, pairs) -> dict:
     )
     from .errors import InvalidChainError
 
+    _check_square(A)
     verdicts = {}
     diagnostics = []
     lams = [p.lam for p in pairs]

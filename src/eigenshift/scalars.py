@@ -201,11 +201,12 @@ _SCALAR_RE = _re.compile(
 def parse_scalar(text) -> ComplexRational:
     """Parse a scalar string such as '3', '-1/2', '1/2+3i', 'i', '2-i'.
 
-    Integers are accepted directly for convenience in job files.
+    Integers are accepted directly for convenience in job files; a bool
+    is not a number here, so JSON true and false are refused.
     """
     if isinstance(text, ComplexRational):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return ComplexRational(text)
     if not isinstance(text, str):
         raise ValueError(f"cannot parse scalar from {text!r}")

@@ -7,7 +7,8 @@ R1 = [V L], R2 = [R U], which an odd chain extends by its middle pair to
 R1 = [V v_{k+1} L], R2 = [R r U] with the normalized middle vector r.
 The checks test that the half chains carry over to lam1 and that the
 spectrum changes only in lam0 -> lam1 (the characteristic polynomials,
-compared at integer points).
+each computed once without division and compared coefficient by
+coefficient).
 """
 
 from __future__ import annotations
@@ -179,32 +180,29 @@ def charpoly_ratio_check(
     """Polynomial identity test for the spectrum replacement claim.
 
     Verifies det(A_hat - x I) (lam0 - x)^m = det(A - x I) (lam1 - x)^m
-    at n + m + 1 distinct integer points x = 0, 1, 2, ...; both sides
-    are polynomials of degree n + m, so agreement everywhere follows.
-    Points equal to lam0 or lam1 are skipped (they correspond to the
-    poles of the ratio form of the identity); other spectrum collisions
-    are harmless.  Each matrix is cleared to integers once for all its
-    points (``Matrix.dets_minus_identity``).
+    as polynomials in x.  Up to the sign (-1)^(n+m), which both sides
+    share, this is p_A_hat(x) (x - lam0)^m = p_A(x) (x - lam1)^m for the
+    characteristic polynomials p = det(x I - M), each computed once,
+    exactly and without division, by ``Matrix.charpoly``.  Each side is
+    that coefficient ``Vector`` multiplied m times by x - lam, as
+    x p - lam p on the integer form; the sides agree exactly when their
+    canonical forms are equal.
     """
     lambda0 = _as_scalar(lambda0)
     lambda1 = _as_scalar(lambda1)
-    n = A.rows
     if A_hat.shape != A.shape or not A.is_square:
         raise ShapeError("charpoly_ratio_check needs two equal square matrices")
-    points = []
-    t = 0
-    while len(points) < n + m + 1:
-        if lambda0 != t and lambda1 != t:
-            points.append(t)
-        t += 1
-    return all(
-        lhs * (lambda0 - t) ** m == rhs * (lambda1 - t) ** m
-        for t, lhs, rhs in zip(
-            points,
-            A_hat.dets_minus_identity(points),
-            A.dets_minus_identity(points),
-        )
-    )
+    if m < 0:
+        raise ValueError(f"multiplicity must be >= 0, got {m}")
+    zero = Vector.zero(1)
+
+    def times_power(p: Vector, lam) -> Vector:
+        """The coefficients of p(x) (x - lam)^m, leading first."""
+        for _ in range(m):
+            p = p.concat(zero) - zero.concat(p).scale(lam)
+        return p
+
+    return times_power(A_hat.charpoly(), lambda0) == times_power(A.charpoly(), lambda1)
 
 
 def update_rank(shift: ShiftResult) -> int:

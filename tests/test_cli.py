@@ -123,6 +123,46 @@ def test_zero_denominator_classify_lambda_exit_2(tmp_path, capsys):
     assert "zero denominator in scalar string '0/0'" in capsys.readouterr().err
 
 
+def _explicit_job(**fields):
+    job = {
+        "target_eigenvalue": "1",
+        "new_eigenvalue": "2",
+        "k": 0,
+        "matrix": [["1", "0"], ["0", "3"]],
+        "chains": {"left": [["1", "0"]], "right": [["1", "0"]]},
+    }
+    return dict(job, **fields)
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        dict(GOLDEN_JOB, target_eigenvalue=True),
+        dict(GOLDEN_JOB, new_eigenvalue=False),
+        dict(GOLDEN_JOB, segre=[["1", 4], [True, 2]]),
+        dict(GOLDEN_JOB, change_of_basis=[[True if i == j else "0" for j in range(6)] for i in range(6)]),
+        _explicit_job(matrix=[[True, "0"], ["0", "3"]]),
+    ],
+)
+def test_bool_scalar_shift_job_exit_2(tmp_path, capsys, job):
+    assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 2
+    assert "cannot parse scalar from" in capsys.readouterr().err
+
+
+def test_bool_scalar_verify_matrix_exit_2(tmp_path, capsys):
+    mat = write(tmp_path, "mat.json", [[True]])
+    doc = {"chains": [{"lambda": "1", "left": [["1"]], "right": [["1"]]}]}
+    ch = write(tmp_path, "chains.json", doc)
+    assert run_cli(["verify", mat, ch]) == 2
+    assert "bad scalar True" in capsys.readouterr().err
+
+
+def test_bool_classify_lambda_exit_2(tmp_path, capsys):
+    form = write(tmp_path, "form.json", {"kind": "even", "k": 2, "lambda": True})
+    assert run_cli(["classify", form]) == 2
+    assert "bad scalar True" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", [1.5, True, "2", None, [2]])
 def test_non_integer_k_exit_2(tmp_path, capsys, k):
     job = write(tmp_path, "job.json", dict(GOLDEN_JOB, k=k))
@@ -178,6 +218,17 @@ def test_non_square_matrix_job_is_a_shape_error(tmp_path, capsys):
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
     err = capsys.readouterr().err
     assert "matrix must be square, got 2x3" in err
+    assert "recurrence" not in err
+
+
+@pytest.mark.parametrize("rows", [[["1", "0"]], [["1", "0"], ["0", "1"], ["2", "3"]]])
+def test_non_square_verify_matrix_is_a_shape_error(tmp_path, capsys, rows):
+    mat = write(tmp_path, "mat.json", rows)
+    doc = {"chains": [{"lambda": "1", "left": [["1", "0"]], "right": [["1", "0"]]}]}
+    ch = write(tmp_path, "chains.json", doc)
+    assert run_cli(["verify", mat, ch]) == 3
+    err = capsys.readouterr().err
+    assert f"matrix must be square, got {len(rows)}x2" in err
     assert "recurrence" not in err
 
 

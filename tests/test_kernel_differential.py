@@ -5,10 +5,10 @@ division and first-nonzero pivoting, written out directly; it is what
 ``linalg`` ran before its integer kernel.  Every kernel result must
 equal the reference value exactly, on real and complex-rational
 matrices of every shape, including rank-deficient, empty and all-zero
-ones.  The determinants at integer points and the ranks of powers,
-which clear a matrix to integers once, are checked the same way against
-one reference determinant per point and one rank per explicit power.
-The operations that slice, stack, add or transpose the stored integer
+ones.  The characteristic polynomial, computed without division, is
+checked by its values at integer points against one reference
+determinant per point, and the ranks of powers, which clear a matrix to
+integers once, against one rank per explicit power.  The operations that slice, stack, add or transpose the stored integer
 form are checked against entrywise ComplexRational references, and
 every result must keep the canonical form.
 """
@@ -311,7 +311,7 @@ def test_kernel_matches_reference_property(A):
     assert_kernel_matches(square)
 
 
-# -- determinants at integer points and ranks of powers -------------------------
+# -- characteristic polynomials at integer points and ranks of powers ----------
 
 
 def power_rank_list(M, count):
@@ -354,14 +354,31 @@ def special_square_matrices(complex_prob):
 POINTS = [0, 1, -1, 2, 5, 0]
 
 
+def charpoly_dets(M, points):
+    """[det(M - t I) for t in points] from M's characteristic polynomial
+    det(x I - M), by Horner's rule, after checking its shape."""
+    coeffs = M.charpoly()
+    assert isinstance(coeffs, Vector) and coeffs.dim == M.rows + 1
+    assert coeffs[0] == ONE
+    sign = -ONE if M.rows % 2 else ONE
+    dets = []
+    for t in points:
+        value = ZERO
+        for c in coeffs:
+            value = value * CR(t) + c
+        dets.append(sign * value)
+    return dets
+
+
 @pytest.mark.parametrize("complex_prob", [0.0, 0.5])
 def test_dets_at_points_match_shifted_dets(complex_prob):
     for M in special_square_matrices(complex_prob):
         expected = [ref_det(M.minus_identity(t)) for t in POINTS]
-        assert M.dets_minus_identity(POINTS) == expected
+        assert charpoly_dets(M, POINTS) == expected
         assert [M.minus_identity(t).det() for t in POINTS] == expected
         assert M.det() == expected[0]
-    assert Matrix.identity(2).dets_minus_identity([]) == []
+    assert Matrix(0, 0, []).charpoly() == Vector([ONE])
+    assert Matrix.identity(2).charpoly() == Vector([ONE, CR(-2), ONE])
 
 
 @pytest.mark.parametrize("complex_prob", [0.0, 0.5, 1.0])
@@ -375,13 +392,14 @@ def test_power_ranks_match_explicit_powers(complex_prob):
 
 
 def test_points_and_powers_refuse_bad_input():
-    wide = Matrix.zeros(2, 3)
-    with pytest.raises(ShapeError):
-        wide.dets_minus_identity([0])
-    with pytest.raises(ShapeError):
-        next(power_ranks(wide))
-    with pytest.raises(TypeError):
-        Matrix.identity(2).dets_minus_identity([Fraction(1, 2)])
+    for shape in ((2, 3), (3, 2), (0, 1)):
+        M = Matrix.zeros(*shape)
+        with pytest.raises(ShapeError):
+            M.charpoly()
+        with pytest.raises(ShapeError):
+            M.det()
+        with pytest.raises(ShapeError):
+            next(power_ranks(M))
 
 
 @st.composite
@@ -413,9 +431,7 @@ def square_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(square_matrices(), st.lists(st.integers(-4, 4), max_size=4))
 def test_points_and_powers_property(M, points):
-    assert M.dets_minus_identity(points) == [
-        ref_det(M.minus_identity(t)) for t in points
-    ]
+    assert charpoly_dets(M, points) == [ref_det(M.minus_identity(t)) for t in points]
     count = M.rows + 1
     assert power_rank_list(M, count) == [
         ref_rank(P) for P in islice(accumulate(repeat(M), ref_matmul), count)

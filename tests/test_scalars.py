@@ -97,7 +97,7 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "one", "1.5", "2+", "i+i", None, "1/0", "1/0i", "0/0"):
+    for bad in ("", "one", "1.5", "2+", "i+i", None, "1/0", "1/0i", "0/0", True, False):
         with pytest.raises((ValueError, TypeError)):
             parse_scalar(bad)
 

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from eigenshift.errors import (
     InverseIdentityError,
     NormalizationError,
 )
-from eigenshift.linalg import Matrix, Vector, jordan_block, outer_conj
+from eigenshift.linalg import Matrix, Vector, jordan_block, outer_conj, outer_plain
 from eigenshift.randgen import (
     random_even_shift_instance,
     random_odd_shift_instance,
@@ -163,6 +164,33 @@ def test_charpoly_ratio_detects_wrong_target():
     A, chains = build_matrix(segre, Matrix.identity(2))
     shift = shift_even(A, chains[0], 5)
     assert not charpoly_ratio_check(A, shift.A_hat, 1, 6, 2)
+    # a real matrix plus i times a real rank-one matrix: only the imaginary
+    # parts of the characteristic polynomial move
+    bump = outer_plain(Vector([CR(0, 1), ZERO]), Vector([ONE, ONE]))
+    assert not charpoly_ratio_check(A, shift.A_hat + bump, 1, 5, 2)
+
+
+def test_charpoly_ratio_at_n_32_in_a_unimodular_basis():
+    """The spectrum check at a size where the coefficients of the two
+    characteristic polynomials grow well past those of the n <= 12 tests;
+    the complex block makes the matrices Gaussian."""
+    lambda0, lambda1 = CR(Fraction(1, 2)), CR(Fraction(7, 3))
+    segre = SegreCharacteristic(
+        [
+            (lambda0, 6), (CR(2, 1), 4), (CR(-3), 5), (CR(1), 3), (CR(0, -1), 2),
+            (CR(4), 2), (CR(Fraction(-2, 3)), 2), (CR(5), 4), (CR(-1), 4),
+        ]
+    )
+    rng = random.Random(32)
+    A, chains = build_matrix(segre, random_unimodular(segre.total_size, rng))
+    A_hat = shift_even(A, chains[0], lambda1).A_hat
+    assert A.rows == 32
+    assert charpoly_ratio_check(A, A_hat, lambda0, lambda1, 6)
+    assert not charpoly_ratio_check(A, A_hat, lambda0, lambda1 + 1, 6)
+    assert not charpoly_ratio_check(A, A_hat, lambda0, lambda1, 5)
+    assert not charpoly_ratio_check(A, A_hat, lambda0, lambda1, 7)
+    u, v = (Vector([CR(rng.randint(-2, 2)) for _ in range(32)]) for _ in range(2))
+    assert not charpoly_ratio_check(A, A_hat + outer_plain(u, v), lambda0, lambda1, 6)
 
 
 def test_half_chain_invariance_random():
