@@ -123,17 +123,6 @@ def test_zero_denominator_classify_lambda_exit_2(tmp_path, capsys):
     assert "zero denominator in scalar string '0/0'" in capsys.readouterr().err
 
 
-def _explicit_job(**fields):
-    job = {
-        "target_eigenvalue": "1",
-        "new_eigenvalue": "2",
-        "k": 0,
-        "matrix": [["1", "0"], ["0", "3"]],
-        "chains": {"left": [["1", "0"]], "right": [["1", "0"]]},
-    }
-    return dict(job, **fields)
-
-
 @pytest.mark.parametrize(
     "job",
     [
@@ -141,7 +130,13 @@ def _explicit_job(**fields):
         dict(GOLDEN_JOB, new_eigenvalue=False),
         dict(GOLDEN_JOB, segre=[["1", 4], [True, 2]]),
         dict(GOLDEN_JOB, change_of_basis=[[True if i == j else "0" for j in range(6)] for i in range(6)]),
-        _explicit_job(matrix=[[True, "0"], ["0", "3"]]),
+        {
+            "target_eigenvalue": "1",
+            "new_eigenvalue": "2",
+            "k": 0,
+            "matrix": [[True, "0"], ["0", "3"]],
+            "chains": {"left": [["1", "0"]], "right": [["1", "0"]]},
+        },
     ],
 )
 def test_bool_scalar_shift_job_exit_2(tmp_path, capsys, job):

@@ -8,9 +8,10 @@ matrices of every shape, including rank-deficient, empty and all-zero
 ones.  The characteristic polynomial, computed without division, is
 checked by its values at integer points against one reference
 determinant per point, and the ranks of powers, which clear a matrix to
-integers once, against one rank per explicit power.  The operations that slice, stack, add or transpose the stored integer
-form are checked against entrywise ComplexRational references, and
-every result must keep the canonical form.
+integers once, against one rank per explicit power.  The operations
+that slice, stack, add or transpose the stored integer form are checked
+against entrywise ComplexRational references, and every result must
+keep the canonical form.
 """
 
 import random
