@@ -7,10 +7,11 @@ A ``Matrix`` or ``Vector`` stores one integer form: a denominator
 ``den`` > 0 and row-major tuples ``re`` and ``im`` of integer numerators,
 entry t being (re[t] + im[t] i) / den, with ``im`` None when every
 imaginary part is zero.  The form is canonical (gcd(den, every
-numerator) = 1), so equal values have equal fields.  Scalars are
-converted once, when a value is built from them; every operation reads
-and returns the form, and a ``ComplexRational`` is made only when an
-entry is read.
+numerator) = 1), so equal values have equal fields.  A value is built
+from scalars, converted once, or from scalar texts ("3", "-1/2",
+"1/2+3i"), parsed straight into integer parts; every operation reads
+and returns the form, ``texts`` prints the entries straight from it,
+and a ``ComplexRational`` is made only when an entry is read.
 
 Products are integer dot products.  Rank, determinant, solve, inverse
 and null space run on one fraction-free kernel: row i enters it as its
@@ -34,7 +35,7 @@ from operator import mul, neg
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularMatrixError
-from .scalars import ComplexRational, ONE, ZERO, from_integers
+from .scalars import ComplexRational, ONE, ZERO, format_parts, from_integers, parse_parts
 
 
 def _as_scalar(x) -> ComplexRational:
@@ -50,21 +51,39 @@ def _as_scalar(x) -> ComplexRational:
 # -- the integer form (den, re, im) --------------------------------------------
 
 
-def _clear(values):
-    """The form of ComplexRational values: den is the least common
-    denominator of every part, so no prime of den divides every
-    numerator, each part being a reduced Fraction."""
-    res = [x.re for x in values]
-    ims = [x.im for x in values]
-    re, re_den = [q.numerator for q in res], [q.denominator for q in res]
-    im, im_den = None, []
-    if any(ims):
-        im, im_den = [q.numerator for q in ims], [q.denominator for q in ims]
+def _common_parts(re, re_den, im, im_den):
+    """(d, re, im) for entries whose parts are re[t] / re_den[t] and
+    im[t] / im_den[t]: the numerators scaled to the least common
+    denominator d, and im None when every imaginary part is zero."""
     d = lcm(*set(re_den), *set(im_den))
+    im = im if any(im) else None
     if d != 1:
         re = [a * (d // e) for a, e in zip(re, re_den)]
         im = im and [a * (d // e) for a, e in zip(im, im_den)]
+    return d, re, im
+
+
+def _clear(values):
+    """The form of ComplexRational values: each part is a reduced
+    Fraction, so no prime of the common denominator divides every
+    numerator and no gcd is needed."""
+    res = [x.re for x in values]
+    ims = [x.im for x in values]
+    ims = ims if any(ims) else ()  # a real value reads no imaginary parts
+    d, re, im = _common_parts(
+        [q.numerator for q in res],
+        [q.denominator for q in res],
+        [q.numerator for q in ims],
+        [q.denominator for q in ims],
+    )
     return d, tuple(re), im and tuple(im)
+
+
+def _parsed(texts):
+    """The form of scalar texts, each read by ``parse_parts`` (a
+    malformed text raises its ValueError); the parts are not reduced, so
+    one gcd makes the form canonical."""
+    return _normal(*_common_parts(*([*zip(*map(parse_parts, texts))] or [()] * 4)))
 
 
 def _normal(den, re, im):
@@ -192,6 +211,12 @@ class _Exact:
         im = self.im or repeat(0)
         return tuple(map(from_integers, self.re, im, repeat(self.den)))
 
+    def texts(self) -> list:
+        """The canonical entry strings ('3', '-1/2', '1/2+3i'), row-major."""
+        if self.im is None:
+            return list(map(format_parts, repeat(self.den), self.re))
+        return list(map(format_parts, repeat(self.den), self.re, self.im))
+
     def _entry(self, t):
         return from_integers(self.re[t], self.im[t] if self.im else 0, self.den)
 
@@ -219,6 +244,11 @@ class Vector(_Exact):
 
     def __init__(self, entries: Iterable):
         _set_form(self, _clear(tuple(map(_as_scalar, entries))))
+
+    @staticmethod
+    def from_texts(texts: Sequence) -> "Vector":
+        """The vector of scalar texts such as '3', '-1/2' or '1/2+3i'."""
+        return _vector(_parsed(texts))
 
     def _like(self, form):
         return _vector(form)
@@ -313,11 +343,14 @@ class Matrix(_Exact):
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ShapeError("ragged rows")
-        return Matrix(r, c, [e for row in rows for e in row])
+        return Matrix(*_flattened(rows))
+
+    @staticmethod
+    def from_texts(rows: Sequence[Sequence]) -> "Matrix":
+        """The matrix whose rows are lists of scalar texts ('3', '-1/2',
+        '1/2+3i')."""
+        r, c, texts = _flattened(rows)
+        return _matrix(r, c, _parsed(texts))
 
     @staticmethod
     def from_columns(columns: Sequence[Vector], dim: int | None = None) -> "Matrix":
@@ -551,6 +584,15 @@ class Matrix(_Exact):
                 z[pc] = row[fc]
             basis.append(_vector(_divided(z, neg_d, gaussian)))
         return basis
+
+
+def _flattened(rows):
+    """(row count, column count, entries row-major) of equal-length rows."""
+    r = len(rows)
+    c = len(rows[0]) if r else 0
+    if any(len(row) != c for row in rows):
+        raise ShapeError("ragged rows")
+    return r, c, [e for row in rows for e in row]
 
 
 def _check_size(rows, cols, count):

@@ -2,8 +2,11 @@
 
 Jobs and reports are single JSON documents.  All scalars travel as
 exact strings ("3", "-1/2", "1/2+3i") so no value is ever routed
-through floating point.  Reports embed their normalized input job, so
-re-running a report's job reproduces the report byte for byte.
+through floating point.  Matrices and vectors are read from those
+strings straight into their integer form (``from_texts``) and printed
+straight from it (``texts``), with no scalar object per entry.  Reports
+embed their normalized input job, so re-running a report's job
+reproduces the report byte for byte.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ PASS, FAIL, NA = "pass", "fail", "not-applicable"
 # scalar / matrix / vector (de)serialization
 
 
-def scalar_to_str(x: ComplexRational) -> str:
-    return format_scalar(x)
-
-
 def str_to_scalar(s) -> ComplexRational:
     try:
         return parse_scalar(s)
@@ -69,7 +68,8 @@ def _check_square(A: Matrix) -> Matrix:
 
 
 def matrix_to_obj(M: Matrix):
-    return [[scalar_to_str(e) for e in row] for row in M.row_list()]
+    t, c = M.texts(), M.cols
+    return [t[i * c : (i + 1) * c] for i in range(M.rows)]
 
 
 def obj_to_matrix(obj) -> Matrix:
@@ -77,23 +77,36 @@ def obj_to_matrix(obj) -> Matrix:
         isinstance(r, list) and len(r) == len(obj[0]) for r in obj
     ):
         raise JobParseError("matrix must be a non-empty list of equal-length rows")
-    rows = [[str_to_scalar(e) for e in r] for r in obj]
-    return Matrix.from_rows(rows)
+    try:
+        return Matrix.from_texts(obj)
+    except ValueError:
+        _first_bad_scalar(e for r in obj for e in r)
+        raise
 
 
 def vector_to_obj(v: Vector):
-    return [scalar_to_str(e) for e in v.entries]
+    return v.texts()
 
 
 def obj_to_vector(obj) -> Vector:
     if not isinstance(obj, list) or not obj:
         raise JobParseError("vector must be a non-empty list of scalar strings")
-    return Vector([str_to_scalar(e) for e in obj])
+    try:
+        return Vector.from_texts(obj)
+    except ValueError:
+        _first_bad_scalar(obj)
+        raise
+
+
+def _first_bad_scalar(texts):
+    """Raise the JobParseError of the first text that does not parse."""
+    for s in texts:
+        str_to_scalar(s)
 
 
 def segre_to_obj(segre: SegreCharacteristic):
     return [
-        [scalar_to_str(lam), size] for lam, size in segre.canonical().blocks
+        [format_scalar(lam), size] for lam, size in segre.canonical().blocks
     ]
 
 
@@ -136,8 +149,8 @@ class ShiftJob:
         """Canonical document form; embedding this in a report and
         re-parsing it round-trips exactly."""
         doc = {
-            "target_eigenvalue": scalar_to_str(self.target_eigenvalue),
-            "new_eigenvalue": scalar_to_str(self.new_eigenvalue),
+            "target_eigenvalue": format_scalar(self.target_eigenvalue),
+            "new_eigenvalue": format_scalar(self.new_eigenvalue),
             "k": self.k,
         }
         if self.segre is not None:
@@ -410,7 +423,7 @@ def run_verify_job(A: Matrix, pairs) -> dict:
         "matrix": matrix_to_obj(A),
         "chains": [
             {
-                "lambda": scalar_to_str(p.lam),
+                "lambda": format_scalar(p.lam),
                 "left": [vector_to_obj(u) for u in p.left],
                 "right": [vector_to_obj(v) for v in p.right],
             }

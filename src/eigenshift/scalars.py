@@ -1,13 +1,20 @@
-"""Exact complex-rational scalars.
+"""Exact complex-rational scalars and their one text form.
 
 A complex number is a pair of stdlib ``Fraction``s, so every zero test
 made by the classifiers is decidable.
+
+Scalars travel as text ("3", "-1/2", "1/2+3i").  ``parse_parts`` reads a
+text into integer parts and ``format_parts`` prints (re + im i) / den,
+so a matrix or vector is read and printed from its integer form with no
+scalar object in between; ``parse_scalar`` and ``format_scalar`` are the
+same grammar for one ``ComplexRational``.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BackendError
 
@@ -17,13 +24,19 @@ def rational(x) -> Fraction:
     return Fraction(x)
 
 
+# a float or complex is inexact, and a bool is not taken as 0 or 1
+_NOT_EXACT = (float, complex, bool)
+
+
 class ComplexRational:
     """A complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
+        if isinstance(re, _NOT_EXACT) or isinstance(im, _NOT_EXACT):
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise TypeError(f"({re!r}, {im!r}): a bool is not a number here")
             raise BackendError(
                 f"({re!r}, {im!r}) is not exact; scalar parts must be int, "
                 "Fraction or a rational string"
@@ -41,7 +54,9 @@ class ComplexRational:
         if isinstance(x, ComplexRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return ComplexRational(x)
+            # arithmetic keeps Python's bool as 0 or 1 (x * (i == j)); only
+            # the constructor refuses a bool as a value
+            return ComplexRational(int(x) if isinstance(x, bool) else x)
         return NotImplemented
 
     def __add__(self, other):
@@ -180,44 +195,70 @@ def conj(x):
 
 def format_scalar(x: ComplexRational) -> str:
     """Canonical string form: '3', '-1/2', '1/2+3i', '-2i', '1-1/3i'."""
-    re_part, im_part = x.re, x.im
-    if im_part == 0:
-        return str(re_part)
-    im_str = str(im_part)
-    if re_part == 0:
+    re, im = x.re, x.im
+    den = lcm(re.denominator, im.denominator)
+    return format_parts(
+        den,
+        re.numerator * (den // re.denominator),
+        im.numerator * (den // im.denominator),
+    )
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n / d in lowest terms, as str(Fraction(n, d)) prints it (d > 0)."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def format_parts(den: int, re: int, im: int = 0) -> str:
+    """The canonical string of (re + im i) / den, for den > 0."""
+    re_str = _ratio_text(re, den)
+    if not im:
+        return re_str
+    im_str = _ratio_text(im, den)
+    if not re:
         return f"{im_str}i"
-    if im_str.startswith("-"):
-        return f"{re_part}{im_str}i"
-    return f"{re_part}+{im_str}i"
+    if im_str[0] == "-":
+        return f"{re_str}{im_str}i"
+    return f"{re_str}+{im_str}i"
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
 _SCALAR_RE = _re.compile(
-    rf"^\s*(?:(?P<re>{_RAT})(?=\s*(?:[+-]|$)))?\s*"
-    rf"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*)?)[iIjJ])?\s*$"
+    r"^\s*(?:(?P<re>[+-]?\d+)(?:/(?P<re_den>\d+))?(?=\s*(?:[+-]|$)))?\s*"
+    r"(?:(?P<im_sign>[+-]?)(?:(?P<im>\d+)(?:/(?P<im_den>\d+))?\s*)?[iIjJ])?\s*$"
 )
 
 
-def parse_scalar(text) -> ComplexRational:
-    """Parse a scalar string such as '3', '-1/2', '1/2+3i', 'i', '2-i'.
+def parse_parts(text) -> tuple:
+    """(re_num, re_den, im_num, im_den), the integers a scalar text
+    spells: '3', '-1/2', '1/2+3i', 'i', '2-i'; the fractions are not
+    reduced.
 
-    Integers are accepted directly for convenience in job files; a bool
-    is not a number here, so JSON true and false are refused.
+    An int is accepted directly for convenience in job files; a bool is
+    not a number here, so JSON true and false are refused.
     """
-    if isinstance(text, ComplexRational):
-        return text
     if isinstance(text, int) and not isinstance(text, bool):
-        return ComplexRational(text)
+        return text, 1, 0, 1
     if not isinstance(text, str):
         raise ValueError(f"cannot parse scalar from {text!r}")
     m = _SCALAR_RE.match(text)
-    if not m or (m.group("re") is None and m.group("im") is None):
+    re, re_den, sign, im, im_den = m.groups() if m else (None,) * 5
+    if re is None and sign is None:  # no match, or an empty one
         raise ValueError(f"malformed scalar string {text!r}")
-    re_s = m.group("re")
-    im_s = m.group("im")
-    im_s = "0" if im_s is None else im_s.replace(" ", "")
-    im_s = {"": "1", "+": "1", "-": "-1"}.get(im_s, im_s)
-    try:
-        return ComplexRational(Fraction(re_s or 0), Fraction(im_s))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar string {text!r}") from None
+    # the real part is read and checked before the imaginary one
+    re, re_den = int(re or 0), int(re_den or 1)
+    if re_den:
+        im = 0 if sign is None else int(sign + (im or "1"))
+        im_den = int(im_den or 1)
+        if im_den:
+            return re, re_den, im, im_den
+    raise ValueError(f"zero denominator in scalar string {text!r}")
+
+
+def parse_scalar(text) -> ComplexRational:
+    """The scalar of a text such as '3', '-1/2', '1/2+3i', 'i', '2-i'
+    (see ``parse_parts``); a ``ComplexRational`` is returned as it is."""
+    if isinstance(text, ComplexRational):
+        return text
+    re, re_den, im, im_den = parse_parts(text)
+    return ComplexRational(Fraction(re, re_den), Fraction(im, im_den))

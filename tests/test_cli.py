@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -121,6 +122,29 @@ def test_zero_denominator_classify_lambda_exit_2(tmp_path, capsys):
     form = write(tmp_path, "form.json", {"kind": "even", "k": 2, "lambda": "0/0"})
     assert run_cli(["classify", form]) == 2
     assert "zero denominator in scalar string '0/0'" in capsys.readouterr().err
+
+
+def test_first_bad_matrix_entry_is_named(tmp_path, capsys):
+    mat = write(tmp_path, "mat.json", [["1", "x"], ["1/0", "2"]])
+    doc = {"chains": [{"lambda": "1", "left": [["1"]], "right": [["1"]]}]}
+    ch = write(tmp_path, "chains.json", doc)
+    assert run_cli(["verify", mat, ch]) == 2
+    assert "error: bad scalar 'x': malformed scalar string 'x'" in capsys.readouterr().err
+
+
+def test_scalar_past_int_digit_limit_exit_2(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() has no digit limit in this interpreter")
+    huge = "1" * (limit + 1)
+    job = write(tmp_path, "job.json", dict(GOLDEN_JOB, target_eigenvalue=huge))
+    assert run_cli(["shift", job]) == 2
+    assert "error: bad scalar '111" in capsys.readouterr().err
+    mat = write(tmp_path, "mat.json", [["1", f"1/{huge}"]])
+    doc = {"chains": [{"lambda": "1", "left": [["1"]], "right": [["1"]]}]}
+    ch = write(tmp_path, "chains.json", doc)
+    assert run_cli(["verify", mat, ch]) == 2
+    assert "error: bad scalar '1/111" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,11 @@ def test_float_entries_refused_for_exact_ops():
         shift_even(A, chains[0], 2.5)
     with pytest.raises(BackendError):
         SegreCharacteristic([(0.5, 2)])
+    # a bool is refused too, not taken as 0 or 1
+    with pytest.raises(TypeError, match="cannot use True as an exact scalar"):
+        Matrix.from_rows([[True, False]])
+    with pytest.raises(TypeError, match="cannot use True as an exact scalar"):
+        Vector([True])
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,17 +1,21 @@
 """Exact complex-rational scalar arithmetic and string round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenshift.linalg import Matrix, Vector
+from eigenshift.reporting import matrix_to_obj, obj_to_matrix, obj_to_vector, vector_to_obj
 from eigenshift.scalars import (
     CR,
     I,
     ONE,
     ZERO,
     ComplexRational,
+    format_parts,
     format_scalar,
     parse_scalar,
 )
@@ -20,6 +24,88 @@ rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
 scalars = st.builds(CR, rationals, rationals)
+
+
+# -- the Fraction-based parser and formatter, kept as the reference ----------
+
+_REF_RAT = r"[+-]?\d+(?:/\d+)?"
+_REF_SCALAR_RE = re.compile(
+    rf"^\s*(?:(?P<re>{_REF_RAT})(?=\s*(?:[+-]|$)))?\s*"
+    rf"(?:(?P<im>[+-]?(?:\d+(?:/\d+)?\s*)?)[iIjJ])?\s*$"
+)
+
+
+def ref_parse_scalar(text) -> ComplexRational:
+    if isinstance(text, ComplexRational):
+        return text
+    if isinstance(text, int) and not isinstance(text, bool):
+        return ComplexRational(text)
+    if not isinstance(text, str):
+        raise ValueError(f"cannot parse scalar from {text!r}")
+    m = _REF_SCALAR_RE.match(text)
+    if not m or (m.group("re") is None and m.group("im") is None):
+        raise ValueError(f"malformed scalar string {text!r}")
+    re_s = m.group("re")
+    im_s = m.group("im")
+    im_s = "0" if im_s is None else im_s.replace(" ", "")
+    im_s = {"": "1", "+": "1", "-": "-1"}.get(im_s, im_s)
+    try:
+        return ComplexRational(Fraction(re_s or 0), Fraction(im_s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar string {text!r}") from None
+
+
+def ref_format_scalar(x: ComplexRational) -> str:
+    re_part, im_part = x.re, x.im
+    if im_part == 0:
+        return str(re_part)
+    im_str = str(im_part)
+    if re_part == 0:
+        return f"{im_str}i"
+    if im_str.startswith("-"):
+        return f"{re_part}{im_str}i"
+    return f"{re_part}+{im_str}i"
+
+
+GARBAGE = ("", "one", "1.5", "2+", "i+i", None, "1/0", "1/0i", "0/0", True, False)
+PARSE_CORPUS = GARBAGE + (
+    # unreduced and signed forms
+    "6/4", "-0", "+3", "00/04", "-6/-4", "+-1", "--1", "-0/5i", "3/6-4/8i",
+    # bare imaginary units and spaced forms
+    "i", "+i", "-i", "2-i", "2+I", "-j", " 1/2 - 3i ", " 1/2 -3i ", "1/2+3 i",
+    "\t7\n", "3 i", "1 2", "1 /2", "1/ 2",
+    # Unicode digits
+    "\u0663", "\u0661/\u0662+\u0663i", "\uff17",
+    # other near misses
+    "1e3", "0x10", "1_000", "1//2", "i1", "ii", "1/2/3", "2i3", "+", "-", "/",
+    5, -7, 0, 1.5, [1], 1j,
+)
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS)
+def test_parse_matches_fraction_reference(text):
+    """The integer-part parser gives the reference's value, or raises
+    the reference's exception type with its message."""
+    try:
+        expected = ref_parse_scalar(text)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            parse_scalar(text)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert parse_scalar(text) == expected
+
+
+def test_vector_from_texts_matches_fraction_reference():
+    good = []
+    for text in PARSE_CORPUS:
+        try:
+            good.append((text, ref_parse_scalar(text)))
+        except Exception:
+            pass
+    texts, values = zip(*good)
+    assert Vector.from_texts(list(texts)) == Vector(values)
+    assert Matrix.from_texts([list(texts)] * 2) == Matrix.from_rows([list(values)] * 2)
 
 
 def test_basic_arithmetic():
@@ -97,9 +183,12 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "one", "1.5", "2+", "i+i", None, "1/0", "1/0i", "0/0", True, False):
+    for bad in GARBAGE:
         with pytest.raises((ValueError, TypeError)):
             parse_scalar(bad)
+    # a bool is not a number for the constructor either
+    with pytest.raises(TypeError):
+        CR(True)
 
 
 def test_sort_key_orders_by_re_then_im():
@@ -112,6 +201,47 @@ def test_sort_key_orders_by_re_then_im():
 @given(scalars)
 def test_format_parse_round_trip(x):
     assert parse_scalar(format_scalar(x)) == x
+
+
+@settings(deadline=None)
+@given(scalars)
+def test_format_matches_fraction_reference(x):
+    assert format_scalar(x) == ref_format_scalar(x)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10**6), st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+def test_format_parts_matches_fraction_reference(den, re, im):
+    expected = ref_format_scalar(CR(Fraction(re, den), Fraction(im, den)))
+    assert format_parts(den, re, im) == expected
+
+
+numerators = st.integers(-(10**4), 10**4)
+
+
+@st.composite
+def forms(draw):
+    """(rows, cols, entries) for a random (den, re, im) form."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    den = draw(st.integers(1, 360))
+    re = draw(st.lists(numerators, min_size=rows * cols, max_size=rows * cols))
+    im = draw(st.one_of(st.none(), st.lists(numerators, min_size=rows * cols, max_size=rows * cols)))
+    im = im or [0] * (rows * cols)
+    return rows, cols, [CR(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)]
+
+
+@settings(deadline=None)
+@given(forms())
+def test_texts_round_trip_through_the_integer_form(form):
+    rows, cols, entries = form
+    M = Matrix(rows, cols, entries)
+    assert M.texts() == [format_scalar(e) for e in entries]
+    assert Matrix.from_texts(matrix_to_obj(M)) == M
+    assert obj_to_matrix(matrix_to_obj(M)) == M
+    v = M.row(0)
+    assert vector_to_obj(v) == [format_scalar(e) for e in entries[:cols]]
+    assert Vector.from_texts(v.texts()) == v
+    assert obj_to_vector(vector_to_obj(v)) == v
 
 
 @settings(deadline=None)

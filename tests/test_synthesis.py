@@ -34,6 +34,9 @@ def test_segre_rejects_bad_sizes():
     for size in (0, -1, 2.5, 1.0, True, False, "2", None):
         with pytest.raises(ShapeError):
             SegreCharacteristic([(3, 2), (1, size)])
+    # and a bool eigenvalue is not taken as 0 or 1
+    with pytest.raises(TypeError):
+        SegreCharacteristic([(True, 2)])
 
 
 def test_jordan_matrix_layout():
