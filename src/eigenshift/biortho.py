@@ -4,6 +4,12 @@ Inner products are conjugate-linear in the left argument throughout
 (u* v), matching the star convention used by the shift construction.
 The left chain of A at lam0 is a right chain of A* at conj(lam0), so
 the left resolvent identity is the right one computed for A*.
+
+Tables are batched: a Gram table is one product U* V of the stacked
+chains, and the resolvent identities of several chain pairs come from
+one solve (A - lam I) X = [V_1 ... V_q] and one product U* X, each pair
+reading its own diagonal block.  A verify job therefore makes one
+elimination and two products, however many chain pairs it holds.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Vector, _as_scalar, inner
+from .linalg import Matrix, Vector, _as_scalar
 from .scalars import ONE, ZERO
 from .synthesis import ChainPair
 
@@ -40,17 +46,44 @@ class GramTable:
         """1-based access, matching the chain indexing."""
         return self.table[i - 1, j - 1]
 
+    def block(self, r0: int, p: int, c0: int, q: int) -> "GramTable":
+        """The p x q table of rows r0:r0+p and columns c0:c0+q (0-based)."""
+        return GramTable(self.table.submatrix(r0, r0 + p, c0, c0 + q))
+
+    def middle(self):
+        """x_{m,m} for the middle index m = (p+1)/2 of an odd p x p table.
+
+        Theory guarantees this is nonzero for a genuine full chain pair of
+        a single odd block; a zero therefore flags invalid input.
+        """
+        m = (self.p + 1) // 2
+        x = self.at(m, m)
+        if x.is_zero:
+            raise InvalidChainError(
+                "middle inner product vanishes: not a genuine full chain pair"
+            )
+        return x
+
 
 def gram_table(left: Sequence[Vector], right: Sequence[Vector]) -> GramTable:
-    """Exact p x q table of u_i* v_j."""
+    """Exact p x q table of u_i* v_j, as the one product U* V."""
     if not left or not right:
         raise ShapeError("gram_table needs nonempty chains")
     n = left[0].dim
     if any(v.dim != n for v in left) or any(v.dim != n for v in right):
         raise ShapeError("all chain vectors must share the ambient dimension")
     return GramTable(
-        Matrix(len(left), len(right), [inner(u, v) for u in left for v in right])
+        Matrix.from_columns(list(left)).H @ Matrix.from_columns(list(right))
     )
+
+
+def _antitriangle_entry(table: GramTable, bound: int):
+    """First (i, j), 1-based, with i + j <= bound and x_{i,j} != 0, or None."""
+    for i in range(1, table.p + 1):
+        for j in range(1, min(table.q, bound - i) + 1):
+            if table.at(i, j) != ZERO:
+                return (i, j)
+    return None
 
 
 def check_hankel(table: GramTable):
@@ -61,11 +94,9 @@ def check_hankel(table: GramTable):
     return value is None, or a ((i, j), reason) pair in 1-based indices.
     """
     p, q = table.p, table.q
-    bound = max(p, q)
-    for i in range(1, p + 1):
-        for j in range(1, q + 1):
-            if 2 <= i + j <= bound and table.at(i, j) != ZERO:
-                return False, ((i, j), "leading anti-triangle entry nonzero")
+    at = _antitriangle_entry(table, max(p, q))
+    if at is not None:
+        return False, (at, "leading anti-triangle entry nonzero")
     for i in range(2, p + 1):
         for j in range(1, q):
             if table.at(i, j) != table.at(i - 1, j + 1):
@@ -76,8 +107,7 @@ def check_hankel(table: GramTable):
 def middle_product_nonzero(left: Sequence[Vector], right: Sequence[Vector]):
     """u_m* v_m for the middle index m = (p+1)/2 of an odd full chain.
 
-    Theory guarantees this is nonzero for a genuine full chain pair of a
-    single odd block; a zero therefore flags invalid input.
+    A zero raises InvalidChainError, as for GramTable.middle.
     """
     p = len(left)
     if p != len(right):
@@ -85,12 +115,7 @@ def middle_product_nonzero(left: Sequence[Vector], right: Sequence[Vector]):
     if p % 2 == 0:
         raise InvalidChainError("middle product needs odd chain length")
     m = (p + 1) // 2
-    x = inner(left[m - 1], right[m - 1])
-    if x.is_zero:
-        raise InvalidChainError(
-            "middle inner product vanishes: not a genuine full chain pair"
-        )
-    return x
+    return gram_table([left[m - 1]], [right[m - 1]]).middle()
 
 
 def _resolvent_solve(A: Matrix, lam, rhs):
@@ -143,15 +168,32 @@ def resolvent_apply_left(A: Matrix, lam, pair: ChainPair, i: int) -> Vector:
     )
 
 
+def resolvent_identities(A: Matrix, lam, pairs: Sequence[ChainPair]) -> list:
+    """For each pair, whether u_i* (A - lam I)^{-1} v_j = 0 for all i + j <= p.
+
+    One solve (A - lam I) X = [V_1 ... V_q] and one product U* X serve
+    every pair: a pair's identities are the leading anti-triangle of its
+    diagonal block.  A point of the spectrum raises ResolventError.
+    """
+    lengths = [pair.length for pair in pairs]
+    images = _resolvent_solve(
+        A,
+        _as_scalar(lam),
+        Matrix.from_columns([v for pair in pairs for v in pair.right]),
+    )
+    table = GramTable(
+        Matrix.from_columns([u for pair in pairs for u in pair.left]).H @ images
+    )
+    verdicts = []
+    offset = 0
+    for p in lengths:
+        own = table.block(offset, p, offset, p)
+        verdicts.append(_antitriangle_entry(own, p) is None)
+        offset += p
+    return verdicts
+
+
 def resolvent_orthogonality_check(A: Matrix, lam, pair: ChainPair) -> bool:
     """True iff u_i* (A - lam I)^{-1} v_j = 0 for all i + j <= p."""
-    # (A - lam I)^{-1} v_j for every j, from one solve
-    images = _resolvent_solve(
-        A, _as_scalar(lam), Matrix.from_columns(list(pair.right))
-    )
-    p = pair.length
-    for i in range(1, p + 1):
-        for j in range(1, p - i + 1):
-            if not inner(pair.left[i - 1], images.col(j - 1)).is_zero:
-                return False
-    return True
+    (ok,) = resolvent_identities(A, lam, [pair])
+    return ok

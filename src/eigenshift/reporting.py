@@ -11,6 +11,7 @@ reproduces the report byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -355,63 +356,69 @@ def parse_chain_sets(doc):
 
 
 def run_verify_job(A: Matrix, pairs) -> dict:
-    """Biorthogonality, Hankel-pattern and resolvent identity report."""
-    from .biortho import (
-        check_hankel,
-        gram_table,
-        middle_product_nonzero,
-        resolvent_orthogonality_check,
-    )
+    """Biorthogonality, Hankel-pattern and resolvent identity report.
+
+    Every recurrence is checked first; the chains that pass then share
+    one Gram table and one resolvent solve, and each pair reads its own
+    blocks of them.
+    """
+    from .biortho import check_hankel, gram_table
     from .errors import InvalidChainError
 
     _check_square(A)
-    verdicts = {}
-    diagnostics = []
-    lams = [p.lam for p in pairs]
-    point = ...  # the resolvent point, searched for once on first use
+    failures = {}  # pair index -> recurrence failure
+    blocks = {}  # pair index -> (offset, length) in the batched tables
+    offset = 0
     for i, pair in enumerate(pairs):
-        tag = f"chain_{i}"
         try:
             pair.verify_against(A)
-            verdicts[f"{tag}:recurrence"] = PASS
         except InvalidChainError as exc:
-            verdicts[f"{tag}:recurrence"] = FAIL
-            diagnostics.append(f"{tag}: {exc}")
+            failures[i] = exc
             continue
-        ok, info = check_hankel(gram_table(pair.left, pair.right))
+        blocks[i] = (offset, pair.length)
+        offset += pair.length
+    passed = [pairs[i] for i in blocks]
+    if passed:
+        gram = gram_table(
+            [u for pair in passed for u in pair.left],
+            [v for pair in passed for v in pair.right],
+        )
+        resolvent = dict(
+            zip(blocks, _resolvent_verdicts(A, passed, [p.lam for p in pairs]))
+        )
+    verdicts = {}
+    diagnostics = []
+    for i in range(len(pairs)):
+        tag = f"chain_{i}"
+        if i in failures:
+            verdicts[f"{tag}:recurrence"] = FAIL
+            diagnostics.append(f"{tag}: {failures[i]}")
+            continue
+        verdicts[f"{tag}:recurrence"] = PASS
+        o, p = blocks[i]
+        own = gram.block(o, p, o, p)
+        ok, info = check_hankel(own)
         verdicts[f"{tag}:hankel_pattern"] = PASS if ok else FAIL
         if not ok:
             diagnostics.append(
                 f"{tag}: Gram table violates the Hankel pattern at {info[0]}:"
                 f" {info[1]}"
             )
-        if pair.length % 2 == 1:
+        if p % 2 == 1:
             try:
-                middle_product_nonzero(pair.left, pair.right)
+                own.middle()
                 verdicts[f"{tag}:middle_product"] = PASS
             except InvalidChainError as exc:
                 verdicts[f"{tag}:middle_product"] = FAIL
                 diagnostics.append(f"{tag}: {exc}")
-        if point is ...:
-            point = _resolvent_point(A, exclude=lams)
-        if point is None:
-            verdicts[f"{tag}:resolvent_identities"] = NA
-            diagnostics.append(
-                f"{tag}: no rational resolvent point found outside the spectrum"
-            )
-        else:
-            ok = resolvent_orthogonality_check(A, point, pair)
-            verdicts[f"{tag}:resolvent_identities"] = PASS if ok else FAIL
-    for i in range(len(pairs)):
-        for j in range(len(pairs)):
+        verdicts[f"{tag}:resolvent_identities"] = (
+            PASS if resolvent[i] else FAIL
+        )
+    for i, (oi, pi) in blocks.items():
+        for j, (oj, pj) in blocks.items():
             if i == j or pairs[i].lam == pairs[j].lam:
                 continue
-            if verdicts.get(f"chain_{i}:recurrence") != PASS:
-                continue
-            if verdicts.get(f"chain_{j}:recurrence") != PASS:
-                continue
-            cross = gram_table(pairs[i].left, pairs[j].right)
-            ok = cross.table.is_zero
+            ok = gram.block(oi, pi, oj, pj).table.is_zero
             verdicts[f"cross_orthogonality_{i}_{j}"] = PASS if ok else FAIL
             if not ok:
                 diagnostics.append(
@@ -434,22 +441,25 @@ def run_verify_job(A: Matrix, pairs) -> dict:
     }
 
 
-def _resolvent_point(A: Matrix, exclude):
-    """First small rational point outside the spectrum of A."""
+def _resolvent_verdicts(A: Matrix, pairs, exclude):
+    """Resolvent identity verdicts at the first t = 0, 1, 2, ... that is
+    neither in exclude nor an eigenvalue of A.
+
+    A point of the spectrum shows as a singular solve, so the solve that
+    gives the verdicts also picks the point; at most n points fail.
+    """
+    from .biortho import resolvent_identities
+    from .errors import ResolventError
     from .scalars import CR
 
-    n = A.rows
-    t = 0
-    tried = 0
-    while tried <= n + len(exclude) + 2:
-        s = CR(t)
-        t += 1
-        if any(s == x for x in exclude):
+    for t in itertools.count():
+        point = CR(t)
+        if any(point == x for x in exclude):
             continue
-        tried += 1
-        if not A.minus_identity(s).det().is_zero:
-            return s
-    return None
+        try:
+            return resolvent_identities(A, point, pairs)
+        except ResolventError:
+            continue
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenshift.biortho import (
     GramTable,
@@ -11,12 +13,19 @@ from eigenshift.biortho import (
     middle_product_nonzero,
     resolvent_apply_left,
     resolvent_apply_right,
+    resolvent_identities,
     resolvent_orthogonality_check,
 )
-from eigenshift.errors import InvalidChainError, ResolventError
+from eigenshift.errors import (
+    InvalidChainError,
+    ResolventError,
+    ShapeError,
+    SingularMatrixError,
+)
 from eigenshift.linalg import Matrix, Vector, direct_sum, inner, jordan_block
 from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.synthesis import (
+    ChainPair,
     SegreCharacteristic,
     build_matrix,
     generate_parametric_chains_single,
@@ -163,8 +172,6 @@ def test_resolvent_orthogonality():
 
 
 def test_resolvent_orthogonality_fails_on_corrupted_chain():
-    from eigenshift.synthesis import ChainPair
-
     segre = SegreCharacteristic([(1, 3)])
     A, chains = build_matrix(segre, Matrix.identity(3))
     good = chains[0]
@@ -174,3 +181,92 @@ def test_resolvent_orthogonality_fails_on_corrupted_chain():
         good.right,
     )
     assert not resolvent_orthogonality_check(A, CR(6), bad)
+
+
+# ---------------------------------------------------------------------------
+# the batched tables against per-entry and per-pair references
+
+
+def _random_vector(rng, n, complex_prob):
+    def part():
+        return CR(rng.randint(-5, 5)) / rng.randint(1, 4)
+
+    return Vector(
+        [
+            part() + CR(0, 1) * part() if rng.random() < complex_prob else part()
+            for _ in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5])
+@pytest.mark.parametrize("p, q", [(1, 3), (3, 1), (2, 5), (4, 4)])
+def test_gram_table_matches_entrywise_inner(p, q, complex_prob):
+    rng = random.Random(p * 10 + q)
+    for n in (1, 3, 6):
+        left = [_random_vector(rng, n, complex_prob) for _ in range(p)]
+        right = [_random_vector(rng, n, complex_prob) for _ in range(q)]
+        want = Matrix(p, q, [inner(u, v) for u in left for v in right])
+        assert gram_table(left, right).table == want
+
+
+def test_gram_table_shape_errors():
+    u, w = Vector.unit(3, 0), Vector.unit(2, 0)
+    for left, right in (([], [u]), ([u], []), ([], [])):
+        with pytest.raises(ShapeError, match="^gram_table needs nonempty chains$"):
+            gram_table(left, right)
+    for left, right in (([u, w], [u]), ([u], [u, w]), ([w], [u])):
+        with pytest.raises(
+            ShapeError,
+            match="^all chain vectors must share the ambient dimension$",
+        ):
+            gram_table(left, right)
+
+
+def reference_resolvent_check(A, lam, pair):
+    """One solve for this pair's right chain, then u_i* x_j entry by entry."""
+    images = A.minus_identity(lam).solve(Matrix.from_columns(list(pair.right)))
+    p = pair.length
+    return all(
+        inner(pair.left[i - 1], images.col(j - 1)).is_zero
+        for i in range(1, p + 1)
+        for j in range(1, p - i + 1)
+    )
+
+
+@st.composite
+def chain_families(draw):
+    """(A, chain pairs, point): blocks with complex eigenvalues in a random
+    unimodular basis, some left chains corrupted (u_1 -> u_1 + u_p)."""
+    count = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+    parts = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
+    lams = draw(st.lists(parts, min_size=count, max_size=count))
+    lams[0] = (lams[0][0], lams[0][1] or 1)  # at least one non-real
+    segre = SegreCharacteristic(
+        [(CR(re, im), size) for (re, im), size in zip(lams, sizes)]
+    )
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    A, chains = build_matrix(segre, random_unimodular(sum(sizes), rng))
+    corrupt = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    pairs = [
+        ChainPair(pair.lam, [pair.left[0] + pair.left[-1], *pair.left[1:]], pair.right)
+        if bad and len(pair.left) > 1
+        else pair
+        for pair, bad in zip(chains, corrupt)
+    ]
+    return A, pairs, CR(draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_families())
+def test_batched_resolvent_verdicts_match_per_pair_solves(family):
+    A, pairs, point = family
+    try:
+        want = [reference_resolvent_check(A, point, pair) for pair in pairs]
+    except SingularMatrixError:
+        with pytest.raises(ResolventError):
+            resolvent_identities(A, point, pairs)
+        return
+    assert resolvent_identities(A, point, pairs) == want
+    assert [resolvent_orthogonality_check(A, point, p) for p in pairs] == want
