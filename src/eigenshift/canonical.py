@@ -138,12 +138,14 @@ def _stack3(x: Vector, xi, z: Vector) -> Vector:
 # even multiplicity
 
 
-def extract_even_canonical(shift: ShiftResult, P: Matrix) -> EvenCanonical:
+def extract_even_canonical(
+    shift: ShiftResult, P: Matrix, P_inv: Optional[Matrix] = None
+) -> EvenCanonical:
     """Read C off P^{-1} A_hat P and assert the block-triangular shape."""
     if shift.middle is not None:
         raise ExtractionError("even extraction applied to an odd shift")
     k = shift.k
-    lead = _extract_leading_block(shift, P, 2 * k)
+    lead = _extract_leading_block(shift, P, 2 * k, P_inv)
     form = EvenCanonical(k, shift.lambda1, lead.submatrix(0, k, k, 2 * k))
     if form.matrix() != lead:
         raise ExtractionError(
@@ -196,13 +198,15 @@ def classify_even(ec: EvenCanonical) -> StructurePrediction:
 # odd multiplicity
 
 
-def extract_odd_canonical(shift: ShiftResult, P: Matrix) -> OddCanonical:
+def extract_odd_canonical(
+    shift: ShiftResult, P: Matrix, P_inv: Optional[Matrix] = None
+) -> OddCanonical:
     """Read (a, b, C) off P^{-1} A_hat P and assert the block shape."""
     if shift.middle is None:
         raise ExtractionError("odd extraction applied to an even shift")
     k = shift.k
     m = 2 * k + 1
-    lead = _extract_leading_block(shift, P, m)
+    lead = _extract_leading_block(shift, P, m, P_inv)
     lam1 = shift.lambda1
     if k == 0:
         if lead[0, 0] != lam1:
@@ -523,18 +527,22 @@ def _finalize(M: Matrix, lam, label, claimed_sizes, cycles) -> StructurePredicti
     )
 
 
-def _extract_leading_block(shift: ShiftResult, P: Matrix, m: int) -> Matrix:
+def _extract_leading_block(
+    shift: ShiftResult, P: Matrix, m: int, P_inv: Optional[Matrix] = None
+) -> Matrix:
     """P^{-1} A_hat P restricted to the shifted block coordinates.
 
     When the ambient dimension exceeds the shifted multiplicity, the
     update must stay inside the shifted block's invariant subspace and
     leave the complementary Jordan part untouched; any coupling means
     the closed-form analysis does not apply and extraction refuses.
+    P_inv, when the caller already holds it, saves inverting P.
     """
     n = shift.A_hat.rows
     if P.shape != (n, n):
         raise ExtractionError(f"basis must be {n}x{n}, got {P.shape}")
-    P_inv = P.inverse()
+    if P_inv is None:
+        P_inv = P.inverse()
     M = P_inv @ shift.A_hat @ P
     if n == m:
         return M
@@ -542,17 +550,22 @@ def _extract_leading_block(shift: ShiftResult, P: Matrix, m: int) -> Matrix:
         raise ExtractionError("shift update couples into the lower block rows")
     if not M.submatrix(0, m, m, n).is_zero:
         raise ExtractionError("shift update couples into the trailing columns")
-    rest_before = (P_inv @ shift.A @ P).submatrix(m, n, m, n)
+    rest_before = P_inv.submatrix(m, n, 0, n) @ shift.A @ P.submatrix(0, n, m, n)
     if M.submatrix(m, n, m, n) != rest_before:
         raise ExtractionError("complementary Jordan part was modified")
     return M.submatrix(0, m, 0, m)
 
 
-def predict_structure(shift: ShiftResult, P: Matrix) -> StructurePrediction:
-    """End-to-end prediction: extract, (reduce,) classify, verify."""
+def predict_structure(
+    shift: ShiftResult, P: Matrix, P_inv: Optional[Matrix] = None
+) -> StructurePrediction:
+    """End-to-end prediction: extract, (reduce,) classify, verify.
+
+    P is the prediction basis and P_inv, when given, its inverse.
+    """
     if shift.multiplicity % 2 == 0:
-        return classify_even(extract_even_canonical(shift, P))
-    oc = extract_odd_canonical(shift, P)
+        return classify_even(extract_even_canonical(shift, P, P_inv))
+    oc = extract_odd_canonical(shift, P, P_inv)
     if oc.k == 0:
         return StructurePrediction(
             segre=SegreCharacteristic([(oc.lam, 1)]),

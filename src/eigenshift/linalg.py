@@ -18,6 +18,9 @@ and null space run on one fraction-free kernel: row i enters it as its
 numerators over g_i = gcd(den, content of row i), integers or
 Gaussian-integer (re, im) pairs.  Elimination is Bareiss's scheme, whose
 division by the previous pivot is exact in Z and in Z[i] (Bareiss 1968).
+Its row scaling is lazy: a row whose entry in the pivot column is 0 is
+skipped, and the scale factors it missed, which telescope, are applied
+in its next update, so a sparse matrix costs what its nonzeros cost.
 The pivot is the first nonzero entry in its column, as in hand
 elimination, and the results equal those of elimination over
 ``ComplexRational``.  ``power_ranks`` (the ranks of N, N^2, ...)
@@ -724,48 +727,66 @@ def _eliminate(rows, ncols, gaussian, reduced=False):
     above the pivot are updated too (fraction-free Gauss-Jordan): the
     pivot rows end as d times the reduced echelon form, d being the
     last pivot.  Returns (pivot columns, sign of the row permutation).
+
+    Scaling is lazy.  With f = 0 the update only scales the row by
+    p_t / p_(t-1), and over steps s+1..t these factors telescope to
+    p_t / p_s; so a row keeps the step s of its last update, skips every
+    step where its f is 0, and is next updated in one fused step,
+    (p_t * row - f * pivot_row) / p_s, a Bareiss minor, so the division
+    is still exact.  A row is brought up to date (times p_(t-1) / p_s)
+    when it becomes the pivot row, and every row still lazy is at the
+    end, so the rows equal those of eager elimination.
     """
     step = _step_gaussian if gaussian else _step_integer
+    zero = (0, 0) if gaussian else 0
     n = len(rows)
     piv_cols = []
     sign = 1
-    prev = (1, 0) if gaussian else 1
-    nonzero = any if gaussian else bool
+    pivots = [(1, 0) if gaussian else 1]  # pivots[t], the pivot of step t
+    since = [0] * n  # since[i], the step row i is scaled to
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, n) if nonzero(rows[i][c])), None)
+        pr = next((i for i in range(r, n) if rows[i][c] != zero), None)
         if pr is None:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
+            since[r], since[pr] = since[pr], since[r]
             sign = -sign
-        top = rows[r]
-        if reduced:
-            for i in range(r):
-                rows[i] = step(rows[i], top, c, prev, 0)
-        # below the pivot row every entry left of c is already zero
-        for i in range(r + 1, n):
-            rows[i] = step(rows[i], top, c, prev, c)
-        prev = top[c]
+        t = len(pivots)
+        # the rows from r on are zero left of c
+        top = rows[r] = step(rows[r], rows[r], pivots[-1], zero, pivots[since[r]], c)
+        since[r] = t
+        p = top[c]
+        for i in range(0 if reduced else r + 1, n):
+            f = rows[i][c]
+            if f != zero and i != r:
+                rows[i] = step(rows[i], top, p, f, pivots[since[i]], 0 if i < r else c)
+                since[i] = t
+        pivots.append(p)
         piv_cols.append(c)
         r += 1
         if r == n:
             break
+    # pivot rows stay final unless reduced; bring the lazy rows up to date
+    last = pivots[-1]
+    for i in range(0 if reduced else r, n):
+        rows[i] = step(rows[i], rows[i], last, zero, pivots[since[i]], 0)
     return piv_cols, sign
 
 
-def _step_integer(row, top, c, prev, lo):
-    """One Bareiss row update over Z, from column lo on."""
-    p, f = top[c], row[c]
-    if not f and p == prev:
+def _step_integer(row, top, p, f, q, lo):
+    """One Bareiss row update over Z, (p row - f top) / q from column lo
+    on; with f = 0 it scales the row by p / q."""
+    if not f and p == q:
         return row
-    return row[:lo] + [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+    return row[:lo] + [(p * x - f * y) // q for x, y in zip(row[lo:], top[lo:])]
 
 
-def _step_gaussian(row, top, c, prev, lo):
+def _step_gaussian(row, top, p, f, q, lo):
     """One Bareiss row update over Z[i], from column lo on; the division
     by q is a product with conj(q) and an exact division by |q|^2."""
-    (pr, pi), (fr, fi), (qr, qi) = top[c], row[c], prev
+    (pr, pi), (fr, fi), (qr, qi) = p, f, q
     if not (fr or fi) and pr == qr and pi == qi:
         return row
     nq = qr * qr + qi * qi

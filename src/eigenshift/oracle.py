@@ -11,6 +11,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import ClassificationError, MissingEigenvalueError
 from .linalg import (
@@ -54,11 +55,13 @@ class WeyrProfile:
         )
 
 
-def weyr_profile(M: Matrix, lam) -> WeyrProfile:
+def weyr_profile(M: Matrix, lam, multiplicity=None) -> WeyrProfile:
     """Exact nullity sequence of (M - lam I)^j, stopping when stable.
 
     The ranks of the powers come from ``power_ranks``, which clears
-    M - lam I to integers once and never forms a full power.
+    M - lam I to integers once and never forms a full power.  Given the
+    algebraic multiplicity of lam, the sequence also stops when the
+    nullity reaches it, which saves the power that would repeat it.
     """
     lam = _as_scalar(lam)
     n = M.rows
@@ -70,7 +73,7 @@ def weyr_profile(M: Matrix, lam) -> WeyrProfile:
             break
         null_dims.append(d)
         prev = d
-        if d == n:
+        if d == n or d == multiplicity:
             break
     prof = WeyrProfile(lam, tuple(null_dims))
     inc = prof.increments
@@ -81,18 +84,22 @@ def weyr_profile(M: Matrix, lam) -> WeyrProfile:
     return prof
 
 
-def oracle_segre(M: Matrix, eigenvalues) -> SegreCharacteristic:
-    """Full Segre characteristic from a covering eigenvalue list."""
+def oracle_segre(M: Matrix, eigenvalues, multiplicities=None) -> SegreCharacteristic:
+    """Full Segre characteristic from a covering eigenvalue list.
+
+    multiplicities, when given, lists the algebraic multiplicity of each
+    eigenvalue in the same order, and each Weyr profile stops there.
+    """
     n = M.rows
-    seen = []
-    for lam in eigenvalues:
-        lam = _as_scalar(lam)
-        if lam not in seen:
-            seen.append(lam)
+    if multiplicities is None:
+        multiplicities = repeat(None)
+    seen = {}
+    for lam, mult in zip(eigenvalues, multiplicities):
+        seen.setdefault(_as_scalar(lam), mult)
     blocks = []
     total = 0
-    for lam in seen:
-        prof = weyr_profile(M, lam)
+    for lam, mult in seen.items():
+        prof = weyr_profile(M, lam, mult)
         for size in prof.block_sizes():
             blocks.append((lam, size))
             total += size

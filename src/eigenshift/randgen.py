@@ -24,12 +24,13 @@ from fractions import Fraction
 
 from .canonical import ConcentratedForm
 from .errors import InvalidParameterError
-from .linalg import Matrix, Vector, vstack
+from .linalg import Matrix, Vector, hstack, vstack
 from .scalars import CR, ComplexRational, ZERO
 from .shifting import ShiftResult, shift_even, shift_odd
 from .synthesis import (
     ChainPair,
     SegreCharacteristic,
+    basis_inverse,
     build_matrix,
     random_unimodular,
 )
@@ -92,39 +93,33 @@ def _random_extras(rng: random.Random, avoid) -> list:
     return extras
 
 
-def _chain_vectors(lam_len: int, n: int, a, b):
-    """Full-length parametric chains of the leading block, in J coordinates.
+def _chain_matrices(m: int, n: int, a, b):
+    """The full-length parametric chains of the leading block J_m, in J
+    coordinates, as the columns of two n x m matrices (left, right):
 
-    u_i = sum_{j<=i} a_{i-j+1} e_{m-j+1}, v_i = sum_{j<=i} b_{i-j+1} e_j,
-    padded with zeros to ambient dimension n.
+    u_i = sum_{j<=i} a_{i-j+1} e_{m-j+1}, v_i = sum_{j<=i} b_{i-j+1} e_j.
     """
-    m = lam_len
-    left, right = [], []
-    for i in range(1, m + 1):
-        u = [ZERO] * n
-        v = [ZERO] * n
-        for j in range(1, i + 1):
-            u[m - j] = u[m - j] + a[i - j]
-            v[j - 1] = v[j - 1] + b[i - j]
-        left.append(Vector(u))
-        right.append(Vector(v))
-    return left, right
+    left = [[0] * m for _ in range(n)]
+    right = [[0] * m for _ in range(n)]
+    for i in range(m):
+        for j in range(i + 1):
+            left[m - 1 - j][i] = a[i - j]
+            right[j][i] = b[i - j]
+    return Matrix.from_rows(left), Matrix.from_rows(right)
 
 
 def _int_params(rng: random.Random, m: int):
     """Chain parameters with a unit leading coefficient (integer inverses)."""
-    lead = rng.choice((-1, 1))
-    return [CR(lead)] + [CR(rng.randint(-2, 2)) for _ in range(m - 1)]
+    return [rng.choice((-1, 1))] + [rng.randint(-2, 2) for _ in range(m - 1)]
 
 
 def _structured_inverses(
     rng: random.Random,
     P0: Matrix,
-    left_j,
-    right_j,
-    m: int,
+    P0_invH: Matrix,
+    left_j: Matrix,
+    right_j: Matrix,
     k: int,
-    n: int,
 ):
     """R and L with R*V = U*L = I_k supported inside the leading block.
 
@@ -132,23 +127,15 @@ def _structured_inverses(
     L = P0 H with H = [S2; (U_blk^*)^{-1}; 0]; the random integer blocks
     S1, S2 are the free parameters of the update.
     """
+    n, m = left_j.shape
     if k == 0:
         return Matrix(n, 0, []), Matrix(n, 0, [])
-    Bk = Matrix.from_columns(
-        [Vector(right_j[i].entries[:k]) for i in range(k)]
-    )
-    Ublk = Matrix.from_columns(
-        [Vector(left_j[i].entries[m - k : m]) for i in range(k)]
-    )
-    S1 = Matrix(
-        m - k, k, [CR(rng.randint(-2, 2)) for _ in range((m - k) * k)]
-    )
-    S2 = Matrix(
-        m - k, k, [CR(rng.randint(-2, 2)) for _ in range((m - k) * k)]
-    )
+    Bk = right_j.submatrix(0, k, 0, k)
+    Ublk = left_j.submatrix(m - k, m, 0, k)
+    S1 = Matrix(m - k, k, [rng.randint(-2, 2) for _ in range((m - k) * k)])
+    S2 = Matrix(m - k, k, [rng.randint(-2, 2) for _ in range((m - k) * k)])
     G = vstack(Bk.inverse().H, S1, Matrix.zeros(n - m, k))
-    H = vstack(S2, (Ublk.H).inverse(), Matrix.zeros(n - m, k))
-    P0_invH = P0.inverse().H
+    H = vstack(S2, Ublk.H.inverse(), Matrix.zeros(n - m, k))
     return P0_invH @ G, P0 @ H
 
 
@@ -170,25 +157,17 @@ def _make_instance(
     segre = SegreCharacteristic([(lam0, m)] + extras)
     n = segre.total_size
     P0 = random_unimodular(n, rng)
-    A, _ = build_matrix(segre, P0)
-    a = _int_params(rng, m)
-    b = _int_params(rng, m)
-    left_j, right_j = _chain_vectors(m, n, a, b)
-    P0_invH = P0.inverse().H
-    chains = ChainPair(
-        lam0,
-        [P0_invH @ u for u in left_j],
-        [P0 @ v for v in right_j],
-    )
+    A, blocks = build_matrix(segre, P0)
+    P0_invH = basis_inverse(blocks).H
+    left_j, right_j = _chain_matrices(m, n, _int_params(rng, m), _int_params(rng, m))
+    right = P0 @ right_j
+    chains = ChainPair(lam0, (P0_invH @ left_j).columns(), right.columns())
     R = L = None
     if guarded:  # structured factors also keep the update decoupled
-        R, L = _structured_inverses(rng, P0, left_j, right_j, m, k, n)
+        R, L = _structured_inverses(rng, P0, P0_invH, left_j, right_j, k)
     shift = (shift_odd if m % 2 else shift_even)(A, chains, lam1, R=R, L=L)
     # Jordan basis whose leading m columns are the full right chain
-    cols = [P0 @ v for v in right_j] + [
-        P0.col(j) for j in range(m, n)
-    ]
-    P = Matrix.from_columns(cols, dim=n)
+    P = hstack(right, P0.submatrix(0, n, m, n))
     return ShiftInstance(A, chains, lam1, shift, P, segre)
 
 

@@ -34,7 +34,7 @@ from .shifting import (
     shift_even,
     shift_odd,
 )
-from .synthesis import ChainPair, SegreCharacteristic, build_matrix
+from .synthesis import ChainPair, SegreCharacteristic, basis_inverse, build_matrix
 
 
 class JobParseError(EigenShiftError):
@@ -211,7 +211,8 @@ def parse_shift_job(doc) -> ShiftJob:
 
 def _job_inputs(job: ShiftJob):
     """Materialize (A, chain pair at lam0, prediction basis P or None,
-    other blocks) from either job source."""
+    its inverse or None, other blocks) from either job source.  A segre
+    job's P^{-1} is rebuilt from the left chains of ``build_matrix``."""
     lam0 = job.target_eigenvalue
     if job.segre is not None:
         segre = job.segre
@@ -238,20 +239,20 @@ def _job_inputs(job: ShiftJob):
         blocks = [b for b, _ in parts]
         P = Matrix.from_columns([v for _, vs in parts for v in vs])
         A, chain_list = build_matrix(SegreCharacteristic(blocks), P)
-        return A, chain_list[0], P, blocks[1:]
+        return A, chain_list[0], P, basis_inverse(chain_list), blocks[1:]
     A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     m = chains.length
     P = None
     if A.rows == m:
         P = Matrix.from_columns(list(chains.right), dim=m)
-    return A, chains, P, []
+    return A, chains, P, None, []
 
 
 def run_shift_job(job: ShiftJob) -> dict:
     """Execute shift -> predict -> verify and assemble the report."""
     lam0, lam1 = job.target_eigenvalue, job.new_eigenvalue
-    A, chains, P, others = _job_inputs(job)
+    A, chains, P, P_inv, others = _job_inputs(job)
     m = chains.length
     if m != 2 * job.k and m != 2 * job.k + 1:
         raise InvalidParameterError(
@@ -287,7 +288,7 @@ def run_shift_job(job: ShiftJob) -> dict:
         )
     else:
         try:
-            prediction = predict_structure(shift, P)
+            prediction = predict_structure(shift, P, P_inv=P_inv)
         except ExtractionError as exc:
             verdicts["prediction_vs_oracle"] = NA
             diagnostics.append(f"prediction not applicable: {exc}")
@@ -298,7 +299,15 @@ def run_shift_job(job: ShiftJob) -> dict:
             )
             if job.segre is not None:
                 eigs = [lam1] + [lam for lam, _ in others]
-                oracle = oracle_segre(shift.A_hat, eigs)
+                mults = None
+                if verdicts["spectrum_check"] == PASS:
+                    # the passing check proves the algebraic multiplicities
+                    sizes = [m] + [size for _, size in others]
+                    mults = [
+                        sum(s for mu, s in zip(eigs, sizes) if mu == lam)
+                        for lam in eigs
+                    ]
+                oracle = oracle_segre(shift.A_hat, eigs, mults)
             else:
                 sizes = weyr_profile(shift.A_hat, lam1).block_sizes()
                 oracle = SegreCharacteristic([(lam1, s) for s in sizes])

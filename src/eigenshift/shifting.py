@@ -67,16 +67,20 @@ def brauer_shift(A: Matrix, v: Vector, r: Vector, lambda0, lambda1) -> Matrix:
 
 
 def _one_sided_inverse(X: Matrix, free: Optional[Matrix], name: str):
-    """X (X* X)^{-1} plus an optional free part F with F* X = 0."""
+    """X (X* X)^{-1} plus an optional free part F with F* X = 0.
+
+    Over C, rank(X* X) = rank(X), so the Gram inverse fails exactly when
+    X lacks full column rank, and its error carries rank(X).
+    """
     n, k = X.shape
     if k == 0:
         return Matrix(n, 0, [])
-    rank = X.exact_rank()
-    if rank < k:
+    try:
+        out = X @ (X.H @ X).inverse()
+    except SingularMatrixError as exc:
         raise SingularMatrixError(
-            f"{name} must have full column rank", rank=rank
-        )
-    out = X @ (X.H @ X).inverse()
+            f"{name} must have full column rank", rank=exc.rank
+        ) from None
     if free is not None:
         if free.shape != (n, k):
             raise ShapeError(f"free part must be {n}x{k}, got {free.shape}")

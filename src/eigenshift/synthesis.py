@@ -167,6 +167,15 @@ def build_matrix(segre: SegreCharacteristic, change_of_basis: Matrix):
     return A, chains
 
 
+def basis_inverse(chains) -> Matrix:
+    """P^{-1} for the chain pairs ``build_matrix`` returned from P.
+
+    Each block's left chain, reversed, is the conjugated rows of P^{-1}
+    in that block, so no solve is needed.
+    """
+    return Matrix.from_columns([u for pair in chains for u in reversed(pair.left)]).H
+
+
 def generate_parametric_chains_single(lam, twok: int, a, b) -> ChainPair:
     """Every chain pair of a single block J_{2k}(lam), parametrized.
 

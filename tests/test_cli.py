@@ -6,9 +6,16 @@ import sys
 
 import pytest
 
+from eigenshift import reporting
 from eigenshift.cli import main
 from eigenshift.linalg import Matrix
-from eigenshift.reporting import matrix_to_obj, vector_to_obj
+from eigenshift.oracle import oracle_segre
+from eigenshift.reporting import (
+    matrix_to_obj,
+    parse_shift_job,
+    run_shift_job,
+    vector_to_obj,
+)
 from eigenshift.synthesis import (
     SegreCharacteristic,
     build_matrix,
@@ -221,6 +228,32 @@ def test_malformed_chains_doc_exit_2(tmp_path, doc):
 def test_precondition_error_exit_3(tmp_path):
     job = dict(GOLDEN_JOB, k=1)  # k inconsistent with the 4-chain
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
+
+
+def test_target_eigenvalue_with_two_blocks_exit_3(tmp_path, capsys):
+    job = dict(GOLDEN_JOB, segre=[["1", 4], ["1", 1], ["3", 2]])
+    assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
+    err = capsys.readouterr().err
+    assert "the target eigenvalue must occupy exactly one Jordan block" in err
+
+
+def test_oracle_gets_multiplicities_only_after_a_passing_spectrum_check(monkeypatch):
+    calls = []
+
+    def recording_oracle(M, eigenvalues, multiplicities=None):
+        calls.append(multiplicities)
+        return oracle_segre(M, eigenvalues, multiplicities)
+
+    monkeypatch.setattr(reporting, "oracle_segre", recording_oracle)
+    job = dict(GOLDEN_JOB, segre=[["1", 4], ["2", 1], ["3", 2]])
+    report = run_shift_job(parse_shift_job(job))
+    assert report["verdicts"]["prediction_vs_oracle"] == "pass"
+    assert calls == [[5, 5, 2]]  # lam1 = 2 owns the shifted 4 and a 1-block
+    monkeypatch.setattr(reporting, "charpoly_ratio_check", lambda *args: False)
+    failed = run_shift_job(parse_shift_job(job))
+    assert failed["verdicts"]["spectrum_check"] == "fail"
+    assert calls[-1] is None
+    assert failed["oracle_segre"] == report["oracle_segre"]
 
 
 def test_non_square_matrix_job_is_a_shape_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ against entrywise ComplexRational references, and every result must
 keep the canonical form.
 """
 
+import operator
 import random
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -27,6 +28,7 @@ from eigenshift.errors import ShapeError, SingularMatrixError
 from eigenshift.linalg import (
     Matrix,
     Vector,
+    _eliminate,
     direct_sum,
     hstack,
     inner,
@@ -665,3 +667,87 @@ def test_a_matrix_never_equals_a_vector():
     for M, v in pairs:
         assert M != v and v != M
         assert not M == v and not v == M
+
+
+# -- lazy Bareiss scaling against eager elimination ----------------------------
+
+
+def exact_quotient(x, d):
+    q, rem = divmod(x, d)
+    if rem:
+        raise ArithmeticError("inexact Bareiss division")
+    return q
+
+
+def eager_bareiss(rows, ncols, gaussian, reduced):
+    """Plain Bareiss elimination that updates every row at every pivot,
+    each division checked exact; returns (rows, pivot columns, sign)."""
+    if gaussian:
+        zero, one = (0, 0), (1, 0)
+
+        def times(a, b):
+            return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+        def minus(a, b):
+            return (a[0] - b[0], a[1] - b[1])
+
+        def over(a, q):
+            nq = q[0] * q[0] + q[1] * q[1]
+            re, im = a[0] * q[0] + a[1] * q[1], a[1] * q[0] - a[0] * q[1]
+            return exact_quotient(re, nq), exact_quotient(im, nq)
+
+    else:
+        zero, one = 0, 1
+        times, minus, over = operator.mul, operator.sub, exact_quotient
+
+    rows = [list(row) for row in rows]
+    n, piv_cols, sign, prev, r = len(rows), [], 1, one, 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, n) if rows[i][c] != zero), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(n):
+            if i == r or (i < r and not reduced):
+                continue
+            f = rows[i][c]
+            rows[i] = [over(minus(times(p, x), times(f, y)), prev) for x, y in zip(rows[i], top)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows, piv_cols, sign
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer or Gaussian rows with many zero entries and zero columns,
+    some of them rank-deficient, and the number of columns to pivot in."""
+    gaussian = draw(st.booleans())
+    n, width = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    ncols = draw(st.integers(0, width))
+    zero_cols = draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=width))
+    small = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+    entry, zero = (st.tuples(small, small), (0, 0)) if gaussian else (small, 0)
+    rows = [
+        [zero if j in zero_cols else draw(entry) for j in range(width)]
+        for _ in range(n)
+    ]
+    if n > 2 and draw(st.booleans()):  # a repeated row
+        rows[-1] = list(rows[0])
+    return rows, ncols, gaussian, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows())
+def test_lazy_elimination_matches_eager_bareiss(case):
+    rows, ncols, gaussian, reduced = case
+    want_rows, want_pivots, want_sign = eager_bareiss(rows, ncols, gaussian, reduced)
+    got_rows = [list(row) for row in rows]
+    assert _eliminate(got_rows, ncols, gaussian, reduced) == (want_pivots, want_sign)
+    assert got_rows == want_rows

@@ -170,3 +170,16 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_weyr_profile_stops_at_the_multiplicity_with_the_same_result():
+    rng = random.Random(11)
+    for _ in range(15):
+        blocks = [(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        segre = SegreCharacteristic(blocks)
+        A, _ = build_matrix(segre, random_unimodular(segre.total_size, rng))
+        for lam in segre.eigenvalues():
+            mult = sum(segre.sizes_at(lam))
+            assert weyr_profile(A, lam, mult) == weyr_profile(A, lam)
+        mults = [sum(segre.sizes_at(lam)) for lam, _ in blocks]
+        assert oracle_segre(A, [lam for lam, _ in blocks], mults) == segre

@@ -11,6 +11,7 @@ from eigenshift.errors import (
     InvalidParameterError,
     InverseIdentityError,
     NormalizationError,
+    SingularMatrixError,
 )
 from eigenshift.linalg import Matrix, Vector, jordan_block, outer_conj, outer_plain
 from eigenshift.randgen import (
@@ -64,6 +65,15 @@ def test_make_right_inverse_identity_and_free_part():
     bad_free = Matrix.from_columns([Vector.unit(4, 0), Vector.zero(4)])
     with pytest.raises(InvalidParameterError):
         make_right_inverse(V, free=bad_free)
+
+
+@pytest.mark.parametrize("make, name", [(make_right_inverse, "V"), (make_left_inverse, "U")])
+def test_one_sided_inverse_refuses_rank_deficient_columns(make, name):
+    x = Vector([ONE, CR(2), ZERO, CR(0, 1)])
+    X = Matrix.from_columns([x, x.scale(CR(3)), Vector.unit(4, 2)])
+    with pytest.raises(SingularMatrixError, match=f"^{name} must have full column rank$") as info:
+        make(X)
+    assert info.value.rank == 2
 
 
 def test_make_left_inverse_mirror():

@@ -11,6 +11,7 @@ from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.synthesis import (
     ChainPair,
     SegreCharacteristic,
+    basis_inverse,
     build_matrix,
     generate_parametric_chains_single,
     generate_parametric_chains_two_blocks,
@@ -186,3 +187,20 @@ def test_random_unimodular_entry_bound():
         U = random_unimodular(n, rng, max_abs=3)
         assert all(e.im == 0 and abs(e.re) <= 3 for e in U.entries)
         assert U.det() in (ONE, -ONE)
+
+
+def test_basis_inverse_from_left_chains_equals_the_inverse():
+    rng = random.Random(5)
+    for trial in range(12):
+        blocks = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        segre = SegreCharacteristic(blocks)
+        n = segre.total_size
+        if trial % 2:
+            P = random_unimodular(n, rng)
+        else:  # a dense complex-rational basis
+            while True:
+                P = Matrix(n, n, [CR(rng.randint(-3, 3), rng.randint(-1, 1)) / rng.randint(1, 3) for _ in range(n * n)])
+                if P.exact_rank() == n:
+                    break
+        _, chains = build_matrix(segre, P)
+        assert basis_inverse(chains) == P.inverse()
