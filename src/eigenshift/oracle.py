@@ -3,9 +3,12 @@
 The Weyr characteristic (nullity increments of powers of M - lam I) is
 the conjugate partition of the block sizes at lam.  Its ranks are taken
 on one integer clearing of M - lam I, each power's row space spanned by
-the previous power's pivot rows times M - lam I.  Nothing here depends
-on the closed-form classifiers; this module is what they are verified
-against.
+the previous power's pivot rows times M - lam I.  Given a proven
+algebraic multiplicity, a profile stops taking ranks where the
+multiplicity forces the rest (a forced tail): after an increment of 1,
+or with one dimension left, the remaining increments are all 1.
+Nothing here depends on the closed-form classifiers; this module is
+what they are verified against.
 """
 
 from __future__ import annotations
@@ -61,7 +64,12 @@ def weyr_profile(M: Matrix, lam, multiplicity=None) -> WeyrProfile:
     The ranks of the powers come from ``power_ranks``, which clears
     M - lam I to integers once and never forms a full power.  Given the
     algebraic multiplicity of lam, the sequence also stops when the
-    nullity reaches it, which saves the power that would repeat it.
+    nullity reaches it, which saves the power that would repeat it, and
+    it stops early where the multiplicity forces the rest: the nullity
+    grows by at least 1 per power until it reaches the multiplicity and
+    its increments never increase, so after an increment of 1, or with
+    one dimension left, every later increment is 1.  The first rank is
+    always computed.
     """
     lam = _as_scalar(lam)
     n = M.rows
@@ -72,9 +80,14 @@ def weyr_profile(M: Matrix, lam, multiplicity=None) -> WeyrProfile:
         if d == prev:
             break
         null_dims.append(d)
-        prev = d
         if d == n or d == multiplicity:
             break
+        if multiplicity is not None and d < multiplicity and (
+            d - prev == 1 or multiplicity - d == 1
+        ):
+            null_dims.extend(range(d + 1, multiplicity + 1))
+            break
+        prev = d
     prof = WeyrProfile(lam, tuple(null_dims))
     inc = prof.increments
     if any(inc[i] < inc[i + 1] for i in range(len(inc) - 1)):

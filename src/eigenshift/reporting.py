@@ -209,20 +209,25 @@ def parse_shift_job(doc) -> ShiftJob:
     return job
 
 
+def _check_k(k: int, m: int) -> None:
+    """A chain of length m is shifted with k = m // 2."""
+    if m != 2 * k and m != 2 * k + 1:
+        raise InvalidParameterError(
+            f"k={k} is inconsistent with a chain of length {m}"
+        )
+
+
 def _job_inputs(job: ShiftJob):
     """Materialize (A, chain pair at lam0, prediction basis P or None,
-    its inverse or None, other blocks) from either job source.  A segre
-    job's P^{-1} is rebuilt from the left chains of ``build_matrix``."""
+    its inverse or None, other blocks) from either job source, once k
+    fits the chain.  A segre job's P^{-1} is rebuilt from the left
+    chains of ``build_matrix``."""
     lam0 = job.target_eigenvalue
     if job.segre is not None:
         segre = job.segre
         n = segre.total_size
-        P0 = (
-            job.change_of_basis
-            if job.change_of_basis is not None
-            else Matrix.identity(n)
-        )
-        if P0.shape != (n, n):
+        P0 = job.change_of_basis
+        if P0 is not None and P0.shape != (n, n):
             raise ShapeError(
                 f"change of basis must be {n}x{n}, got {P0.rows}x{P0.cols}"
             )
@@ -231,6 +236,11 @@ def _job_inputs(job: ShiftJob):
             raise InvalidParameterError(
                 "the target eigenvalue must occupy exactly one Jordan block"
             )
+        # the chain length is the target block's size: check k before
+        # any n x n matrix is built
+        _check_k(job.k, segre.blocks[targets[0]][1])
+        if P0 is None:
+            P0 = Matrix.identity(n)
         # Move the target block and its basis columns to the front: A =
         # P J P^{-1} is unchanged, and P is then the prediction basis.
         cols = iter(P0.columns())
@@ -243,6 +253,7 @@ def _job_inputs(job: ShiftJob):
     A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     m = chains.length
+    _check_k(job.k, m)
     P = None
     if A.rows == m:
         P = Matrix.from_columns(list(chains.right), dim=m)
@@ -254,10 +265,6 @@ def run_shift_job(job: ShiftJob) -> dict:
     lam0, lam1 = job.target_eigenvalue, job.new_eigenvalue
     A, chains, P, P_inv, others = _job_inputs(job)
     m = chains.length
-    if m != 2 * job.k and m != 2 * job.k + 1:
-        raise InvalidParameterError(
-            f"k={job.k} is inconsistent with a chain of length {m}"
-        )
     R = L = None  # without a free part the shift builds the default
     if job.r_free is not None:
         V = Matrix.from_columns(list(chains.right[: job.k]), dim=A.rows)
@@ -494,21 +501,29 @@ def run_classify_job(doc) -> dict:
         raise JobParseError(f"form is missing required field {exc}") from exc
     if k < 1:
         raise JobParseError("classification needs k >= 1")
+    if kind not in ("even", "odd"):
+        raise JobParseError("form kind must be 'even' or 'odd'")
+    # the supplied fields are checked against k before a default is built
+    C = obj_to_matrix(doc["C"]) if "C" in doc else None
+    a = b = None
+    if kind == "odd":
+        a = obj_to_vector(doc["a"]) if "a" in doc else None
+        b = obj_to_vector(doc["b"]) if "b" in doc else None
+    if (C is not None and C.shape != (k, k)) or any(
+        v is not None and v.dim != k for v in (a, b)
+    ):
+        raise JobParseError(
+            f"C must be {k}x{k}"
+            if kind == "even"
+            else f"a, b must have length {k} and C be {k}x{k}"
+        )
+    C = Matrix.zeros(k, k) if C is None else C
     if kind == "even":
-        C = obj_to_matrix(doc["C"]) if "C" in doc else Matrix.zeros(k, k)
-        if C.shape != (k, k):
-            raise JobParseError(f"C must be {k}x{k}")
         prediction = classify_even(EvenCanonical(k, lam, C))
-    elif kind == "odd":
-        C = obj_to_matrix(doc["C"]) if "C" in doc else Matrix.zeros(k, k)
-        a = obj_to_vector(doc["a"]) if "a" in doc else Vector.zero(k)
-        b = obj_to_vector(doc["b"]) if "b" in doc else Vector.zero(k)
-        if C.shape != (k, k) or a.dim != k or b.dim != k:
-            raise JobParseError(f"a, b must have length {k} and C be {k}x{k}")
+    else:
+        a, b = (Vector.zero(k) if v is None else v for v in (a, b))
         oc = OddCanonical(k, lam, a, b, C)
         prediction = classify_odd(reduce_to_concentrated(oc))
-    else:
-        raise JobParseError("form kind must be 'even' or 'odd'")
     return {
         "kind": "classify-report",
         "form": doc,

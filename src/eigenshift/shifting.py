@@ -24,7 +24,16 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Vector, _as_scalar, hstack, inner, outer_plain
+from .linalg import (
+    Matrix,
+    Vector,
+    _as_scalar,
+    _clear,
+    _normal,
+    hstack,
+    inner,
+    outer_plain,
+)
 from .scalars import ComplexRational, ONE
 from .synthesis import ChainPair, _check_chains
 
@@ -188,9 +197,9 @@ def charpoly_ratio_check(
     share, this is p_A_hat(x) (x - lam0)^m = p_A(x) (x - lam1)^m for the
     characteristic polynomials p = det(x I - M), each computed once,
     exactly and without division, by ``Matrix.charpoly``.  Each side is
-    that coefficient ``Vector`` multiplied m times by x - lam, as
-    x p - lam p on the integer form; the sides agree exactly when their
-    canonical forms are equal.
+    that polynomial times (x - lam)^m on its integer numerators
+    (``_times_power``); the sides agree exactly when their canonical
+    forms are equal.
     """
     lambda0 = _as_scalar(lambda0)
     lambda1 = _as_scalar(lambda1)
@@ -198,15 +207,30 @@ def charpoly_ratio_check(
         raise ShapeError("charpoly_ratio_check needs two equal square matrices")
     if m < 0:
         raise ValueError(f"multiplicity must be >= 0, got {m}")
-    zero = Vector.zero(1)
+    return _times_power(A_hat.charpoly(), lambda0, m) == _times_power(
+        A.charpoly(), lambda1, m
+    )
 
-    def times_power(p: Vector, lam) -> Vector:
-        """The coefficients of p(x) (x - lam)^m, leading first."""
-        for _ in range(m):
-            p = p.concat(zero) - zero.concat(p).scale(lam)
-        return p
 
-    return times_power(A_hat.charpoly(), lambda0) == times_power(A.charpoly(), lambda1)
+def _times_power(p: Vector, lam, m: int):
+    """The canonical form of p(x) (x - lam)^m, leading coefficient first:
+    with lam = (a + b i) / d, p's numerators are multiplied m times by
+    d x - (a + b i) and put over den d^m."""
+    d, (a,), b = _clear((lam,))
+    b = b[0] if b else 0
+    re, im = list(p.re), p.im and list(p.im)
+    if b and im is None:
+        im = [0] * len(re)
+    for _ in range(m):
+        # coefficient j of (d x - (a + b i)) q is d q_j - (a + b i) q_(j-1)
+        if im is None:
+            re = [d * x - a * y for x, y in zip(re + [0], [0] + re)]
+        else:
+            re, im = (
+                [d * x - a * y + b * z for x, y, z in zip(re + [0], [0] + re, [0] + im)],
+                [d * x - a * z - b * y for x, y, z in zip(im + [0], [0] + re, [0] + im)],
+            )
+    return _normal(p.den * d**m, re, im)
 
 
 def update_rank(shift: ShiftResult) -> int:

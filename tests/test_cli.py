@@ -8,7 +8,7 @@ import pytest
 
 from eigenshift import reporting
 from eigenshift.cli import main
-from eigenshift.linalg import Matrix
+from eigenshift.linalg import Matrix, Vector
 from eigenshift.oracle import oracle_segre
 from eigenshift.reporting import (
     matrix_to_obj,
@@ -228,6 +228,47 @@ def test_malformed_chains_doc_exit_2(tmp_path, doc):
 def test_precondition_error_exit_3(tmp_path):
     job = dict(GOLDEN_JOB, k=1)  # k inconsistent with the 4-chain
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
+
+
+def refuse_large_builds(monkeypatch, limit=10**4):
+    """Make building a matrix or vector of more than limit entries fail
+    the test instead of allocating it."""
+    for cls, name, size in (
+        (Matrix, "identity", lambda n: n * n),
+        (Matrix, "zeros", lambda r, c: r * c),
+        (Vector, "zero", lambda n: n),
+    ):
+        build = getattr(cls, name)
+
+        def guarded(*shape, build=build, size=size, name=name):
+            if size(*shape) > limit:
+                pytest.fail(f"{name}{shape} was built")
+            return build(*shape)
+
+        monkeypatch.setattr(cls, name, staticmethod(guarded))
+
+
+def test_segre_job_whose_k_misfits_the_target_block_exits_3_before_building(
+    tmp_path, capsys, monkeypatch
+):
+    refuse_large_builds(monkeypatch)
+    job = {"target_eigenvalue": "1", "new_eigenvalue": "2", "k": 1, "segre": [["1", 1000000]]}
+    assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: k=1 is inconsistent with a chain of length 1000000\n"
+
+
+def test_classify_form_whose_fields_misfit_k_exits_2_before_allocating(
+    tmp_path, capsys, monkeypatch
+):
+    refuse_large_builds(monkeypatch)
+    form = {"kind": "odd", "k": 1000000, "lambda": "1", "a": ["1", "0"], "b": ["0", "1"]}
+    assert run_cli(["classify", write(tmp_path, "form.json", form)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a, b must have length 1000000 and C be 1000000x1000000\n"
+    even = {"kind": "even", "k": 1000000, "lambda": "1", "C": [["0"]]}
+    assert run_cli(["classify", write(tmp_path, "form.json", even)]) == 2
+    assert capsys.readouterr().err == "error: C must be 1000000x1000000\n"
 
 
 def test_target_eigenvalue_with_two_blocks_exit_3(tmp_path, capsys):

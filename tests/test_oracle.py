@@ -2,6 +2,7 @@
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import eigenshift
 from eigenshift import oracle
 from eigenshift.errors import ClassificationError, MissingEigenvalueError
-from eigenshift.linalg import Matrix, direct_sum, jordan_block
+from eigenshift.linalg import Matrix, direct_sum, jordan_block, power_ranks
 from eigenshift.oracle import (
     WeyrProfile,
     jordan_cycles,
@@ -173,13 +174,57 @@ def test_package_has_no_unused_imports():
 
 
 def test_weyr_profile_stops_at_the_multiplicity_with_the_same_result():
+    """The early stops, the forced tail included, give the profile that
+    every rank gives, at repeated and complex eigenvalues with several
+    blocks each."""
     rng = random.Random(11)
-    for _ in range(15):
-        blocks = [(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+    pool = [CR(0), CR(1), CR(1, 1), CR(Fraction(-1, 2)), CR(2, -1)]
+    for _ in range(30):
+        blocks = [(rng.choice(pool), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
         segre = SegreCharacteristic(blocks)
         A, _ = build_matrix(segre, random_unimodular(segre.total_size, rng))
         for lam in segre.eigenvalues():
             mult = sum(segre.sizes_at(lam))
-            assert weyr_profile(A, lam, mult) == weyr_profile(A, lam)
+            prof = weyr_profile(A, lam, mult)
+            assert prof == weyr_profile(A, lam)
+            assert prof.block_sizes() == segre.sizes_at(lam)
         mults = [sum(segre.sizes_at(lam)) for lam, _ in blocks]
         assert oracle_segre(A, [lam for lam, _ in blocks], mults) == segre
+
+
+def counted_power_ranks(monkeypatch):
+    """Patch oracle.power_ranks to count the ranks taken from it."""
+    steps = []
+
+    def counting(N):
+        for rank in power_ranks(N):
+            steps.append(rank)
+            yield rank
+
+    monkeypatch.setattr(oracle, "power_ranks", counting)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "sizes, mult, want_steps",
+    [
+        ((8,), 8, 1),  # increment 1: the tail 2..8 is forced
+        ((2, 2), 4, 2),  # increment 2 forces nothing
+        ((3, 1), 4, 2),  # Weyr (2, 1, 1): forced after the second rank
+        ((2, 1, 1), 4, 1),  # Weyr (3, 1): one dimension left after the first
+        ((3, 2, 1), 6, 2),  # Weyr (3, 2, 1): one dimension left after the second
+        ((3, 3, 1), 7, 3),  # Weyr (3, 2, 2): nothing forced, the third rank ends it
+        ((1,), 1, 1),
+    ],
+)
+def test_forced_tail_steps(monkeypatch, sizes, mult, want_steps):
+    rng = random.Random(len(sizes))
+    segre = SegreCharacteristic([(CR(3), s) for s in sizes] + [(CR(-1), 2)])
+    A, _ = build_matrix(segre, random_unimodular(segre.total_size, rng))
+    steps = counted_power_ranks(monkeypatch)
+    prof = weyr_profile(A, 3, mult)
+    assert prof.block_sizes() == tuple(sorted(sizes, reverse=True))
+    assert len(steps) == want_steps
+    steps.clear()
+    assert weyr_profile(A, 3) == prof  # without the multiplicity: every rank
+    assert len(steps) == len(prof.null_dims) + 1

@@ -25,6 +25,7 @@ from eigenshift.shifting import (
     half_chain_invariance_holds,
     make_left_inverse,
     make_right_inverse,
+    _times_power,
     shift_even,
     shift_odd,
     update_rank,
@@ -201,6 +202,29 @@ def test_charpoly_ratio_at_n_32_in_a_unimodular_basis():
     assert not charpoly_ratio_check(A, A_hat, lambda0, lambda1, 7)
     u, v = (Vector([CR(rng.randint(-2, 2)) for _ in range(32)]) for _ in range(2))
     assert not charpoly_ratio_check(A, A_hat + outer_plain(u, v), lambda0, lambda1, 6)
+
+
+def ref_times_power(p: Vector, lam, m):
+    """p(x) (x - lam)^m as m rounds of Vector arithmetic, x p - lam p."""
+    zero = Vector.zero(1)
+    for _ in range(m):
+        p = p.concat(zero) - zero.concat(p).scale(lam)
+    return p
+
+
+@pytest.mark.parametrize(
+    "lam", [ZERO, CR(Fraction(-3, 2)), CR(5), CR(Fraction(1, 2), Fraction(-2, 3)), CR(0, 1)]
+)
+def test_times_power_matches_vector_arithmetic(lam):
+    polys = [
+        Vector([ONE]),
+        Vector([ONE, CR(-3), CR(Fraction(7, 4))]),
+        Vector([CR(Fraction(2, 9)), ZERO, CR(-5), CR(Fraction(1, 3))]),
+        Vector([ONE, CR(1, -2), CR(Fraction(1, 2), 3), ZERO, CR(0, Fraction(-5, 6))]),
+    ]
+    for p in polys:
+        for m in range(9):
+            assert _times_power(p, lam, m) == ref_times_power(p, lam, m)._form, (p, lam, m)
 
 
 def test_half_chain_invariance_random():
