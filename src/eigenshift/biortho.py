@@ -8,8 +8,10 @@ the left resolvent identity is the right one computed for A*.
 Tables are batched: a Gram table is one product U* V of the stacked
 chains, and the resolvent identities of several chain pairs come from
 one solve (A - lam I) X = [V_1 ... V_q] and one product U* X, each pair
-reading its own diagonal block.  A verify job therefore makes one
-elimination and two products, however many chain pairs it holds.
+reading its own diagonal block.  With the chain recurrences, which
+``synthesis.check_chains`` checks with one product per side, A V and
+A* U, a verify job therefore makes one elimination and four products,
+however many chain pairs it holds.
 """
 
 from __future__ import annotations

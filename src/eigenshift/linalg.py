@@ -32,7 +32,7 @@ division at all, by Berkowitz's algorithm on the numerators (Berkowitz
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm, prod
 from operator import mul, neg
 from typing import Iterable, Sequence
@@ -461,7 +461,7 @@ class Matrix(_Exact):
     def _turned(self, im):
         """The transposed form, with im as the imaginary parts."""
         c = self.cols
-        turn = lambda xs: tuple(x for j in range(c) for x in xs[j::c])
+        turn = lambda xs: tuple(chain.from_iterable(xs[j::c] for j in range(c)))
         return self.den, turn(self.re), im and turn(im)
 
     @property

@@ -21,10 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .canonical import ConcentratedForm
 from .errors import InvalidParameterError
-from .linalg import Matrix, Vector, hstack, vstack
+from .linalg import Matrix, Vector, _matrix, _normal, hstack, vstack
 from .scalars import CR, ComplexRational, ZERO
 from .shifting import ShiftResult, shift_even, shift_odd
 from .synthesis import (
@@ -46,6 +47,7 @@ class ShiftInstance:
     shift: ShiftResult
     P: Matrix  # Jordan basis whose leading columns are the full right chain
     segre: SegreCharacteristic
+    P_inv: Optional[Matrix] = None  # P^{-1}, when the generator knows it
 
     @property
     def lambda0(self) -> ComplexRational:
@@ -113,6 +115,27 @@ def _int_params(rng: random.Random, m: int):
     return [rng.choice((-1, 1))] + [rng.randint(-2, 2) for _ in range(m - 1)]
 
 
+def _chain_basis_inverse(P0_inv: Matrix, b) -> Matrix:
+    """P^{-1} = diag(B_m^{-1}, I) P0^{-1} for P = P0 diag(B_m, I), where
+    B_m is the upper triangular Toeplitz matrix with first row b and
+    b[0] = +-1.  B_m^{-1} is applied by back substitution to the leading
+    m rows of P0^{-1}, on their numerators, so no inverse is formed."""
+    m, (r, n) = len(b), P0_inv.shape
+
+    def solved(xs):
+        rows = [list(xs[i * n : (i + 1) * n]) for i in range(r)]
+        for i in reversed(range(m)):
+            for j in range(i + 1, m):
+                if b[j - i]:
+                    rows[i] = [x - b[j - i] * y for x, y in zip(rows[i], rows[j])]
+            if b[0] < 0:
+                rows[i] = [-x for x in rows[i]]
+        return [x for row in rows for x in row]
+
+    im = P0_inv.im and solved(P0_inv.im)
+    return _matrix(r, n, _normal(P0_inv.den, solved(P0_inv.re), im))
+
+
 def _structured_inverses(
     rng: random.Random,
     P0: Matrix,
@@ -158,17 +181,22 @@ def _make_instance(
     n = segre.total_size
     P0 = random_unimodular(n, rng)
     A, blocks = build_matrix(segre, P0)
-    P0_invH = basis_inverse(blocks).H
-    left_j, right_j = _chain_matrices(m, n, _int_params(rng, m), _int_params(rng, m))
+    P0_inv = basis_inverse(blocks)
+    P0_invH = P0_inv.H
+    a, b = _int_params(rng, m), _int_params(rng, m)
+    left_j, right_j = _chain_matrices(m, n, a, b)
     right = P0 @ right_j
     chains = ChainPair(lam0, (P0_invH @ left_j).columns(), right.columns())
     R = L = None
     if guarded:  # structured factors also keep the update decoupled
         R, L = _structured_inverses(rng, P0, P0_invH, left_j, right_j, k)
     shift = (shift_odd if m % 2 else shift_even)(A, chains, lam1, R=R, L=L)
-    # Jordan basis whose leading m columns are the full right chain
+    # Jordan basis whose leading m columns are the full right chain:
+    # P = P0 diag(B_m, I), B_m the leading m x m block of right_j
     P = hstack(right, P0.submatrix(0, n, m, n))
-    return ShiftInstance(A, chains, lam1, shift, P, segre)
+    return ShiftInstance(
+        A, chains, lam1, shift, P, segre, _chain_basis_inverse(P0_inv, b)
+    )
 
 
 def random_even_shift_instance(

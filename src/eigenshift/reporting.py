@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .canonical import predict_structure
@@ -34,7 +35,13 @@ from .shifting import (
     shift_even,
     shift_odd,
 )
-from .synthesis import ChainPair, SegreCharacteristic, basis_inverse, build_matrix
+from .synthesis import (
+    ChainPair,
+    SegreCharacteristic,
+    basis_inverse,
+    build_matrix,
+    check_chains,
+)
 
 
 class JobParseError(EigenShiftError):
@@ -124,7 +131,52 @@ def obj_to_segre(obj) -> SegreCharacteristic:
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) and a newline, written by ``_write``.
+
+    json's own encoder takes its pure-Python path when indenting, and
+    that path leaves a cycle of closures behind on every call, for the
+    collector to find; a module-level writer leaves none.
+    """
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, out, newline):
+    """Append x's JSON text to out, as json.dumps(x, indent=2) writes it
+    at the nesting whose line break and indent are newline."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple, dict)) and not x:
+        out.append("{}" if isinstance(x, dict) else "[]")
+    elif isinstance(x, (list, tuple)):
+        inner = newline + "  "
+        out.append("[")
+        for i, item in enumerate(x):
+            out.append("," + inner if i else inner)
+            _write(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(x, dict):
+        inner = newline + "  "
+        out.append("{")
+        for i, (key, value) in enumerate(x.items()):
+            out.append("," + inner if i else inner)
+            # a key that is not a string is quoted as json prints it
+            out.append(_quote(key if isinstance(key, str) else json.dumps(key)))
+            out.append(": ")
+            _write(value, out, inner)
+        out.append(newline + "}")
+    else:  # a float, say, echoed from a classify form
+        out.append(json.dumps(x))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +426,9 @@ def parse_chain_sets(doc):
 def run_verify_job(A: Matrix, pairs) -> dict:
     """Biorthogonality, Hankel-pattern and resolvent identity report.
 
-    Every recurrence is checked first; the chains that pass then share
-    one Gram table and one resolvent solve, and each pair reads its own
+    Every recurrence is checked first, all chains sharing one product
+    per side (``check_chains``); the chains that pass then share one
+    Gram table and one resolvent solve, and each pair reads its own
     blocks of them.
     """
     from .biortho import check_hankel, gram_table
@@ -385,11 +438,10 @@ def run_verify_job(A: Matrix, pairs) -> dict:
     failures = {}  # pair index -> recurrence failure
     blocks = {}  # pair index -> (offset, length) in the batched tables
     offset = 0
-    for i, pair in enumerate(pairs):
-        try:
-            pair.verify_against(A)
-        except InvalidChainError as exc:
-            failures[i] = exc
+    checks = check_chains(A, [(p.lam, p.left, p.right) for p in pairs])
+    for i, (pair, failure) in enumerate(zip(pairs, checks)):
+        if failure is not None:
+            failures[i] = failure
             continue
         blocks[i] = (offset, pair.length)
         offset += pair.length

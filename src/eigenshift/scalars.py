@@ -234,13 +234,23 @@ def parse_parts(text) -> tuple:
     spells: '3', '-1/2', '1/2+3i', 'i', '2-i'; the fractions are not
     reduced.
 
-    An int is accepted directly for convenience in job files; a bool is
-    not a number here, so JSON true and false are refused.
+    A text of decimal digits, or of "-" and decimal digits, is read by
+    ``int`` alone; every other text by ``_regex_parts``, which gives the
+    same parts for those.  An int is accepted directly for convenience in
+    job files; a bool is not a number here, so JSON true and false are
+    refused.
     """
+    if isinstance(text, str):
+        if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
+            return int(text), 1, 0, 1
+        return _regex_parts(text)
     if isinstance(text, int) and not isinstance(text, bool):
         return text, 1, 0, 1
-    if not isinstance(text, str):
-        raise ValueError(f"cannot parse scalar from {text!r}")
+    raise ValueError(f"cannot parse scalar from {text!r}")
+
+
+def _regex_parts(text: str) -> tuple:
+    """``parse_parts`` of a text, by the full grammar."""
     m = _SCALAR_RE.match(text)
     re, re_den, sign, im, im_den = m.groups() if m else (None,) * 5
     if re is None and sign is None:  # no match, or an empty one

@@ -8,7 +8,8 @@ for a pair of equal blocks.
 
 A chain pair is checked as two matrix equations, A V = V J_p(lam) and
 U* A = J_p(lam)^T U*; the shift's half-chain invariance runs the same
-check on A_hat.
+check on A_hat, and a verify job checks all its chains at once, with
+one product per side (``check_chains``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .linalg import (
     Matrix,
     Vector,
     _as_scalar,
+    _clear,
+    _mul,
     direct_sum,
     jordan_block,
 )
@@ -109,30 +112,105 @@ class ChainPair:
 
 
 def _check_chains(A: Matrix, lam, left, right) -> None:
-    """A V = V J_p(lam) and U* A = J_p(lam)^T U*, or InvalidChainError.
+    """A V = V J_p(lam) and U* A = J_p(lam)^T U*, or InvalidChainError:
+    the one-chain case of ``check_chains``."""
+    (failure,) = check_chains(A, [(lam, left, right)])
+    if failure is not None:
+        raise failure
 
-    Column i of V J_p(lam) is lam v_i + v_{i-1} and row i of
-    J_p(lam)^T U* is lam u_i* + u_{i-1}*, so the first failing column
-    (right chain, checked first) or row (left chain, a column of the
-    transposes) is the first index at which the chain recurrence fails.
+
+def check_chains(A: Matrix, chains):
+    """Check the recurrences of many chains with one product per side.
+
+    chains holds (lam, left, right) triples.  Yields, chain by chain,
+    None when A V = V J_p(lam) and U* A = J_p(lam)^T U* both hold, or
+    else the InvalidChainError of the first index at which the right
+    chain, checked first, or the left chain fails.  Row i of
+    J_p(lam)^T U* is lam u_i* + u_(i-1)*, so the left recurrences are
+    the right ones of A* at conj(lam): every right chain meets A, and
+    every left chain A*, in one product (``_first_failures``).
+
+    A chain whose vectors do not fit A raises, when its turn comes, the
+    ShapeError of its own product; its left chain only once its right
+    chain passes.  So the chains give what checking them one by one
+    gives.
     """
-    V = Matrix.from_columns(list(right))
-    J = jordan_block(lam, V.cols)
-    _first_failure("right", A @ V, V @ J)
-    UH = Matrix.from_columns(list(left)).H
-    JT = jordan_block(lam, UH.rows).transpose()
-    _first_failure("left", (UH @ A).transpose(), (JT @ UH).transpose())
+    chains = list(chains)
+    rights = _first_failures(A, [(lam, right) for lam, _, right in chains])
+    lefts = _first_failures(
+        A.H, [(lam.conjugate(), left) for lam, left, _ in chains]
+    )
+    for (_, left, right), r, u in zip(chains, rights, lefts):
+        if r is None:  # the chain does not fit A, so its product raises
+            A @ Matrix.from_columns(list(right))
+        if r:
+            yield InvalidChainError(f"right chain recurrence fails at index {r}")
+        elif u is None:  # likewise
+            Matrix.from_columns(list(left)).H @ A
+        elif u:
+            yield InvalidChainError(f"left chain recurrence fails at index {u}")
+        else:
+            yield None
 
 
-def _first_failure(side: str, got: Matrix, want: Matrix) -> None:
-    """Raise at the first index whose column of got is not want's."""
-    if got == want:
-        return
-    for i, (x, y) in enumerate(zip(got.columns(), want.columns())):
-        if x != y:
-            raise InvalidChainError(
-                f"{side} chain recurrence fails at index {i + 1}"
+def _first_failures(M: Matrix, blocks) -> list:
+    """For each (lam, chain) of blocks: None when the chain's vectors do
+    not all have M's column count, else the first index c, 1-based, with
+    M x_c != lam x_c + x_(c-1) (x_0 = 0), or 0 when there is none.
+
+    The fitting chains, stacked as the columns of X, meet M in one
+    product M X, which is compared with X J, J the direct sum of the
+    J_p(lam).  X J is not multiplied out: with lam = (a + b i) / e, its
+    column c is lam x_c + x_(c-1), so column c holds when the residue
+    e (M X)_c - den(M) ((a + b i) x_c + e x_(c-1)) is zero, on the
+    numerators of X and of the product.
+    """
+    fits = [all(x.dim == M.cols for x in chain) for _, chain in blocks]
+    stacked = [block for block, ok in zip(blocks, fits) if ok]
+    if not stacked:
+        return [None] * len(blocks)
+    if not M.is_square:  # M x_c and x_c differ in length
+        return [1 if ok else None for ok in fits]
+    X = Matrix.from_columns([x for _, chain in stacked for x in chain])
+    n, s, den = M.rows, X.cols, M.den
+    got_re, got_im = _mul(n, n, s, M.re, M.im, X.re, X.im)
+    # (a, b, e, carry) for each column, carry = e where x_(c-1) is added
+    starts, terms = [], []
+    for lam, chain in stacked:
+        e, (a,), b = _clear((lam,))
+        starts.append(len(terms))
+        terms += [(a, b[0] if b else 0, 0, e)]
+        terms += [(a, b[0] if b else 0, e, e)] * (len(chain) - 1)
+    terms *= n  # row-major, as the entries of X
+    x = X.re
+    y = X.im or [0] * (n * s)
+    # entry t - 1 is the previous column of the same row; carry is 0 in
+    # column 0, so the previous row's last entry never enters
+    x_prev, y_prev = [0, *x[:-1]], [0, *y[:-1]]
+    bad = [
+        t
+        for t, ((a, b, c, e), g, xt, yt, pt) in enumerate(
+            zip(terms, got_re, x, y, x_prev)
+        )
+        if e * g != den * (a * xt - b * yt + c * pt)
+    ]
+    if got_im is not None or any(b for _, b, _, _ in terms):
+        got_im = got_im or [0] * (n * s)
+        bad += [
+            t
+            for t, ((a, b, c, e), g, xt, yt, qt) in enumerate(
+                zip(terms, got_im, x, y, y_prev)
             )
+            if e * g != den * (a * yt + b * xt + c * qt)
+        ]
+    bad_columns = {t % s for t in bad}
+    firsts = iter(
+        [
+            next((c + 1 for c in range(len(chain)) if j0 + c in bad_columns), 0)
+            for j0, (_, chain) in zip(starts, stacked)
+        ]
+    )
+    return [next(firsts) if ok else None for ok in fits]
 
 
 def jordan_matrix(segre: SegreCharacteristic) -> Matrix:

@@ -16,7 +16,9 @@ from eigenshift.scalars import (
     ZERO,
     ComplexRational,
     format_parts,
+    _regex_parts,
     format_scalar,
+    parse_parts,
     parse_scalar,
 )
 
@@ -95,6 +97,35 @@ def test_parse_matches_fraction_reference(text):
     else:
         assert parse_scalar(text) == expected
 
+
+
+def _parts_or_error(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc)
+
+
+# texts near the integer fast path: ASCII and other decimal digits, and
+# the characters that make a text something else
+near_integers = st.one_of(
+    st.text(alphabet="0123456789\u0663\uff17\u0966 \t_+-/iI", max_size=10),
+    # digit runs across Python's 4300-digit limit for int(str)
+    st.builds(
+        lambda sign, digit, count: sign + digit * count,
+        st.sampled_from(["", "-", "+", " "]),
+        st.sampled_from(["7", "\u0663"]),
+        st.integers(4290, 4310),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_integers)
+def test_integer_fast_path_matches_the_grammar(text):
+    """parse_parts reads digit texts by int alone; the full grammar gives
+    the same parts, or raises the same exception type."""
+    assert _parts_or_error(parse_parts, text) == _parts_or_error(_regex_parts, text)
 
 def test_vector_from_texts_matches_fraction_reference():
     good = []

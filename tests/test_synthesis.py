@@ -1,8 +1,11 @@
 """Matrix synthesis from block data and parametric chain families."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenshift.errors import InvalidChainError, InvalidParameterError, ShapeError
 from eigenshift.linalg import Matrix, Vector, jordan_block
@@ -13,6 +16,7 @@ from eigenshift.synthesis import (
     SegreCharacteristic,
     basis_inverse,
     build_matrix,
+    check_chains,
     generate_parametric_chains_single,
     generate_parametric_chains_two_blocks,
     jordan_matrix,
@@ -204,3 +208,86 @@ def test_basis_inverse_from_left_chains_equals_the_inverse():
                     break
         _, chains = build_matrix(segre, P)
         assert basis_inverse(chains) == P.inverse()
+
+
+# -- the batched recurrence check against a per-pair reference ---------------
+
+
+def ref_chain_failure(A, lam, left, right):
+    """One pair's first failing recurrence, from four matrix products:
+    columns of A V and V J_p(lam), then of (U* A)^T and (J_p(lam)^T U*)^T."""
+    V = Matrix.from_columns(list(right))
+    sides = [("right", A @ V, V @ jordan_block(lam, V.cols))]
+    UH = Matrix.from_columns(list(left)).H
+    JT = jordan_block(lam, UH.rows).transpose()
+    sides.append(("left", (UH @ A).transpose(), (JT @ UH).transpose()))
+    for side, got, want in sides:
+        for i, (x, y) in enumerate(zip(got.columns(), want.columns())):
+            if x != y:
+                return f"{side} chain recurrence fails at index {i + 1}"
+    return None
+
+
+CHAIN_EIGENVALUES = (
+    CR(0), CR(2), CR(-1, 2), CR(Fraction(1, 3), -1), CR(Fraction(-5, 2)), CR(0, 1),
+)
+
+
+@st.composite
+def chain_jobs(draw):
+    """A matrix in a random_unimodular basis with its chain pairs, some
+    vectors corrupted: in random pairs, or in every pair."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    lams = draw(
+        st.lists(st.sampled_from(CHAIN_EIGENVALUES), min_size=len(sizes), max_size=len(sizes))
+    )
+    basis = random_unimodular(sum(sizes), random.Random(draw(st.integers(0, 10**6))))
+    A, pairs = build_matrix(SegreCharacteristic(list(zip(lams, sizes))), basis)
+    n = A.rows
+    every = draw(st.booleans())
+    for i, pair in enumerate(pairs):
+        if not (every or draw(st.booleans())):
+            continue
+        chains = {"left": list(pair.left), "right": list(pair.right)}
+        for side in draw(st.sampled_from([["right"], ["left"], ["right", "left"]])):
+            t = draw(st.integers(0, len(pair.right) - 1))
+            bump = Vector.unit(n, draw(st.integers(0, n - 1)))
+            chains[side][t] = chains[side][t] + bump.scale(
+                draw(st.sampled_from([CR(1), CR(-2), CR(0, 1), CR(Fraction(1, 2))]))
+            )
+        if chains["left"][0].is_zero or chains["right"][0].is_zero:
+            continue
+        pairs[i] = ChainPair(pair.lam, chains["left"], chains["right"])
+    return A, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(chain_jobs())
+def test_batched_chain_check_matches_the_per_pair_reference(job):
+    A, pairs = job
+    want = [ref_chain_failure(A, p.lam, p.left, p.right) for p in pairs]
+    got = check_chains(A, [(p.lam, p.left, p.right) for p in pairs])
+    assert [None if f is None else str(f) for f in got] == want
+    for pair, message in zip(pairs, want):  # the one-pair case
+        if message is None:
+            pair.verify_against(A)
+        else:
+            with pytest.raises(InvalidChainError) as exc:
+                pair.verify_against(A)
+            assert str(exc.value) == message
+
+
+def test_batched_chain_check_when_every_pair_fails():
+    A, pairs = build_matrix(
+        SegreCharacteristic([(CR(1, 1), 1), (CR(2), 3), (CR(-1), 2)]),
+        random_unimodular(6, random.Random(4)),
+    )
+    broken = []
+    for pair, side, t in zip(pairs, ("right", "left", "left"), (0, 2, 1)):
+        chain = list(getattr(pair, side))
+        chain[t] = chain[t] + Vector.unit(6, 5).scale(3)
+        left, right = (chain, pair.right) if side == "left" else (pair.left, chain)
+        broken.append(ChainPair(pair.lam, left, right))
+    got = [str(f) for f in check_chains(A, [(p.lam, p.left, p.right) for p in broken])]
+    assert got == [ref_chain_failure(A, p.lam, p.left, p.right) for p in broken]
+    assert all(got)

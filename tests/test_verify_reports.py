@@ -12,6 +12,7 @@ check by one that accepts every pair and feed vectors that are not
 chains.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -21,10 +22,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eigenshift
-from eigenshift import biortho
+from eigenshift import biortho, reporting
 from eigenshift.cli import main
+from eigenshift.errors import EigenShiftError
 from eigenshift.linalg import Matrix, Vector
 from eigenshift.reporting import (
     dumps,
@@ -51,7 +55,9 @@ def digest(report):
 
 @pytest.fixture
 def recurrences_accepted(monkeypatch):
-    monkeypatch.setattr(ChainPair, "verify_against", lambda self, A: None)
+    monkeypatch.setattr(
+        reporting, "check_chains", lambda A, chains: [None] * len(chains)
+    )
 
 
 def test_one_chain_of_three_fails_its_recurrence():
@@ -301,3 +307,75 @@ def test_large_verify_job_through_the_cli(tmp_path):
     # per chain: recurrence, Hankel, middle product, resolvent; 8 * 7 cross
     assert len(verdicts) == 8 * 4 + 8 * 7
     assert set(verdicts.values()) == {"pass"}
+
+
+def test_malformed_chain_sets_raise_where_one_by_one_checks_would():
+    """All recurrences share one product per side, yet a malformed pair
+    raises only when its turn comes: the first pair in order decides, a
+    left chain is fitted only once its right chain passes, and the
+    lengths are compared only once both pass."""
+    A = Matrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+    good = ChainPair(2, [e(3, 1), e(3, 0)], [e(3, 0), e(3, 1)])
+    short_left = ChainPair(2, [e(3, 1)], [e(3, 0), e(3, 1)])
+    wrong_dim = ChainPair(5, [e(3, 2)], [e(2, 0)])
+    cases = [
+        ([good, short_left, wrong_dim], "left/right chain lengths differ"),
+        ([good, wrong_dim, short_left], "cannot multiply (3, 3) by (2, 1)"),
+        ([ChainPair(5, [e(3, 2)], [e(3, 2), e(2, 0)]), short_left],
+         "columns of different dimensions"),
+        ([good, ChainPair(5, [e(2, 0)], [e(3, 2)])],
+         "cannot multiply (1, 2) by (3, 3)"),
+    ]
+    for pairs, message in cases:
+        with pytest.raises(EigenShiftError) as exc:
+            run_verify_job(A, pairs)
+        assert str(exc.value) == message
+    # a right chain that fails leaves its misfit left chain unchecked
+    report = run_verify_job(A, [ChainPair(5, [e(2, 0)], [e(3, 0)]), good])
+    assert report["diagnostics"] == [
+        "chain_0: right chain recurrence fails at index 1"
+    ]
+    assert report["verdicts"]["chain_1:recurrence"] == "pass"
+
+
+# -- the report writer ---------------------------------------------------------
+
+# values shaped like json.loads output: lone surrogates, NaN and infinities,
+# big integers, nested empty containers
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(st.characters(blacklist_categories=()), max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(blacklist_categories=()), max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dumps_writes_tuples_as_lists_and_keys_as_json_does():
+    value = {"t": (1, ("a", ()), {}), 2: [1.5, None], None: True, 0.5: False}
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dumps_leaves_no_cyclic_garbage():
+    segre = SegreCharacteristic([(parse_scalar("1+2i"), 2), (3, 3)])
+    A, chains = build_matrix(segre, random_unimodular(5, random.Random(8)))
+    report = run_verify_job(A, chains)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        text = dumps(report)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert text == json.dumps(report, indent=2) + "\n"
