@@ -20,11 +20,14 @@ from .errors import ExtractionError, ReductionError
 from .linalg import (
     Matrix,
     Vector,
-    hstack,
-    jordan_block,
+    _clear,
+    _concat,
+    _matrix,
+    _normal,
+    _vector,
+    jordan_sum,
     outer_plain,
     stack_vectors_as_rows,
-    vstack,
 )
 from .oracle import jordan_cycles, verify_cycles
 from .scalars import ComplexRational, ONE, ZERO
@@ -36,22 +39,32 @@ from .synthesis import SegreCharacteristic
 # canonical form containers
 
 
+class _Assembled:
+    """A form that assembles its matrix once, when it is made."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_assembled", self._assemble())
+
+    def matrix(self) -> Matrix:
+        """The form's matrix, assembled when the form was made."""
+        return self._assembled
+
+
 @dataclass(frozen=True)
-class EvenCanonical:
+class EvenCanonical(_Assembled):
     """T = [[J_k(lam), C], [0, J_k(lam)]]."""
 
     k: int
     lam: ComplexRational
     C: Matrix
 
-    def matrix(self) -> Matrix:
-        J = jordan_block(self.lam, self.k)
-        Z = Matrix.zeros(self.k, self.k)
-        return vstack(hstack(J, self.C), hstack(Z, J))
+    def _assemble(self) -> Matrix:
+        k, lam = self.k, self.lam
+        return jordan_sum(((lam, k), (lam, k)), ((0, k, self.C),))
 
 
 @dataclass(frozen=True)
-class OddCanonical:
+class OddCanonical(_Assembled):
     """S = [[J_k(lam), a, C], [0, lam, b^T], [0, 0, J_k(lam)]]."""
 
     k: int
@@ -60,21 +73,20 @@ class OddCanonical:
     b: Vector
     C: Matrix
 
-    def matrix(self) -> Matrix:
-        k = self.k
-        J = jordan_block(self.lam, k)
-        top = hstack(J, self.a.as_column(), self.C)
-        mid = hstack(
-            Matrix.zeros(1, k),
-            Matrix(1, 1, [self.lam]),
-            self.b.as_column().transpose(),
+    def _assemble(self) -> Matrix:
+        k, lam = self.k, self.lam
+        return jordan_sum(
+            ((lam, k), (lam, 1), (lam, k)),
+            (
+                (0, k, self.a.as_column()),
+                (k, k + 1, self.b.as_column().transpose()),
+                (0, k + 1, self.C),
+            ),
         )
-        bot = hstack(Matrix.zeros(k, k), Matrix.zeros(k, 1), J)
-        return vstack(top, mid, bot)
 
 
 @dataclass(frozen=True)
-class ConcentratedForm:
+class ConcentratedForm(_Assembled):
     """Lower concentrated reduction of an OddCanonical.
 
     a is reduced to a_k e_k, b to b_1 e_1, and the coupling block to a
@@ -89,12 +101,16 @@ class ConcentratedForm:
     last_row: Vector
     transform: Matrix
 
-    def matrix(self) -> Matrix:
-        k = self.k
-        a = Vector([ZERO] * (k - 1) + [self.a_k])
-        b = Vector([self.b_1] + [ZERO] * (k - 1))
-        C = vstack(Matrix.zeros(k - 1, k), self.last_row.as_column().transpose())
-        return OddCanonical(k, self.lam, a, b, C).matrix()
+    def _assemble(self) -> Matrix:
+        k, lam = self.k, self.lam
+        return jordan_sum(
+            ((lam, k), (lam, 1), (lam, k)),
+            (
+                (k - 1, k, Matrix(1, 1, [self.a_k])),
+                (k, k + 1, Matrix(1, 1, [self.b_1])),
+                (k - 1, k + 1, self.last_row.as_column().transpose()),
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -120,7 +136,7 @@ class StructurePrediction:
 
 def _neg_lower_shift_apply(x: Vector) -> Vector:
     """Apply N_k (with N_k^T = lam I - J_k(lam), i.e. -1 on the subdiagonal)."""
-    return Vector([ZERO] + [-x[i] for i in range(x.dim - 1)])
+    return -_shifted(x, 1)
 
 
 def _unit(k: int, idx1: int) -> Vector:
@@ -131,7 +147,18 @@ def _unit(k: int, idx1: int) -> Vector:
 
 
 def _stack3(x: Vector, xi, z: Vector) -> Vector:
-    return x.concat(Vector([xi])).concat(z)
+    return _vector(_concat([x._form, _clear((xi,)), z._form]))
+
+
+def _shifted(v: Vector, s: int) -> Vector:
+    """The vector whose entry i is v's entry i - s, or 0 where i - s
+    falls outside v (0 <= |s| <= dim)."""
+    k = v.dim
+    if s >= 0:
+        move = lambda xs: (0,) * s + xs[: k - s]
+    else:
+        move = lambda xs: xs[-s:] + (0,) * -s
+    return _vector(_normal(v.den, move(v.re), v.im and move(v.im)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,37 +309,39 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
     """
     k, lam = oc.k, oc.lam
     a, b, C = oc.a, oc.b, oc.C
-    y = Vector([ZERO] + [a[i] for i in range(k - 1)])
-    z = Vector([-b[i] for i in range(1, k)] + [ZERO])
-    J = jordan_block(lam, k)
-    Nup = J.minus_identity(lam)  # J_k(lam) - lam I
-    D = C + outer_plain(y, b) - outer_plain(a, z) + outer_plain(Nup @ y, z)
-    # W recurrence: first row zero, then w_{i+1,j} = w_{i,j-1} + d_{i,j}
-    w = [[ZERO] * k for _ in range(k)]
-    for i in range(1, k):
-        w[i][0] = D[i - 1, 0]
-        for j in range(1, k):
-            w[i][j] = w[i - 1][j - 1] + D[i - 1, j]
-    W = Matrix(k, k, [w[i][j] for i in range(k) for j in range(k)])
-    Y = vstack(
-        hstack(Matrix.identity(k), y.as_column(), W),
-        hstack(
-            Matrix.zeros(1, k),
-            Matrix.identity(1),
-            z.as_column().transpose(),
+    y = _shifted(a, 1)
+    z = -_shifted(b, -1)
+    # (J_k(lam) - lam I) y is y moved up one place
+    D = C + outer_plain(y, b) - outer_plain(a, z) + outer_plain(_shifted(y, -1), z)
+
+    def recurrence(d):
+        """W's recurrence on D's numerators d, run one row past W: the
+        first row is zero, then w_{i+1,j} = w_{i,j-1} + d_{i,j}; the
+        extra row k + 1 is the last row, sum over l < j of
+        d_{k-l, j-l}."""
+        w = [0] * (k * (k + 1))
+        for i in range(1, k + 1):
+            w[i * k] = d[(i - 1) * k]
+            for j in range(1, k):
+                w[i * k + j] = w[(i - 1) * k + j - 1] + d[(i - 1) * k + j]
+        return w
+
+    w_re = recurrence(D.re)
+    w_im = D.im and recurrence(D.im)
+    cut = k * k
+    W = _matrix(k, k, _normal(D.den, w_re[:cut], w_im and w_im[:cut]))
+    last = _vector(_normal(D.den, w_re[cut:], w_im and w_im[cut:]))
+    # Y = [[I, y, W], [0, 1, z^T], [0, 0, I]], over 1 x 1 blocks J_1(1)
+    Y = jordan_sum(
+        ((ONE, 1),) * (2 * k + 1),
+        (
+            (0, k, y.as_column()),
+            (k, k + 1, z.as_column().transpose()),
+            (0, k + 1, W),
         ),
-        hstack(Matrix.zeros(k, k), Matrix.zeros(k, 1), Matrix.identity(k)),
     )
-    # last row by the telescoped formula, cross-checked below
-    last = []
-    for j in range(1, k + 1):
-        s = ZERO
-        for ell in range(j):
-            s = s + D[k - ell - 1, j - ell - 1]
-        last.append(s)
-    cf = ConcentratedForm(
-        k, lam, a[k - 1], b[0], Vector(last), Y
-    )
+    # the last row is cross-checked below
+    cf = ConcentratedForm(k, lam, a[k - 1], b[0], last, Y)
     # Y is unit block upper triangular, hence invertible, so Y S Y^{-1}
     # equals the concentrated form exactly when Y S does S~ Y
     if Y @ oc.matrix() != cf.matrix() @ Y:
@@ -340,26 +369,26 @@ def _odd_case1_cycles(cf: ConcentratedForm, i0: Optional[int]):
     k = cf.k
     b1, ak, row = cf.b_1, cf.a_k, cf.last_row
     zero = Vector.zero(k)
-    gamma = [
-        _stack3(_unit(k, m).scale(b1 * ak), ZERO, zero) for m in range(1, k + 1)
-    ]
+    lead = b1 * ak
+    gamma = [_stack3(_unit(k, m).scale(lead), ZERO, zero) for m in range(1, k + 1)]
     gamma.append(_stack3(zero, b1, zero))
     if i0 is None:  # Case 1b: whole last row zero
         gamma.extend(_stack3(zero, ZERO, _unit(k, m)) for m in range(1, k + 1))
         return [gamma]
     gamma.extend(_stack3(zero, ZERO, _unit(k, m)) for m in range(1, i0 + 1))
+    row = row.entries
     taus = []
-    fs = []
     for j in range(1, k - i0 + 1):
-        f = _unit(k, i0 + j)
+        # f = e_{i0+j} + sum_{s<j} (tau_s / b1) e_{j-s}: its nonzero
+        # entries are 1 at i0 + j and f_p = tau_{j-p} / b1 for p < j
+        f = [ZERO] * k
+        f[i0 + j - 1] = ONE
         for s in range(1, j):
-            f = f + _unit(k, j - s).scale(taus[s - 1] / b1)
-        tau = -sum(
-            (row[m] * f[m] for m in range(k)), start=ZERO
-        ) / ak
-        fs.append(f)
+            f[j - s - 1] = taus[s - 1] / b1
+        dot = sum((row[p] * f[p] for p in range(j - 1)), start=row[i0 + j - 1])
+        tau = -dot / ak
         taus.append(tau)
-        gamma.append(_stack3(zero, tau, f))
+        gamma.append(_stack3(zero, tau, Vector(f)))
     return [gamma]
 
 
@@ -571,6 +600,6 @@ def predict_structure(
             segre=SegreCharacteristic([(oc.lam, 1)]),
             cycles=((Vector([ONE]),),),
             case_label="Odd0",
-            canonical=Matrix(1, 1, [oc.lam]),
+            canonical=oc.matrix(),
         )
     return classify_odd(reduce_to_concentrated(oc))

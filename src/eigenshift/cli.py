@@ -125,6 +125,14 @@ def _cmd_selftest(args) -> int:
     return report_exit_code(report)
 
 
+def nonnegative_int(text: str) -> int:
+    """An integer >= 0, such as a --count value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenshift",
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest", help="randomized prediction-vs-oracle self test"
     )
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--count", type=int, default=10)
+    p_self.add_argument("--count", type=nonnegative_int, default=10)
     p_self.add_argument("-o", "--output", default=None)
     p_self.set_defaults(func=_cmd_selftest)
     return parser

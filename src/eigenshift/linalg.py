@@ -8,10 +8,11 @@ A ``Matrix`` or ``Vector`` stores one integer form: a denominator
 entry t being (re[t] + im[t] i) / den, with ``im`` None when every
 imaginary part is zero.  The form is canonical (gcd(den, every
 numerator) = 1), so equal values have equal fields.  A value is built
-from scalars, converted once, or from scalar texts ("3", "-1/2",
-"1/2+3i"), parsed straight into integer parts; every operation reads
-and returns the form, ``texts`` prints the entries straight from it,
-and a ``ComplexRational`` is made only when an entry is read.
+from scalars, converted once (a plain int entry is its own numerator),
+or from scalar texts ("3", "-1/2", "1/2+3i"), parsed straight into
+integer parts; every operation reads and returns the form, ``texts``
+prints the entries straight from it, and a ``ComplexRational`` is made
+only when an entry is read.
 
 Products are integer dot products.  Rank, determinant, solve, inverse
 and null space run on one fraction-free kernel: row i enters it as its
@@ -67,11 +68,11 @@ def _common_parts(re, re_den, im, im_den):
 
 
 def _clear(values):
-    """The form of ComplexRational values: each part is a reduced
-    Fraction, so no prime of the common denominator divides every
-    numerator and no gcd is needed."""
-    res = [x.re for x in values]
-    ims = [x.im for x in values]
+    """The form of exact values, each an int or a ComplexRational: each
+    part is an int or a reduced Fraction, so no prime of the common
+    denominator divides every numerator and no gcd is needed."""
+    res = [x if type(x) is int else x.re for x in values]
+    ims = [0 if type(x) is int else x.im for x in values]
     ims = ims if any(ims) else ()  # a real value reads no imaginary parts
     d, re, im = _common_parts(
         [q.numerator for q in res],
@@ -80,6 +81,15 @@ def _clear(values):
         [q.denominator for q in ims],
     )
     return d, tuple(re), im and tuple(im)
+
+
+def _entries_form(entries):
+    """The form of a tuple of entries.  A plain int is its own
+    numerator; any other entry is read by ``_as_scalar``, which refuses
+    a bool, float, complex or malformed text."""
+    if all(type(x) is int for x in entries):
+        return 1, entries, None
+    return _clear([x if type(x) is int else _as_scalar(x) for x in entries])
 
 
 def _parsed(texts):
@@ -164,13 +174,13 @@ def _product(a, b, p, b_im):
 def _scaled(form, c):
     """The form of c times each entry: a column times a 1 x 1."""
     den, re, im = form
-    dc, cr, ci = _clear((_as_scalar(c),))
+    dc, cr, ci = _entries_form((c,))
     return _normal(den * dc, *_mul(len(re), 1, 1, re, im, cr, ci))
 
 
 def _times_identity(n, c):
     """The (not yet canonical) form of c I_n for a scalar c."""
-    d, (r,), i = _clear((_as_scalar(c),))
+    d, (r,), i = _entries_form((c,))
 
     def diagonal(x):
         out = [0] * (n * n)
@@ -246,7 +256,7 @@ class Vector(_Exact):
     __slots__ = ()
 
     def __init__(self, entries: Iterable):
-        _set_form(self, _clear(tuple(map(_as_scalar, entries))))
+        _set_form(self, _entries_form(tuple(entries)))
 
     @staticmethod
     def from_texts(texts: Sequence) -> "Vector":
@@ -330,11 +340,12 @@ class Matrix(_Exact):
     __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(map(_as_scalar, entries))
+        entries = tuple(entries)
+        form = _entries_form(entries)
         _check_size(rows, cols, len(entries))
         _set_rows(self, rows)
         _set_cols(self, cols)
-        _set_form(self, _clear(entries))
+        _set_form(self, form)
 
     def _like(self, form):
         return _matrix(self.rows, self.cols, form)
@@ -805,9 +816,40 @@ def jordan_block(lam, k: int) -> Matrix:
     """k-by-k upper bidiagonal Jordan block: lam on the diagonal, 1 above."""
     if k < 1:
         raise ShapeError(f"Jordan block size must be >= 1, got {k}")
-    ones = [0] * (k * k)
-    ones[1 :: k + 1] = [1] * (k - 1)
-    return _matrix(k, k, _sum(_times_identity(k, lam), (1, ones, None), 1))
+    return jordan_sum(((lam, k),))
+
+
+def jordan_sum(blocks, parts=()) -> Matrix:
+    """The direct sum of the Jordan blocks J_size(lam), for (lam, size)
+    in blocks, with each (i, j, M) of parts written over its zeros, M's
+    top-left entry at (i, j).
+
+    The matrix is built in one pass: every lam and every part is put
+    over one common denominator d, each lam is written on the diagonal
+    of its block and d (a one) above it inside the block.
+    """
+    n = sum(size for _, size in blocks)
+    lams = _entries_form(tuple(lam for lam, _ in blocks))
+    d, res, ims = _common([lams, *(M._form for _, _, M in parts)])
+    re = [0] * (n * n)
+    im = ims and [0] * (n * n)
+    t = 0
+    for b, (_, size) in enumerate(blocks):
+        for i in range(t, t + size):
+            re[i * (n + 1)] = res[0][b]
+            if im:
+                im[i * (n + 1)] = ims[0][b]
+            if i + 1 < t + size:
+                re[i * (n + 1) + 1] = d
+        t += size
+    for p, (i, j, M) in enumerate(parts, 1):
+        w = M.cols
+        for r in range(M.rows):
+            s = (i + r) * n + j
+            re[s : s + w] = res[p][r * w : (r + 1) * w]
+            if im:
+                im[s : s + w] = ims[p][r * w : (r + 1) * w]
+    return _matrix(n, n, _normal(d, re, im))
 
 
 def _hcat(mats) -> Matrix:

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .canonical import ConcentratedForm
 from .errors import InvalidParameterError
-from .linalg import Matrix, Vector, _matrix, _normal, hstack, vstack
+from .linalg import Matrix, Vector, _matrix, _normal, hstack
 from .scalars import CR, ComplexRational, ZERO
 from .shifting import ShiftResult, shift_even, shift_odd
 from .synthesis import (
@@ -115,21 +115,30 @@ def _int_params(rng: random.Random, m: int):
     return [rng.choice((-1, 1))] + [rng.randint(-2, 2) for _ in range(m - 1)]
 
 
+def _toeplitz_solved(b, rows) -> list:
+    """B^{-1} X for B the upper triangular Toeplitz matrix with first
+    row b, b[0] = +-1, and X the integer rows given (the rows past
+    len(b) are B's identity part): back substitution, so X's entries
+    stay integers and no inverse is formed."""
+    rows = list(rows)
+    for i in reversed(range(len(b))):
+        for j in range(i + 1, len(b)):
+            if b[j - i]:
+                rows[i] = [x - b[j - i] * y for x, y in zip(rows[i], rows[j])]
+        if b[0] < 0:
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
 def _chain_basis_inverse(P0_inv: Matrix, b) -> Matrix:
     """P^{-1} = diag(B_m^{-1}, I) P0^{-1} for P = P0 diag(B_m, I), where
     B_m is the upper triangular Toeplitz matrix with first row b and
-    b[0] = +-1.  B_m^{-1} is applied by back substitution to the leading
-    m rows of P0^{-1}, on their numerators, so no inverse is formed."""
-    m, (r, n) = len(b), P0_inv.shape
+    b[0] = +-1.  B_m^{-1} is applied to the leading m rows of P0^{-1},
+    on their numerators."""
+    r, n = P0_inv.shape
 
     def solved(xs):
-        rows = [list(xs[i * n : (i + 1) * n]) for i in range(r)]
-        for i in reversed(range(m)):
-            for j in range(i + 1, m):
-                if b[j - i]:
-                    rows[i] = [x - b[j - i] * y for x, y in zip(rows[i], rows[j])]
-            if b[0] < 0:
-                rows[i] = [-x for x in rows[i]]
+        rows = _toeplitz_solved(b, [xs[i * n : (i + 1) * n] for i in range(r)])
         return [x for row in rows for x in row]
 
     im = P0_inv.im and solved(P0_inv.im)
@@ -137,29 +146,32 @@ def _chain_basis_inverse(P0_inv: Matrix, b) -> Matrix:
 
 
 def _structured_inverses(
-    rng: random.Random,
-    P0: Matrix,
-    P0_invH: Matrix,
-    left_j: Matrix,
-    right_j: Matrix,
-    k: int,
+    rng: random.Random, P0: Matrix, P0_invH: Matrix, a, b, k: int
 ):
     """R and L with R*V = U*L = I_k supported inside the leading block.
 
     In J coordinates R = P0^{-*} G with G = [B^{-*}; S1; 0] and
     L = P0 H with H = [S2; (U_blk^*)^{-1}; 0]; the random integer blocks
-    S1, S2 are the free parameters of the update.
+    S1, S2 are the free parameters of the update.  B = B_k and U_blk
+    are the leading k x k block of the right chains and the trailing
+    one of the left chains (``_chain_matrices``): B_k is the upper
+    triangular Toeplitz matrix T_b with first row b_1..b_k, and U_blk
+    is T_a with its rows reversed, so (U_blk^*)^{-1} is (T_a^{-1})^T
+    with its rows reversed.  Both inverses are integer back
+    substitutions.
     """
-    n, m = left_j.shape
+    n, m = P0.rows, len(a)
     if k == 0:
         return Matrix(n, 0, []), Matrix(n, 0, [])
-    Bk = right_j.submatrix(0, k, 0, k)
-    Ublk = left_j.submatrix(m - k, m, 0, k)
-    S1 = Matrix(m - k, k, [rng.randint(-2, 2) for _ in range((m - k) * k)])
-    S2 = Matrix(m - k, k, [rng.randint(-2, 2) for _ in range((m - k) * k)])
-    G = vstack(Bk.inverse().H, S1, Matrix.zeros(n - m, k))
-    H = vstack(S2, Ublk.H.inverse(), Matrix.zeros(n - m, k))
-    return P0_invH @ G, P0 @ H
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    B_inv = _toeplitz_solved(b[:k], eye)
+    Ta_inv = _toeplitz_solved(a[:k], eye)
+    S1 = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m - k)]
+    S2 = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m - k)]
+    zeros = [[0] * k for _ in range(n - m)]
+    G = [list(col) for col in zip(*B_inv)] + S1 + zeros
+    H = S2 + [list(col) for col in reversed([*zip(*Ta_inv)])] + zeros
+    return P0_invH @ Matrix.from_rows(G), P0 @ Matrix.from_rows(H)
 
 
 def _make_instance(
@@ -189,7 +201,7 @@ def _make_instance(
     chains = ChainPair(lam0, (P0_invH @ left_j).columns(), right.columns())
     R = L = None
     if guarded:  # structured factors also keep the update decoupled
-        R, L = _structured_inverses(rng, P0, P0_invH, left_j, right_j, k)
+        R, L = _structured_inverses(rng, P0, P0_invH, a, b, k)
     shift = (shift_odd if m % 2 else shift_even)(A, chains, lam1, R=R, L=L)
     # Jordan basis whose leading m columns are the full right chain:
     # P = P0 diag(B_m, I), B_m the leading m x m block of right_j

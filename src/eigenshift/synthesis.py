@@ -24,10 +24,9 @@ from .linalg import (
     _as_scalar,
     _clear,
     _mul,
-    direct_sum,
-    jordan_block,
+    jordan_sum,
 )
-from .scalars import CR, ComplexRational, ZERO
+from .scalars import ComplexRational, ZERO
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ def _first_failures(M: Matrix, blocks) -> list:
 
 def jordan_matrix(segre: SegreCharacteristic) -> Matrix:
     """Direct sum of the blocks in the order given (not canonicalized)."""
-    return direct_sum(*(jordan_block(lam, size) for lam, size in segre.blocks))
+    return jordan_sum(segre.blocks)
 
 
 def build_matrix(segre: SegreCharacteristic, change_of_basis: Matrix):
@@ -346,4 +345,4 @@ def random_unimodular(
         else:  # negate
             i = rng.randrange(n)
             rows[i] = [-x for x in rows[i]]
-    return Matrix.from_rows([[CR(x) for x in row] for row in rows])
+    return Matrix.from_rows(rows)

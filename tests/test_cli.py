@@ -427,6 +427,20 @@ def test_selftest_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_selftest_negative_count_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["selftest", "--count", "-3"])
+    assert exc.value.code == 2
+    assert "argument --count: must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_selftest_count_0_runs_the_targeted_forms_only(capsys):
+    assert run_cli(["selftest", "--count", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["instances"] == 10
+    assert report["verdicts"] == {"selftest": "pass"}
+
+
 def test_explicit_matrix_job(tmp_path, capsys):
     segre = SegreCharacteristic([(1, 4)])
     A, chains = build_matrix(segre, Matrix.identity(4))
