@@ -1,14 +1,15 @@
 """Closed-form prediction of the Jordan structure of a shifted matrix.
 
 The shifted matrix is similar to a small canonical block matrix (T in
-the even case, S in the odd case).  The cases are dispatched on exact
-zero tests of the coupling entries, explicit generalized-eigenvector
-cycles are constructed from the closed-form displays, and every cycle
-is verified against the canonical matrix before being surfaced.  When
-a closed-form display fails its own verification (several of them do
-on degenerate couplings), the rank-sequence oracle supplies the cycles
-and the discrepancy is reported in the diagnostics instead of being
-silently trusted.
+the even case, S in the odd case), which is read from the shifted chain
+pair alone: no n x n Jordan basis is built or inverted.  The cases are
+dispatched on exact zero tests of the coupling entries, explicit
+generalized-eigenvector cycles are constructed from the closed-form
+displays, and every cycle is verified against the canonical matrix
+before being surfaced.  When a closed-form display fails its own
+verification (several of them do on degenerate couplings), the
+rank-sequence oracle supplies the cycles and the discrepancy is
+reported in the diagnostics instead of being silently trusted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ExtractionError, ReductionError
+from .errors import ExtractionError, ReductionError, SingularMatrixError
 from .linalg import (
     Matrix,
     Vector,
@@ -25,6 +26,7 @@ from .linalg import (
     _matrix,
     _normal,
     _vector,
+    jordan_block,
     jordan_sum,
     outer_plain,
     stack_vectors_as_rows,
@@ -165,14 +167,12 @@ def _shifted(v: Vector, s: int) -> Vector:
 # even multiplicity
 
 
-def extract_even_canonical(
-    shift: ShiftResult, P: Matrix, P_inv: Optional[Matrix] = None
-) -> EvenCanonical:
-    """Read C off P^{-1} A_hat P and assert the block-triangular shape."""
+def extract_even_canonical(shift: ShiftResult) -> EvenCanonical:
+    """Read C off the shifted block and assert the block-triangular shape."""
     if shift.middle is not None:
         raise ExtractionError("even extraction applied to an odd shift")
     k = shift.k
-    lead = _extract_leading_block(shift, P, 2 * k, P_inv)
+    lead = _extract_leading_block(shift, 2 * k)
     form = EvenCanonical(k, shift.lambda1, lead.submatrix(0, k, k, 2 * k))
     if form.matrix() != lead:
         raise ExtractionError(
@@ -225,15 +225,13 @@ def classify_even(ec: EvenCanonical) -> StructurePrediction:
 # odd multiplicity
 
 
-def extract_odd_canonical(
-    shift: ShiftResult, P: Matrix, P_inv: Optional[Matrix] = None
-) -> OddCanonical:
-    """Read (a, b, C) off P^{-1} A_hat P and assert the block shape."""
+def extract_odd_canonical(shift: ShiftResult) -> OddCanonical:
+    """Read (a, b, C) off the shifted block and assert the block shape."""
     if shift.middle is None:
         raise ExtractionError("odd extraction applied to an even shift")
     k = shift.k
     m = 2 * k + 1
-    lead = _extract_leading_block(shift, P, m, P_inv)
+    lead = _extract_leading_block(shift, m)
     lam1 = shift.lambda1
     if k == 0:
         if lead[0, 0] != lam1:
@@ -556,45 +554,61 @@ def _finalize(M: Matrix, lam, label, claimed_sizes, cycles) -> StructurePredicti
     )
 
 
-def _extract_leading_block(
-    shift: ShiftResult, P: Matrix, m: int, P_inv: Optional[Matrix] = None
-) -> Matrix:
-    """P^{-1} A_hat P restricted to the shifted block coordinates.
+def _extract_leading_block(shift: ShiftResult, m: int) -> Matrix:
+    """The shifted block of A_hat, read from the shifted chain pair alone.
 
-    When the ambient dimension exceeds the shifted multiplicity, the
-    update must stay inside the shifted block's invariant subspace and
-    leave the complementary Jordan part untouched; any coupling means
-    the closed-form analysis does not apply and extraction refuses.
-    P_inv, when the caller already holds it, saves inverting P.
+    With V the right chain and U~ the reversed left chain, W* =
+    (U~* V)^{-1} U~* is the first m rows of P^{-1} for every Jordan
+    basis P whose first m columns are V, so no basis is built: the block
+    is M = W* A_hat V = J + Y, with J = J_m(lam0), D = A_hat V - V J and
+    Y = W* D.  When the ambient dimension exceeds m, the update must
+    stay inside the shifted block's invariant subspace and leave the
+    complementary Jordan part untouched; any coupling means the
+    closed-form analysis does not apply and extraction refuses.  A_hat V
+    leaves span(V) exactly when D != V Y (the lower block rows), and
+    A_hat - A = D W* holds exactly when the update touches neither the
+    trailing columns (W* A_hat = M W*) nor the complementary part.
     """
-    n = shift.A_hat.rows
-    if P.shape != (n, n):
-        raise ExtractionError(f"basis must be {n}x{n}, got {P.shape}")
-    if P_inv is None:
-        P_inv = P.inverse()
-    M = P_inv @ shift.A_hat @ P
-    if n == m:
+    A_hat, chains = shift.A_hat, shift.chains
+    n = A_hat.rows
+    V = Matrix.from_columns(list(chains.right), dim=n)
+    Ut_H = Matrix.from_columns(list(reversed(chains.left)), dim=n).H
+    G = Ut_H @ V
+    try:
+        # the chains of build_matrix come from P and P^{-1}: G = I
+        W = Ut_H if G == Matrix.identity(m) else G.solve(Ut_H)
+    except SingularMatrixError:
+        raise ExtractionError(
+            "U~* V is singular: the left and right chains are not the "
+            "chains of one Jordan block"
+        ) from None
+    J = jordan_block(chains.lam, m)
+    D = A_hat @ V - V @ J
+    Y = W @ D
+    M = J + Y
+    if n == m:  # W* = V^{-1}: every check below holds
         return M
-    if not M.submatrix(m, n, 0, m).is_zero:
+    if D != V @ Y:
         raise ExtractionError("shift update couples into the lower block rows")
-    if not M.submatrix(0, m, m, n).is_zero:
-        raise ExtractionError("shift update couples into the trailing columns")
-    rest_before = P_inv.submatrix(m, n, 0, n) @ shift.A @ P.submatrix(0, n, m, n)
-    if M.submatrix(m, n, m, n) != rest_before:
+    if A_hat - shift.A != D @ W:
+        if W @ A_hat != M @ W:
+            raise ExtractionError(
+                "shift update couples into the trailing columns"
+            )
         raise ExtractionError("complementary Jordan part was modified")
-    return M.submatrix(0, m, 0, m)
+    return M
 
 
-def predict_structure(
-    shift: ShiftResult, P: Matrix, P_inv: Optional[Matrix] = None
-) -> StructurePrediction:
+def predict_structure(shift: ShiftResult, P=None) -> StructurePrediction:
     """End-to-end prediction: extract, (reduce,) classify, verify.
 
-    P is the prediction basis and P_inv, when given, its inverse.
+    The shifted block is read from the shift's chain pair alone.  P, the
+    Jordan basis that prediction once needed, is accepted and not read,
+    so callers that still pass one keep working.
     """
     if shift.multiplicity % 2 == 0:
-        return classify_even(extract_even_canonical(shift, P, P_inv))
-    oc = extract_odd_canonical(shift, P, P_inv)
+        return classify_even(extract_even_canonical(shift))
+    oc = extract_odd_canonical(shift)
     if oc.k == 0:
         return StructurePrediction(
             segre=SegreCharacteristic([(oc.lam, 1)]),

@@ -92,7 +92,7 @@ def _cmd_selftest(args) -> int:
     for _ in range(args.count):
         for maker in (random_even_shift_instance, random_odd_shift_instance):
             inst = maker(rng, guarded=True)
-            prediction = predict_structure(inst.shift, inst.P, P_inv=inst.P_inv)
+            prediction = predict_structure(inst.shift)
             eigs = [inst.lambda1] + [
                 lam for lam, _ in inst.segre.blocks if lam != inst.lambda0
             ]

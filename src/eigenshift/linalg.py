@@ -48,7 +48,7 @@ def _as_scalar(x) -> ComplexRational:
         return x
     try:
         return ComplexRational(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise TypeError(f"cannot use {x!r} as an exact scalar") from None
 
 

@@ -38,7 +38,6 @@ from .shifting import (
 from .synthesis import (
     ChainPair,
     SegreCharacteristic,
-    basis_inverse,
     build_matrix,
     check_chains,
 )
@@ -270,10 +269,10 @@ def _check_k(k: int, m: int) -> None:
 
 
 def _job_inputs(job: ShiftJob):
-    """Materialize (A, chain pair at lam0, prediction basis P or None,
-    its inverse or None, other blocks) from either job source, once k
-    fits the chain.  A segre job's P^{-1} is rebuilt from the left
-    chains of ``build_matrix``."""
+    """Materialize (A, chain pair at lam0, other blocks) from either job
+    source, once k fits the chain.  A segre job's chain pair is its
+    target block's, as ``build_matrix`` returns it; prediction reads
+    that pair alone and needs no basis."""
     lam0 = job.target_eigenvalue
     if job.segre is not None:
         segre = job.segre
@@ -288,34 +287,25 @@ def _job_inputs(job: ShiftJob):
             raise InvalidParameterError(
                 "the target eigenvalue must occupy exactly one Jordan block"
             )
+        (t,) = targets
         # the chain length is the target block's size: check k before
         # any n x n matrix is built
-        _check_k(job.k, segre.blocks[targets[0]][1])
+        _check_k(job.k, segre.blocks[t][1])
         if P0 is None:
             P0 = Matrix.identity(n)
-        # Move the target block and its basis columns to the front: A =
-        # P J P^{-1} is unchanged, and P is then the prediction basis.
-        cols = iter(P0.columns())
-        parts = [(b, [next(cols) for _ in range(b[1])]) for b in segre.blocks]
-        parts.insert(0, parts.pop(targets[0]))
-        blocks = [b for b, _ in parts]
-        P = Matrix.from_columns([v for _, vs in parts for v in vs])
-        A, chain_list = build_matrix(SegreCharacteristic(blocks), P)
-        return A, chain_list[0], P, basis_inverse(chain_list), blocks[1:]
+        A, chain_list = build_matrix(segre, P0)
+        others = [b for i, b in enumerate(segre.blocks) if i != t]
+        return A, chain_list[t], others
     A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
-    m = chains.length
-    _check_k(job.k, m)
-    P = None
-    if A.rows == m:
-        P = Matrix.from_columns(list(chains.right), dim=m)
-    return A, chains, P, None, []
+    _check_k(job.k, chains.length)
+    return A, chains, []
 
 
 def run_shift_job(job: ShiftJob) -> dict:
     """Execute shift -> predict -> verify and assemble the report."""
     lam0, lam1 = job.target_eigenvalue, job.new_eigenvalue
-    A, chains, P, P_inv, others = _job_inputs(job)
+    A, chains, others = _job_inputs(job)
     m = chains.length
     R = L = None  # without a free part the shift builds the default
     if job.r_free is not None:
@@ -339,7 +329,7 @@ def run_shift_job(job: ShiftJob) -> dict:
     predicted_obj = None
     cycles_obj = None
     report_oracle = None
-    if P is None:
+    if job.segre is None and A.rows != m:
         verdicts["prediction_vs_oracle"] = NA
         diagnostics.append(
             "no full-dimension Jordan basis available for an explicit "
@@ -347,7 +337,7 @@ def run_shift_job(job: ShiftJob) -> dict:
         )
     else:
         try:
-            prediction = predict_structure(shift, P, P_inv=P_inv)
+            prediction = predict_structure(shift)
         except ExtractionError as exc:
             verdicts["prediction_vs_oracle"] = NA
             diagnostics.append(f"prediction not applicable: {exc}")

@@ -176,6 +176,7 @@ def test_integer_entries_equal_their_scalars(rows, cols, data):
             "rational string",
         ),
         ("abc", TypeError, "cannot use 'abc' as an exact scalar"),
+        ("1/0", TypeError, "cannot use '1/0' as an exact scalar"),
     ],
 )
 def test_inexact_entries_are_refused_as_before(entry, error, message):

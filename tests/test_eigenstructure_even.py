@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from eigenshift.canonical import (
     EvenCanonical,
     classify_even,
@@ -11,7 +9,6 @@ from eigenshift.canonical import (
     extract_even_canonical,
     predict_structure,
 )
-from eigenshift.errors import ExtractionError
 from eigenshift.linalg import Matrix, Vector, stack_vectors_as_rows
 from eigenshift.oracle import oracle_segre, verify_cycles, weyr_profile
 from eigenshift.randgen import random_even_shift_instance
@@ -143,20 +140,12 @@ def test_geometric_multiplicity_at_most_two():
         assert len(shifted.null_space_basis()) <= 2
 
 
-def test_extraction_shape_enforced():
-    segre = SegreCharacteristic([(1, 4)])
-    A, chains = build_matrix(segre, Matrix.identity(4))
-    shift = shift_even(A, chains[0], 3)
-    with pytest.raises(ExtractionError):
-        extract_even_canonical(shift, Matrix.identity(5))
-
-
 def test_extract_even_canonical_reads_coupling():
     segre = SegreCharacteristic([(1, 4)])
     P = Matrix.identity(4)
     A, chains = build_matrix(segre, P)
     shift = shift_even(A, chains[0], 2)
-    ec = extract_even_canonical(shift, P)
+    ec = extract_even_canonical(shift)
     assert ec.k == 2 and ec.lam == CR(2)
     # minimal factors on an identity basis: C = e_k e_1^T
     assert ec.C == _cmat(2, [[0, 0], [1, 0]])

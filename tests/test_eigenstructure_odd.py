@@ -31,7 +31,7 @@ def test_extract_odd_canonical_shape():
     P = Matrix.identity(5)
     A, chains = build_matrix(segre, P)
     shift = shift_odd(A, chains[0], 4)
-    oc = extract_odd_canonical(shift, P)
+    oc = extract_odd_canonical(shift)
     assert oc.k == 2 and oc.lam == CR(4)
     assert oc.a.dim == 2 and oc.b.dim == 2 and oc.C.shape == (2, 2)
     # the extracted data reassembles to the similarity image itself
@@ -45,7 +45,7 @@ def test_extract_odd_rejects_even_shift():
     A, chains = build_matrix(segre, Matrix.identity(4))
     shift = shift_even(A, chains[0], 2)
     with pytest.raises(ExtractionError):
-        extract_odd_canonical(shift, Matrix.identity(4))
+        extract_odd_canonical(shift)
 
 
 def test_reduction_is_exact_similarity():

@@ -150,6 +150,16 @@ def test_float_entries_refused_for_exact_ops():
         Matrix.from_rows([[True, False]])
     with pytest.raises(TypeError, match="cannot use True as an exact scalar"):
         Vector([True])
+    # so is a rational text with a zero denominator
+    zero_den = "^cannot use '1/0' as an exact scalar$"
+    with pytest.raises(TypeError, match=zero_den):
+        Matrix(1, 2, [1, "1/0"])
+    with pytest.raises(TypeError, match=zero_den):
+        Vector(["1/0"])
+    with pytest.raises(TypeError, match=zero_den):
+        SegreCharacteristic([("1/0", 2)])
+    with pytest.raises(TypeError, match=zero_den):
+        shift_even(A, chains[0], "1/0")
 
 
 @settings(max_examples=25, deadline=None)

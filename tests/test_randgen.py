@@ -47,9 +47,9 @@ def _selftest_stream(seed, count):
                 {
                     "A_hat": _matrix_doc(inst.shift.A_hat),
                     "P": _matrix_doc(inst.P),
-                    "P_inv": _matrix_doc(inst.P_inv),
+                    "P_inv": _matrix_doc(inst.P.inverse()),
                     "given_P_inv": _prediction_doc(
-                        predict_structure(inst.shift, inst.P, P_inv=inst.P_inv)
+                        predict_structure(inst.shift, inst.P)
                     ),
                     "inverting_P": _prediction_doc(
                         predict_structure(inst.shift, inst.P)

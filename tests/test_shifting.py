@@ -6,9 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigenshift.canonical import predict_structure
 from eigenshift.errors import (
-    ExtractionError,
     InvalidChainError,
     InvalidParameterError,
     InverseIdentityError,
@@ -278,23 +276,3 @@ def test_rank_one_via_odd_shift_k0():
     assert shift.multiplicity == 1
     assert shift.A_hat @ chains[0].right[0] == chains[0].right[0].scale(CR(-2))
     assert charpoly_ratio_check(A, shift.A_hat, 3, -2, 1)
-
-
-def _prediction_or_error(shift, P, P_inv=None):
-    try:
-        return predict_structure(shift, P, P_inv=P_inv)
-    except ExtractionError as exc:
-        return str(exc)
-
-
-def test_instances_carry_the_inverse_of_their_basis():
-    """P_inv = diag(B_m^{-1}, I) P0^{-1} is P's inverse, and a prediction
-    given it equals one that inverts P."""
-    rng = random.Random(13)
-    for i in range(20):
-        maker = random_odd_shift_instance if i % 2 else random_even_shift_instance
-        inst = maker(rng, guarded=i % 4 < 2)
-        assert inst.P_inv == inst.P.inverse()
-        assert _prediction_or_error(
-            inst.shift, inst.P, inst.P_inv
-        ) == _prediction_or_error(inst.shift, inst.P)
