@@ -2,37 +2,36 @@
 
 The shifted matrix is similar to a small canonical block matrix (T in
 the even case, S in the odd case), which is read from the shifted chain
-pair alone: no n x n Jordan basis is built or inverted.  The cases are
-dispatched on exact zero tests of the coupling entries, explicit
-generalized-eigenvector cycles are constructed from the closed-form
-displays, and every cycle is verified against the canonical matrix
-before being surfaced.  When a closed-form display fails its own
-verification (several of them do on degenerate couplings), the
-rank-sequence oracle supplies the cycles and the discrepancy is
-reported in the diagnostics instead of being silently trusted.
+pair alone: no n x n Jordan basis is built or inverted.  Both forms go
+through one concentrated reduction, an exact similarity that leaves a
+single coupling row c (T is the odd form with a = b = 0 and its middle
+1 x 1 block dropped).  The cases are dispatched on exact zero tests of
+b_1, a_k and c; each case names its chain tops and their sizes, and
+every cycle is read down from its top, [N^{s-1} t, ..., N t, t] with
+N = M - lam I.  The cycles belong to the reduced form, which the
+prediction carries as its canonical matrix, and each cycle set is
+verified exactly before it is surfaced.  Should a set ever fail its
+verification, the rank-sequence oracle supplies the cycles and the
+discrepancy is reported in the diagnostics instead of being trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ExtractionError, ReductionError, SingularMatrixError
 from .linalg import (
     Matrix,
     Vector,
-    _clear,
-    _concat,
     _matrix,
     _normal,
     _vector,
     jordan_block,
     jordan_sum,
     outer_plain,
-    stack_vectors_as_rows,
 )
 from .oracle import jordan_cycles, verify_cycles
-from .scalars import ComplexRational, ONE, ZERO
+from .scalars import ComplexRational, ONE
 from .shifting import ShiftResult
 from .synthesis import SegreCharacteristic
 
@@ -133,38 +132,7 @@ class StructurePrediction:
 
 
 # ---------------------------------------------------------------------------
-# small vector building helpers
-
-
-def _neg_lower_shift_apply(x: Vector) -> Vector:
-    """Apply N_k (with N_k^T = lam I - J_k(lam), i.e. -1 on the subdiagonal)."""
-    return -_shifted(x, 1)
-
-
-def _unit(k: int, idx1: int) -> Vector:
-    """e_{idx1} in C^k, or zero when the 1-based index falls outside 1..k."""
-    if 1 <= idx1 <= k:
-        return Vector.unit(k, idx1 - 1)
-    return Vector.zero(k)
-
-
-def _stack3(x: Vector, xi, z: Vector) -> Vector:
-    return _vector(_concat([x._form, _clear((xi,)), z._form]))
-
-
-def _shifted(v: Vector, s: int) -> Vector:
-    """The vector whose entry i is v's entry i - s, or 0 where i - s
-    falls outside v (0 <= |s| <= dim)."""
-    k = v.dim
-    if s >= 0:
-        move = lambda xs: (0,) * s + xs[: k - s]
-    else:
-        move = lambda xs: xs[-s:] + (0,) * -s
-    return _vector(_normal(v.den, move(v.re), v.im and move(v.im)))
-
-
-# ---------------------------------------------------------------------------
-# even multiplicity
+# extraction
 
 
 def extract_even_canonical(shift: ShiftResult) -> EvenCanonical:
@@ -179,50 +147,6 @@ def extract_even_canonical(shift: ShiftResult) -> EvenCanonical:
             "leading block is not [[J_k(lambda1), C], [0, J_k(lambda1)]]"
         )
     return form
-
-
-def eigenspace_even(ec: EvenCanonical):
-    """Eigenspace basis of T at lam by the closed-form case split."""
-    k, C = ec.k, ec.C
-    ck1 = C[k - 1, 0]
-    Ce1 = C.col(0)
-    e1 = Vector.unit(k, 0)
-    zero = Vector.zero(k)
-    if ck1.is_zero and Ce1.is_zero:
-        return [e1.concat(zero), zero.concat(e1)]
-    if ck1.is_zero:
-        return [e1.concat(zero), _neg_lower_shift_apply(Ce1).concat(e1)]
-    return [e1.concat(zero)]
-
-
-def classify_even(ec: EvenCanonical) -> StructurePrediction:
-    """Jordan structure of T from the even case split, cycles verified.
-
-    gamma_2 is (x_m, e_m) with x_m = sum_{i<=m} N^{m-i+1} C e_i, that is
-    x_m = N (x_{m-1} + C e_m), in every case; Even1's display starts its
-    sum at i = 2, which is the same because C e_1 = 0 there.  Even3
-    chains gamma_2 onto gamma_1 = (c_{k1} e_m, 0) in one cycle.
-    """
-    k, lam, C = ec.k, ec.lam, ec.C
-    ck1 = C[k - 1, 0]
-    if not ck1.is_zero:
-        label, claimed, lead = "Even3", (2 * k,), ck1
-    else:
-        label = "Even1" if C.col(0).is_zero else "Even2"
-        claimed, lead = (k, k), ONE
-    zero = Vector.zero(k)
-    gamma1 = [Vector.unit(k, m).scale(lead).concat(zero) for m in range(k)]
-    gamma2 = []
-    x = zero
-    for m in range(k):
-        x = _neg_lower_shift_apply(x + C.col(m))
-        gamma2.append(x.concat(Vector.unit(k, m)))
-    cycles = [gamma1 + gamma2] if label == "Even3" else [gamma1, gamma2]
-    return _finalize(ec.matrix(), lam, label, claimed, cycles)
-
-
-# ---------------------------------------------------------------------------
-# odd multiplicity
 
 
 def extract_odd_canonical(shift: ShiftResult) -> OddCanonical:
@@ -252,50 +176,19 @@ def extract_odd_canonical(shift: ShiftResult) -> OddCanonical:
     return form
 
 
-def eigenspace_odd(oc: OddCanonical):
-    """(basis, diagnostics) for the eigenspace of S at lam.
+# ---------------------------------------------------------------------------
+# concentrated reduction
 
-    The closed-form case display is compared against the exact null
-    space; on disagreement the null space wins and a diagnostic is
-    reported instead of asserting the literal display.
-    """
-    k = oc.k
-    a, b, C = oc.a, oc.b, oc.C
-    b1, ak, ck1 = b[0], a[k - 1], C[k - 1, 0]
-    e1 = Vector.unit(k, 0)
-    zero = Vector.zero(k)
-    N = _neg_lower_shift_apply
-    if b1.is_zero and not ak.is_zero and ck1.is_zero:
-        literal = [_stack3(e1, ZERO, zero), _stack3(N(C.col(0)), ZERO, e1)]
-    elif b1.is_zero and not ak.is_zero:
-        t = -ck1 / ak
-        literal = [
-            _stack3(e1, ZERO, zero),
-            _stack3(N(a.scale(t) + C.col(0)), t, e1),
-        ]
-    elif ak.is_zero and (not b1.is_zero or not ck1.is_zero):
-        literal = [_stack3(e1, ZERO, zero), _stack3(N(a), ONE, zero)]
-    elif b1.is_zero and ak.is_zero:
-        literal = [
-            _stack3(e1, ZERO, zero),
-            _stack3(N(a + C.col(0)), ONE, e1),
-            _stack3(N(C.col(0)), ZERO, e1),
-        ]
+
+def _shifted(v: Vector, s: int) -> Vector:
+    """The vector whose entry i is v's entry i - s, or 0 where i - s
+    falls outside v (0 <= |s| <= dim)."""
+    k = v.dim
+    if s >= 0:
+        move = lambda xs: (0,) * s + xs[: k - s]
     else:
-        literal = [_stack3(e1, ZERO, zero)]
-    S = oc.matrix()
-    null = S.minus_identity(oc.lam).null_space_basis()
-    diags = []
-    joint = stack_vectors_as_rows(literal + null).exact_rank()
-    independent = stack_vectors_as_rows(literal).exact_rank() == len(literal)
-    if not (independent and len(literal) == len(null) and joint == len(null)):
-        diags.append(
-            "closed-form eigenspace display disagrees with the exact null "
-            f"space ({len(literal)} listed vs dimension {len(null)}); "
-            "returning the null space basis"
-        )
-        return null, diags
-    return literal, diags
+        move = lambda xs: xs[-s:] + (0,) * -s
+    return _vector(_normal(v.den, move(v.re), v.im and move(v.im)))
 
 
 def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
@@ -349,199 +242,113 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
     return cf
 
 
-def _alphas(row: Vector, i0: int, k: int):
-    """alpha_0 = 1, alpha_j = -(1/c_{i0+1}) sum_{s<j} alpha_s c_{i0+2+s}."""
-    pivot = row[i0]
-    alphas = [ONE]
-    for j in range(1, k - i0):
-        s = ZERO
-        for t in range(j):
-            idx = i0 + 1 + t  # 0-based index of c̃_{k, i0+2+t}
-            if idx < k:
-                s = s + alphas[t] * row[idx]
-        alphas.append(-s / pivot)
-    return alphas
+# ---------------------------------------------------------------------------
+# classification
 
 
-def _odd_case1_cycles(cf: ConcentratedForm, i0: Optional[int]):
-    k = cf.k
-    b1, ak, row = cf.b_1, cf.a_k, cf.last_row
+def _first_nonzero(row: Vector):
+    """0-based index of the first nonzero entry of row, or None."""
+    return next((i for i in range(row.dim) if not row[i].is_zero), None)
+
+
+def classify_even(ec: EvenCanonical) -> StructurePrediction:
+    """Jordan structure of T through the concentrated reduction.
+
+    T is the odd form with a = b = 0 and its middle 1 x 1 block dropped,
+    so reducing that form leaves T~ = [[J, e_k c^T], [0, J]], similar to
+    T, where c is the reduced last row.  Its cycles are read down from
+    the tops of Odd4 without xi: z_k and x_k (k each) when c = 0 (Even1,
+    or Even2 when C e_1 != 0), z_k (2k) when c_1 != 0 (Even3), and z_k
+    (2k - i0) with z_{i0} (i0) when c's first nonzero entry is c_{i0+1},
+    0 < i0 < k (Even4, outside the paper's even display).  The cycles
+    belong to T~, which the prediction carries as its canonical form.
+    """
+    k, lam = ec.k, ec.lam
     zero = Vector.zero(k)
-    lead = b1 * ak
-    gamma = [_stack3(_unit(k, m).scale(lead), ZERO, zero) for m in range(1, k + 1)]
-    gamma.append(_stack3(zero, b1, zero))
-    if i0 is None:  # Case 1b: whole last row zero
-        gamma.extend(_stack3(zero, ZERO, _unit(k, m)) for m in range(1, k + 1))
-        return [gamma]
-    gamma.extend(_stack3(zero, ZERO, _unit(k, m)) for m in range(1, i0 + 1))
-    row = row.entries
-    taus = []
-    for j in range(1, k - i0 + 1):
-        # f = e_{i0+j} + sum_{s<j} (tau_s / b1) e_{j-s}: its nonzero
-        # entries are 1 at i0 + j and f_p = tau_{j-p} / b1 for p < j
-        f = [ZERO] * k
-        f[i0 + j - 1] = ONE
-        for s in range(1, j):
-            f[j - s - 1] = taus[s - 1] / b1
-        dot = sum((row[p] * f[p] for p in range(j - 1)), start=row[i0 + j - 1])
-        tau = -dot / ak
-        taus.append(tau)
-        gamma.append(_stack3(zero, tau, Vector(f)))
-    return [gamma]
-
-
-def _mn_cycle(cf: ConcentratedForm, i0: int, variant: str):
-    """The long gamma_1 of Cases 2b / 3a / 4b, built from m_j and n_j."""
-    k = cf.k
-    row = cf.last_row
-    pivot = row[i0]
-    alphas = _alphas(row, i0, k)
-    length = 2 * k - i0
-    out = []
-    for j in range(1, length + 1):
-        m_part = _unit(k, j).scale(pivot) if j <= k else Vector.zero(k)
-        xi = ZERO
-        z = Vector.zero(k)
-        base = j - k + i0  # index shift appearing in every display
-        if variant == "2b":
-            if j == length:
-                s_hi = k - i0 - 2
-                xi = -sum(
-                    (alphas[s] * row[k - s - 1] for s in range(s_hi + 1)),
-                    start=ZERO,
-                ) / cf.a_k
-                for s in range(s_hi + 1):
-                    z = z + _unit(k, k - s).scale(alphas[s])
-            elif j >= k - i0 + 1:
-                if j < 2 * k - 2 * i0 - 1 and k != i0 + 2:
-                    s_hi = base - 1
-                else:
-                    s_hi = k - i0 - 2
-                for s in range(s_hi + 1):
-                    z = z + _unit(k, base - s).scale(alphas[s])
-        elif variant == "3a":
-            if j == k - i0:
-                xi = cf.b_1
-            elif j > k - i0:
-                if j < 2 * k - 2 * i0:
-                    xi = cf.b_1 * alphas[base]
-                    s_hi = base - 1
-                else:
-                    s_hi = k - i0 - 1
-                for s in range(s_hi + 1):
-                    z = z + _unit(k, base - s).scale(alphas[s])
-        else:  # "4b"
-            if j >= k - i0 + 1:
-                if j < 2 * k - 2 * i0 and k != i0 + 1:
-                    s_hi = base - 1
-                else:
-                    s_hi = k - i0 - 1
-                for s in range(s_hi + 1):
-                    z = z + _unit(k, base - s).scale(alphas[s])
-        out.append(_stack3(m_part, xi, z))
-    return out
+    row = reduce_to_concentrated(OddCanonical(k, lam, zero, zero, ec.C)).last_row
+    form = EvenCanonical(k, lam, outer_plain(Vector.unit(k, k - 1), row))
+    z = lambda i: Vector.unit(2 * k, k + i - 1)
+    x_k = Vector.unit(2 * k, k - 1)
+    i0 = _first_nonzero(row)
+    if i0 is None:
+        label = "Even1" if ec.C.col(0).is_zero else "Even2"
+        tops = [(z(k), k), (x_k, k)]
+    else:
+        label = "Even3" if i0 == 0 else "Even4"
+        tops = [(z(k), 2 * k - i0), (z(i0), i0)]
+    return _finalize(form.matrix(), lam, label, tops)
 
 
 def classify_odd(cf: ConcentratedForm) -> StructurePrediction:
-    """Jordan structure of the concentrated form, cycles verified."""
-    k, lam = cf.k, cf.lam
-    S = cf.matrix()
-    b1, ak, row = cf.b_1, cf.a_k, cf.last_row
-    i0 = next((i for i in range(k) if not row[i].is_zero), None)
-    zero = Vector.zero(k)
-    e = lambda m: _unit(k, m)
+    """Jordan structure of the concentrated form S~, cycles verified.
 
+    Coordinates are x_1..x_k, xi, z_1..z_k, with z_0 := xi; i0 is the
+    0-based index of the first nonzero entry c_{i0+1} of the last row c.
+    Each case names its chain tops and their sizes, and each cycle is
+    read down from its top.
+    """
+    k, lam = cf.k, cf.lam
+    b1, ak, row = cf.b_1, cf.a_k, cf.last_row
+    n = 2 * k + 1
+    z = lambda i: Vector.unit(n, k + i)
+    xi, x_k = z(0), Vector.unit(n, k - 1)
+    i0 = _first_nonzero(row)
     if not b1.is_zero and not ak.is_zero:
         label = "Odd1b" if i0 is None else "Odd1a"
-        claimed = (2 * k + 1,)
-        cycles = _odd_case1_cycles(cf, i0)
-    elif b1.is_zero and not ak.is_zero:
-        gamma1 = [_stack3(e(m).scale(ak), ZERO, zero) for m in range(1, k + 1)]
-        gamma1.append(_stack3(zero, ONE, zero))
+        tops = [(z(k), n)]
+    elif not ak.is_zero:
         if i0 is None:
-            label, claimed = "Odd2c", (k + 1, k)
-            gamma2 = [_stack3(zero, ZERO, e(m)) for m in range(1, k + 1)]
-            cycles = [gamma1, gamma2]
-        elif i0 == k - 1:
-            label, claimed = "Odd2a", (k + 1, k)
-            gamma2 = [_stack3(zero, ZERO, e(m)) for m in range(1, k)]
-            gamma2.append(_stack3(zero, -row[k - 1] / ak, e(k)))
-            cycles = [gamma1, gamma2]
+            label, tops = "Odd2c", [(xi, k + 1), (z(k), k)]
         else:
-            label, claimed = "Odd2b", (2 * k - i0, i0 + 1)
-            gamma2 = [_stack3(zero, ZERO, e(m)) for m in range(1, i0 + 1)]
-            gamma2.append(_stack3(zero, -row[i0] / ak, e(i0 + 1)))
-            cycles = [_mn_cycle(cf, i0, "2b"), gamma2]
+            label = "Odd2a" if i0 == k - 1 else "Odd2b"
+            second = z(i0 + 1) - xi.scale(row[i0] / ak)
+            tops = [(z(k), 2 * k - i0), (second, i0 + 1)]
     elif not b1.is_zero:
         if i0 is None:
-            label, claimed = "Odd3b", (k + 1, k)
-            gamma1 = [_stack3(zero, b1, zero)]
-            gamma1.extend(_stack3(zero, ZERO, e(m)) for m in range(1, k + 1))
-            gamma2 = [_stack3(e(m), ZERO, zero) for m in range(1, k + 1)]
-            cycles = [gamma1, gamma2]
+            label, tops = "Odd3b", [(z(k), k + 1), (x_k, k)]
         else:
-            label, claimed = "Odd3a", (2 * k - i0, i0 + 1)
-            gamma2 = [_stack3(zero, b1, zero)]
-            gamma2.extend(_stack3(zero, ZERO, e(m)) for m in range(1, i0 + 1))
-            cycles = [_mn_cycle(cf, i0, "3a"), gamma2]
+            label, tops = "Odd3a", [(z(k), 2 * k - i0), (z(i0), i0 + 1)]
+    elif i0 is None:
+        label, tops = "Odd4c", [(z(k), k), (x_k, k), (xi, 1)]
     else:
-        if i0 is None:
-            label, claimed = "Odd4c", (k, k, 1)
-            cycles = [
-                [_stack3(zero, ZERO, e(m)) for m in range(1, k + 1)],
-                [_stack3(e(m), ZERO, zero) for m in range(1, k + 1)],
-                [_stack3(zero, ONE, zero)],
-            ]
-        elif i0 == 0:
-            label, claimed = "Odd4a", (2 * k, 1)
-            pivot = row[0]
-            psis = [ONE]
-            for j in range(2, k + 1):
-                s = ZERO
-                for t in range(1, j):
-                    idx = j - t  # 0-based index of c̃_{k, j-t+1}
-                    if idx < k:
-                        s = s + psis[t - 1] * row[idx]
-                psis.append(-s / pivot)
-            gamma1 = [_stack3(e(m).scale(pivot), ZERO, zero) for m in range(1, k + 1)]
-            for m in range(1, k + 1):
-                zvec = Vector.zero(k)
-                for s in range(1, m + 1):
-                    zvec = zvec + e(m - s + 1).scale(psis[s - 1])
-                gamma1.append(_stack3(zero, ZERO, zvec))
-            cycles = [gamma1, [_stack3(zero, ONE, zero)]]
-        else:
-            label, claimed = "Odd4b", (2 * k - i0, i0, 1)
-            cycles = [
-                _mn_cycle(cf, i0, "4b"),
-                [_stack3(zero, ZERO, e(m)) for m in range(1, i0 + 1)],
-                [_stack3(zero, ONE, zero)],
-            ]
-    return _finalize(S, lam, label, claimed, cycles)
+        label = "Odd4a" if i0 == 0 else "Odd4b"
+        tops = [(z(k), 2 * k - i0), (z(i0), i0), (xi, 1)]
+    return _finalize(cf.matrix(), lam, label, tops)
 
 
 # ---------------------------------------------------------------------------
 # shared machinery
 
 
-def _finalize(M: Matrix, lam, label, claimed_sizes, cycles) -> StructurePrediction:
-    """Verify closed-form cycles; fall back to the oracle on failure."""
+def _chains(M: Matrix, lam, tops) -> list:
+    """Each top t of size s read down to [N^{s-1} t, ..., N t, t], with
+    N = M - lam I; a top of size 0 names no cycle."""
+    N = M.minus_identity(lam)
+    cycles = []
+    for top, size in tops:
+        if size:
+            cycle = [top]
+            for _ in range(size - 1):
+                cycle.append(N @ cycle[-1])
+            cycle.reverse()
+            cycles.append(cycle)
+    return cycles
+
+
+def _finalize(M: Matrix, lam, label, tops) -> StructurePrediction:
+    """Read the cycles down from their tops and verify them; fall back
+    to the oracle's cycles on failure."""
+    cycles = _chains(M, lam, tops)
+    claimed = tuple(sorted((len(c) for c in cycles), reverse=True))
     diagnostics = []
-    fallback = False
-    sizes = tuple(sorted((len(c) for c in cycles), reverse=True))
-    ok = (
-        sizes == tuple(sorted(claimed_sizes, reverse=True))
-        and sum(sizes) == M.rows
-        and verify_cycles(M, lam, cycles)
-    )
-    if not ok:
-        fallback = True
+    fallback = sum(claimed) != M.rows or not verify_cycles(M, lam, cycles)
+    sizes = claimed
+    if fallback:
         cycles = jordan_cycles(M, lam)
         sizes = tuple(sorted((len(c) for c in cycles), reverse=True))
         diagnostics.append(
             f"closed-form cycles for case {label} failed verification; "
-            f"oracle cycles substituted (claimed {tuple(claimed_sizes)}, "
-            f"actual {sizes})"
+            f"oracle cycles substituted (claimed {claimed}, actual {sizes})"
         )
     segre = SegreCharacteristic([(lam, s) for s in sizes]).canonical()
     return StructurePrediction(

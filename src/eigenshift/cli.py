@@ -89,6 +89,21 @@ def _cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     failures = []
     checked = 0
+
+    def check(prediction, want, what):
+        """A wrong structure, or a right one reached only through the
+        oracle's cycles, is a failure."""
+        if prediction.sizes != want:
+            failures.append(
+                f"{what}: predicted {prediction.sizes} != oracle {want} "
+                f"(case {prediction.case_label})"
+            )
+        elif prediction.fallback_used:
+            failures.append(
+                f"{what}: case {prediction.case_label} fell back to the "
+                "oracle's cycles"
+            )
+
     for _ in range(args.count):
         for maker in (random_even_shift_instance, random_odd_shift_instance):
             inst = maker(rng, guarded=True)
@@ -97,23 +112,13 @@ def _cmd_selftest(args) -> int:
                 lam for lam, _ in inst.segre.blocks if lam != inst.lambda0
             ]
             oracle = oracle_segre(inst.shift.A_hat, eigs)
-            want = oracle.sizes_at(inst.lambda1)
             checked += 1
-            if prediction.sizes != want:
-                failures.append(
-                    f"shift prediction {prediction.sizes} != oracle {want} "
-                    f"(case {prediction.case_label})"
-                )
+            check(prediction, oracle.sizes_at(inst.lambda1), "shift")
     for label in ODD_CASE_LABELS:
         cf = targeted_concentrated_form(rng, label)
-        prediction = classify_odd(cf)
-        profile_sizes = oracle_segre(cf.matrix(), [cf.lam]).sizes_at(cf.lam)
         checked += 1
-        if prediction.sizes != profile_sizes:
-            failures.append(
-                f"targeted {label}: predicted {prediction.sizes}, "
-                f"oracle {profile_sizes}"
-            )
+        want = oracle_segre(cf.matrix(), [cf.lam]).sizes_at(cf.lam)
+        check(classify_odd(cf), want, f"targeted {label}")
     report = {
         "kind": "selftest-report",
         "seed": args.seed,

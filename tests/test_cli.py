@@ -441,6 +441,22 @@ def test_selftest_count_0_runs_the_targeted_forms_only(capsys):
     assert report["verdicts"] == {"selftest": "pass"}
 
 
+def test_selftest_counts_a_fallback_as_a_failure(monkeypatch, capsys):
+    """Cycles that fail verification make the oracle supply them; the
+    structure is still right, and selftest fails on the fallback."""
+    from eigenshift import canonical
+
+    monkeypatch.setattr(canonical, "verify_cycles", lambda *args: False)
+    assert run_cli(["selftest", "--count", "0"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"selftest": "fail"}
+    assert len(report["diagnostics"]) == 10
+    assert (
+        "targeted Odd1a: case Odd1a fell back to the oracle's cycles"
+        in report["diagnostics"]
+    )
+
+
 def test_explicit_matrix_job(tmp_path, capsys):
     segre = SegreCharacteristic([(1, 4)])
     A, chains = build_matrix(segre, Matrix.identity(4))

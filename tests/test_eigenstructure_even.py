@@ -5,10 +5,10 @@ import random
 from eigenshift.canonical import (
     EvenCanonical,
     classify_even,
-    eigenspace_even,
     extract_even_canonical,
     predict_structure,
 )
+from eigenshift.errors import ExtractionError
 from eigenshift.linalg import Matrix, Vector, stack_vectors_as_rows
 from eigenshift.oracle import oracle_segre, verify_cycles, weyr_profile
 from eigenshift.randgen import random_even_shift_instance
@@ -54,6 +54,12 @@ def test_golden_split_block_shift():
     assert not pred.fallback_used
 
 
+def _sound(pred, lam):
+    """No fallback, and the cycles verify on the reduced form T~."""
+    assert not pred.fallback_used and not pred.diagnostics
+    assert verify_cycles(pred.canonical, lam, [list(c) for c in pred.cycles])
+
+
 def test_classify_even_case_labels():
     # C = 0: split case with trivially coupled cycles
     pred = classify_even(EvenCanonical(2, CR(0), Matrix.zeros(2, 2)))
@@ -66,12 +72,14 @@ def test_classify_even_case_labels():
     C = _cmat(2, [[1, 0], [0, -1]])
     pred = classify_even(EvenCanonical(2, CR(0), C))
     assert pred.case_label == "Even2" and pred.sizes == (2, 2)
-    # Ce1 != 0 with c_{k,1} = 0 but NC + CN != 0: the split-case claim
-    # fails ([3, 1] is the truth) and the verified fallback reports it
+    _sound(pred, CR(0))
+    # Ce1 != 0 with c_{k,1} = 0 but NC + CN != 0: the reduced last row is
+    # (0, 1), so i0 = 1 and the blocks are (2k - 1, 1), outside the
+    # paper's even display
     C = _cmat(2, [[1, 0], [0, 0]])
     pred = classify_even(EvenCanonical(2, CR(0), C))
-    assert pred.case_label == "Even2" and pred.fallback_used
-    assert pred.sizes == (3, 1)
+    assert pred.case_label == "Even4" and pred.sizes == (3, 1)
+    _sound(pred, CR(0))
     # c_{k,1} != 0: single full block
     C = _cmat(2, [[0, 0], [1, 0]])
     pred = classify_even(EvenCanonical(2, CR(0), C))
@@ -79,36 +87,69 @@ def test_classify_even_case_labels():
 
 
 def test_classify_even_coupling_outside_stated_family():
-    """Adversarial coupling where the closed-form family claim breaks.
+    """A coupling outside the paper's even display.
 
-    C = e2 e2^T has c_{2,1} = 0 and C e1 = 0, which the case split says
-    gives blocks [2, 2]; the true structure is [3, 1].  The verified-
-    cycle fallback must catch this and report the oracle's answer.
+    C = e2 e2^T has c_{2,1} = 0 and C e1 = 0, which the paper's case
+    split would give blocks [2, 2]; the true structure is [3, 1].  The
+    concentrated reduction leaves the last row (0, 1), which is Even4:
+    tops z_2 (size 3) and z_1 (size 1), verified without fallback.
     """
     C = _cmat(2, [[0, 0], [0, 1]])
     ec = EvenCanonical(2, CR(0), C)
     pred = classify_even(ec)
-    assert pred.fallback_used
-    assert pred.sizes == (3, 1)
-    assert pred.diagnostics
-    assert verify_cycles(ec.matrix(), CR(0), [list(c) for c in pred.cycles])
+    assert pred.case_label == "Even4" and pred.sizes == (3, 1)
+    _sound(pred, CR(0))
+    assert weyr_profile(ec.matrix(), CR(0)).block_sizes() == (3, 1)
 
 
 def test_even_classification_matches_oracle_randomized():
+    """Random even shifts (guarded, and the seed-7 pools of 80 guarded
+    and 80 unguarded) and 300 random couplings C, with Even2 pinned by
+    C = diag(1, -1): every prediction equals the oracle and needs no
+    fallback.  An unguarded shift may refuse extraction."""
     rng = random.Random(77)
-    for _ in range(25):
-        inst = random_even_shift_instance(rng, guarded=True, max_k=3)
-        pred = predict_structure(inst.shift, inst.P)
+    shifts = [
+        (random_even_shift_instance(rng, guarded=True, max_k=3), True)
+        for _ in range(25)
+    ]
+    for guarded in (True, False):
+        rng = random.Random(7)
+        shifts += [
+            (random_even_shift_instance(rng, guarded=guarded), guarded)
+            for _ in range(80)
+        ]
+    for inst, guarded in shifts:
+        try:
+            pred = predict_structure(inst.shift, inst.P)
+        except ExtractionError:
+            assert not guarded
+            continue
         k = inst.shift.k
-        assert pred.sizes in ((k, k), (2 * k,))
-        want = weyr_profile(pred.canonical, inst.lambda1).block_sizes()
+        assert not guarded or pred.sizes in ((k, k), (2 * k,))
+        want = weyr_profile(inst.shift.A_hat, inst.lambda1).block_sizes()
         assert pred.sizes == want
-        assert verify_cycles(
-            pred.canonical, inst.lambda1, [list(c) for c in pred.cycles]
+        _sound(pred, inst.lambda1)
+    rng = random.Random(5)
+    forms = [EvenCanonical(2, CR(1), _cmat(2, [[1, 0], [0, -1]]))]
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        C = Matrix.from_rows(
+            [[CR(rng.choice((-1, 0, 0, 1))) for _ in range(k)] for _ in range(k)]
         )
+        forms.append(EvenCanonical(k, CR(rng.randint(-2, 2)), C))
+    labels = set()
+    for ec in forms:
+        pred = classify_even(ec)
+        assert pred.sizes == weyr_profile(ec.matrix(), ec.lam).block_sizes()
+        _sound(pred, ec.lam)
+        labels.add(pred.case_label)
+    assert labels == {"Even1", "Even2", "Even3", "Even4"}
 
 
 def test_eigenspace_even_matches_null_space():
+    """The cycle bottoms lie in the null space of T~ - lam I, are
+    independent, and are as many as the null space of T - lam I has
+    dimensions, so they span it on T~."""
     rng = random.Random(31)
     for k in (1, 2, 3):
         for _ in range(8):
@@ -119,14 +160,14 @@ def test_eigenspace_even_matches_null_space():
                 ]
             )
             ec = EvenCanonical(k, CR(rng.randint(-3, 3)), C)
-            basis = eigenspace_even(ec)
-            T = ec.matrix()
-            shifted = T - Matrix.identity(2 * k).scale(ec.lam)
-            for v in basis:
+            pred = classify_even(ec)
+            bottoms = [c[0] for c in pred.cycles]
+            shifted = pred.canonical.minus_identity(ec.lam)
+            for v in bottoms:
                 assert (shifted @ v).is_zero
-            null = shifted.null_space_basis()
-            assert len(basis) == len(null)
-            assert stack_vectors_as_rows(basis).exact_rank() == len(basis)
+            null = ec.matrix().minus_identity(ec.lam).null_space_basis()
+            assert len(bottoms) == len(null)
+            assert stack_vectors_as_rows(bottoms).exact_rank() == len(bottoms)
 
 
 def test_geometric_multiplicity_at_most_two():

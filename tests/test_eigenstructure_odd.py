@@ -8,7 +8,6 @@ from eigenshift.canonical import (
     ConcentratedForm,
     OddCanonical,
     classify_odd,
-    eigenspace_odd,
     extract_odd_canonical,
     predict_structure,
     reduce_to_concentrated,
@@ -90,14 +89,42 @@ def test_targeted_labels_all_reachable_and_sound():
     rng = random.Random(29)
     for label in ODD_CASE_LABELS:
         for _ in range(6):
-            cf = targeted_concentrated_form(rng, label)
+            cf = targeted_concentrated_form(rng, label, max_k=8)
             pred = classify_odd(cf)
             assert pred.case_label == label
+            assert not pred.fallback_used
             want = weyr_profile(cf.matrix(), cf.lam).block_sizes()
             assert pred.sizes == want
             assert verify_cycles(
                 cf.matrix(), cf.lam, [list(c) for c in pred.cycles]
             )
+
+
+def test_fallback_substitutes_verified_oracle_cycles(monkeypatch):
+    """No known form reaches the fallback, so one verification is made
+    to fail: the oracle's cycles replace the closed-form ones, the
+    prediction says so, and the substituted cycles verify."""
+    from eigenshift import canonical
+
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        return len(calls) > 1 and verify_cycles(*args)
+
+    monkeypatch.setattr(canonical, "verify_cycles", fail_first)
+    cf = targeted_concentrated_form(random.Random(29), "Odd3a")
+    pred = classify_odd(cf)
+    assert pred.case_label == "Odd3a" and pred.fallback_used
+    sizes = weyr_profile(cf.matrix(), cf.lam).block_sizes()
+    assert pred.sizes == sizes
+    assert pred.diagnostics == (
+        "closed-form cycles for case Odd3a failed verification; oracle "
+        f"cycles substituted (claimed {sizes}, actual {sizes})",
+    )
+    assert verify_cycles(cf.matrix(), cf.lam, [list(c) for c in pred.cycles])
+    # the next prediction verifies its own cycles again
+    assert not classify_odd(cf).fallback_used
 
 
 def test_odd_segre_family_membership():
@@ -124,20 +151,39 @@ def test_odd_segre_family_membership():
 
 
 def test_odd_shift_classification_matches_oracle():
+    """Random odd shifts (guarded, and the seed-7 pools of 80 guarded and
+    80 unguarded): every prediction equals the oracle and needs no
+    fallback.  An unguarded shift may refuse extraction."""
     rng = random.Random(43)
-    for _ in range(20):
-        inst = random_odd_shift_instance(rng, guarded=True, max_k=2)
-        pred = predict_structure(inst.shift, inst.P)
-        want = weyr_profile(pred.canonical, inst.lambda1).block_sizes()
+    shifts = [
+        (random_odd_shift_instance(rng, guarded=True, max_k=2), True)
+        for _ in range(20)
+    ]
+    for guarded in (True, False):
+        rng = random.Random(7)
+        shifts += [
+            (random_odd_shift_instance(rng, guarded=guarded), guarded)
+            for _ in range(80)
+        ]
+    for inst, guarded in shifts:
+        try:
+            pred = predict_structure(inst.shift, inst.P)
+        except ExtractionError:
+            assert not guarded
+            continue
+        want = weyr_profile(inst.shift.A_hat, inst.lambda1).block_sizes()
         assert pred.sizes == want
+        assert not pred.fallback_used
         assert verify_cycles(
             pred.canonical, inst.lambda1, [list(c) for c in pred.cycles]
         )
 
 
 def test_eigenspace_odd_matches_null_space():
+    """The cycle bottoms lie in the null space of S~ - lam I, are
+    independent, and are as many as the null space of S - lam I has
+    dimensions, so they span it on S~."""
     rng = random.Random(53)
-    checked_disagreement = 0
     for _ in range(40):
         k = rng.randint(1, 3)
         oc = OddCanonical(
@@ -152,18 +198,15 @@ def test_eigenspace_odd_matches_null_space():
                 ]
             ),
         )
-        basis, diags = eigenspace_odd(oc)
-        S = oc.matrix()
-        shifted = S - Matrix.identity(2 * k + 1).scale(oc.lam)
-        for v in basis:
+        pred = classify_odd(reduce_to_concentrated(oc))
+        assert not pred.fallback_used
+        bottoms = [c[0] for c in pred.cycles]
+        shifted = pred.canonical.minus_identity(oc.lam)
+        for v in bottoms:
             assert (shifted @ v).is_zero
-        null = shifted.null_space_basis()
-        assert len(basis) == len(null)
-        assert stack_vectors_as_rows(basis).exact_rank() == len(basis)
-        if diags:
-            checked_disagreement += 1
-    # disagreements (if any) are reported, never silently asserted
-    assert checked_disagreement >= 0
+        null = oc.matrix().minus_identity(oc.lam).null_space_basis()
+        assert len(bottoms) == len(null)
+        assert stack_vectors_as_rows(bottoms).exact_rank() == len(bottoms)
 
 
 def test_geometric_multiplicity_at_most_three():
