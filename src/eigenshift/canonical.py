@@ -17,7 +17,8 @@ discrepancy is reported in the diagnostics instead of being trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .errors import ExtractionError, ReductionError, SingularMatrixError
 from .linalg import (
@@ -116,7 +117,11 @@ class ConcentratedForm(_Assembled):
 
 @dataclass(frozen=True)
 class StructurePrediction:
-    """Predicted canonical structure at the shifted eigenvalue."""
+    """Predicted canonical structure at the shifted eigenvalue.
+
+    block is the m x m shifted block M = W* A_hat V that extraction read
+    and checked, when the prediction came from a shift.
+    """
 
     segre: SegreCharacteristic
     cycles: tuple
@@ -124,6 +129,7 @@ class StructurePrediction:
     canonical: Matrix
     fallback_used: bool = False
     diagnostics: tuple = ()
+    block: Optional[Matrix] = None
 
     @property
     def sizes(self) -> tuple:
@@ -411,10 +417,12 @@ def predict_structure(shift: ShiftResult, P=None) -> StructurePrediction:
 
     The shifted block is read from the shift's chain pair alone.  P, the
     Jordan basis that prediction once needed, is accepted and not read,
-    so callers that still pass one keep working.
+    so callers that still pass one keep working.  The prediction carries
+    the extracted block, which equals the extracted form's matrix.
     """
     if shift.multiplicity % 2 == 0:
-        return classify_even(extract_even_canonical(shift))
+        ec = extract_even_canonical(shift)
+        return replace(classify_even(ec), block=ec.matrix())
     oc = extract_odd_canonical(shift)
     if oc.k == 0:
         return StructurePrediction(
@@ -422,5 +430,6 @@ def predict_structure(shift: ShiftResult, P=None) -> StructurePrediction:
             cycles=((Vector([ONE]),),),
             case_label="Odd0",
             canonical=oc.matrix(),
+            block=oc.matrix(),
         )
-    return classify_odd(reduce_to_concentrated(oc))
+    return replace(classify_odd(reduce_to_concentrated(oc)), block=oc.matrix())

@@ -7,6 +7,12 @@ strings straight into their integer form (``from_texts``) and printed
 straight from it (``texts``), with no scalar object per entry.  Reports
 embed their normalized input job, so re-running a report's job
 reproduces the report byte for byte.
+
+A shift job predicts before it checks the spectrum: when extraction
+succeeds, the m x m block it checked decides the spectrum claim, and
+the full n x n check runs only when prediction is refused or skipped.
+A segre job's oracle reads the shifted matrix in the job's Jordan
+basis, P0^{-1} A_hat P0, which is J plus the target block's update.
 """
 
 from __future__ import annotations
@@ -22,12 +28,14 @@ from .errors import (
     EigenShiftError,
     ExtractionError,
     InvalidParameterError,
+    InverseIdentityError,
     ShapeError,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, jordan_block
 from .oracle import oracle_segre, weyr_profile
 from .scalars import ComplexRational, format_scalar, parse_scalar
 from .shifting import (
+    ShiftResult,
     charpoly_ratio_check,
     half_chain_invariance_holds,
     make_left_inverse,
@@ -38,6 +46,7 @@ from .shifting import (
 from .synthesis import (
     ChainPair,
     SegreCharacteristic,
+    basis_inverse,
     build_matrix,
     check_chains,
 )
@@ -269,10 +278,12 @@ def _check_k(k: int, m: int) -> None:
 
 
 def _job_inputs(job: ShiftJob):
-    """Materialize (A, chain pair at lam0, other blocks) from either job
-    source, once k fits the chain.  A segre job's chain pair is its
-    target block's, as ``build_matrix`` returns it; prediction reads
-    that pair alone and needs no basis."""
+    """Materialize (A, chain pair at lam0, other blocks, basis) from
+    either job source, once k fits the chain.  A segre job's chain pair
+    is its target block's, as ``build_matrix`` returns it; prediction
+    reads that pair alone and needs no basis.  basis is (P0, every
+    block's chain pair) for a segre job with a change of basis, and None
+    otherwise."""
     lam0 = job.target_eigenvalue
     if job.segre is not None:
         segre = job.segre
@@ -291,21 +302,68 @@ def _job_inputs(job: ShiftJob):
         # the chain length is the target block's size: check k before
         # any n x n matrix is built
         _check_k(job.k, segre.blocks[t][1])
-        if P0 is None:
-            P0 = Matrix.identity(n)
-        A, chain_list = build_matrix(segre, P0)
+        A, chain_list = build_matrix(
+            segre, Matrix.identity(n) if P0 is None else P0
+        )
         others = [b for i, b in enumerate(segre.blocks) if i != t]
-        return A, chain_list[t], others
+        basis = None if P0 is None else (P0, chain_list)
+        return A, chain_list[t], others, basis
     A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     _check_k(job.k, chains.length)
-    return A, chains, []
+    return A, chains, [], None
+
+
+def spectrum_holds(shift: ShiftResult, block: Optional[Matrix] = None) -> bool:
+    """Brauer's claim: A_hat's spectrum is A's with lam0 moved to lam1,
+    m times, by ``charpoly_ratio_check``.
+
+    Without a block the n x n pair (A, A_hat) is checked.  A block is
+    the shifted block M = W* A_hat V that extraction read and checked
+    (``StructurePrediction.block``); the pair (J_m(lam0), M) then
+    decides the claim.  The chain recurrences give W* A = J W*, and
+    extraction checked A_hat V = V M and A_hat - A = (A_hat V - V J) W*,
+    so K = ker W* is A-invariant and A_hat acts on K as A does: A_hat
+    is similar to M + A|K and A to J_m(lam0) + A|K (for n = m, W* =
+    V^{-1} and K = 0).  So p_A_hat (x - lam0)^m = p_A (x - lam1)^m
+    exactly when p_M (x - lam0)^m = p_J (x - lam1)^m.
+    """
+    lam0, lam1, m = shift.chains.lam, shift.lambda1, shift.multiplicity
+    if block is None:
+        return charpoly_ratio_check(shift.A, shift.A_hat, lam0, lam1, m)
+    return charpoly_ratio_check(jordan_block(lam0, m), block, lam0, lam1, m)
+
+
+def _in_jordan_basis(A_hat: Matrix, basis) -> Matrix:
+    """P0^{-1} A_hat P0 for a job's basis (P0, chains), or A_hat itself
+    when the basis is the identity (None).
+
+    P0^{-1} is read off the chains ``build_matrix`` returned
+    (``basis_inverse``), and checked: InverseIdentityError unless
+    P0^{-1} P0 = I exactly.  The similar matrix has A_hat's ranks, and
+    where the update stays in the target block it is J plus that block's
+    update, so it is sparse.
+    """
+    if basis is None:
+        return A_hat
+    P0, chain_list = basis
+    P0_inv = basis_inverse(chain_list)
+    if P0_inv @ P0 != Matrix.identity(P0.rows):
+        raise InverseIdentityError("P0^{-1} P0 != I")
+    return P0_inv @ A_hat @ P0
 
 
 def run_shift_job(job: ShiftJob) -> dict:
-    """Execute shift -> predict -> verify and assemble the report."""
-    lam0, lam1 = job.target_eigenvalue, job.new_eigenvalue
-    A, chains, others = _job_inputs(job)
+    """Execute shift -> predict -> verify and assemble the report.
+
+    Prediction runs first, so that the spectrum check can use the block
+    that extraction checked (``spectrum_holds``); a job whose prediction
+    is skipped or refused gets the full n x n check.  A segre job's
+    oracle reads its shifted matrix in the job's Jordan basis
+    (``_in_jordan_basis``).
+    """
+    lam1 = job.new_eigenvalue
+    A, chains, others, basis = _job_inputs(job)
     m = chains.length
     R = L = None  # without a free part the shift builds the default
     if job.r_free is not None:
@@ -316,22 +374,9 @@ def run_shift_job(job: ShiftJob) -> dict:
         L = make_left_inverse(U, free=job.l_free)
     shift = (shift_odd if m % 2 else shift_even)(A, chains, lam1, R=R, L=L)
 
-    diagnostics = []
-    verdicts = {}
-    verdicts["spectrum_check"] = (
-        PASS if charpoly_ratio_check(A, shift.A_hat, lam0, lam1, m) else FAIL
-    )
-    verdicts["half_chain_invariance"] = (
-        PASS if half_chain_invariance_holds(shift) else FAIL
-    )
-
     prediction = None
-    predicted_obj = None
-    cycles_obj = None
-    report_oracle = None
     if job.segre is None and A.rows != m:
-        verdicts["prediction_vs_oracle"] = NA
-        diagnostics.append(
+        skipped = (
             "no full-dimension Jordan basis available for an explicit "
             "matrix larger than the supplied chain; prediction skipped"
         )
@@ -339,41 +384,56 @@ def run_shift_job(job: ShiftJob) -> dict:
         try:
             prediction = predict_structure(shift)
         except ExtractionError as exc:
-            verdicts["prediction_vs_oracle"] = NA
-            diagnostics.append(f"prediction not applicable: {exc}")
+            skipped = f"prediction not applicable: {exc}"
+
+    diagnostics = []
+    verdicts = {}
+    block = None if prediction is None else prediction.block
+    verdicts["spectrum_check"] = PASS if spectrum_holds(shift, block) else FAIL
+    verdicts["half_chain_invariance"] = (
+        PASS if half_chain_invariance_holds(shift) else FAIL
+    )
+
+    predicted_obj = None
+    cycles_obj = None
+    report_oracle = None
+    if prediction is None:
+        verdicts["prediction_vs_oracle"] = NA
+        diagnostics.append(skipped)
+    else:
+        diagnostics.extend(prediction.diagnostics)
+        predicted_full = SegreCharacteristic(
+            list(prediction.segre.blocks) + others
+        )
+        if job.segre is not None:
+            eigs = [lam1] + [lam for lam, _ in others]
+            mults = None
+            if verdicts["spectrum_check"] == PASS:
+                # the passing check proves the algebraic multiplicities
+                sizes = [m] + [size for _, size in others]
+                mults = [
+                    sum(s for mu, s in zip(eigs, sizes) if mu == lam)
+                    for lam in eigs
+                ]
+            oracle = oracle_segre(
+                _in_jordan_basis(shift.A_hat, basis), eigs, mults
+            )
         else:
-            diagnostics.extend(prediction.diagnostics)
-            predicted_full = SegreCharacteristic(
-                list(prediction.segre.blocks) + others
-            )
-            if job.segre is not None:
-                eigs = [lam1] + [lam for lam, _ in others]
-                mults = None
-                if verdicts["spectrum_check"] == PASS:
-                    # the passing check proves the algebraic multiplicities
-                    sizes = [m] + [size for _, size in others]
-                    mults = [
-                        sum(s for mu, s in zip(eigs, sizes) if mu == lam)
-                        for lam in eigs
-                    ]
-                oracle = oracle_segre(shift.A_hat, eigs, mults)
-            else:
-                sizes = weyr_profile(shift.A_hat, lam1).block_sizes()
-                oracle = SegreCharacteristic([(lam1, s) for s in sizes])
-                predicted_full = prediction.segre
-            verdicts["prediction_vs_oracle"] = (
-                PASS if predicted_full == oracle else FAIL
-            )
-            predicted_obj = {
-                "segre": segre_to_obj(predicted_full),
-                "case_label": prediction.case_label,
-                "fallback_used": prediction.fallback_used,
-            }
-            cycles_obj = [
-                [vector_to_obj(v) for v in cycle]
-                for cycle in prediction.cycles
-            ]
-            report_oracle = segre_to_obj(oracle)
+            sizes = weyr_profile(shift.A_hat, lam1).block_sizes()
+            oracle = SegreCharacteristic([(lam1, s) for s in sizes])
+            predicted_full = prediction.segre
+        verdicts["prediction_vs_oracle"] = (
+            PASS if predicted_full == oracle else FAIL
+        )
+        predicted_obj = {
+            "segre": segre_to_obj(predicted_full),
+            "case_label": prediction.case_label,
+            "fallback_used": prediction.fallback_used,
+        }
+        cycles_obj = [
+            [vector_to_obj(v) for v in cycle] for cycle in prediction.cycles
+        ]
+        report_oracle = segre_to_obj(oracle)
     report = {
         "kind": "shift-report",
         "job": job.normalized(),

@@ -8,7 +8,10 @@ R1 = [V v_{k+1} L], R2 = [R r U] with the normalized middle vector r.
 The checks test that the half chains carry over to lam1 and that the
 spectrum changes only in lam0 -> lam1 (the characteristic polynomials,
 each computed once without division and compared coefficient by
-coefficient).
+coefficient).  The spectrum check takes any square pair: a shift job
+hands it (A, A_hat), or, once extraction has checked the shifted block
+M, the m x m pair (J_m(lam0), M), which decides the same claim
+(``reporting.spectrum_holds``).
 """
 
 from __future__ import annotations

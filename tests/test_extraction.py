@@ -242,7 +242,7 @@ def _segre_job_cases(rng, count):
                 "change_of_basis": matrix_to_obj(P0),
             }
         )
-        A, chains, _ = _job_inputs(job)
+        A, chains, _, _ = _job_inputs(job)
         # the Jordan basis of the target-first order, and its chains
         columns = iter(P0.columns())
         parts = [(b, [next(columns) for _ in range(b[1])]) for b in segre]
