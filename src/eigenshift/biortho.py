@@ -2,8 +2,6 @@
 
 Inner products are conjugate-linear in the left argument throughout
 (u* v), matching the star convention used by the shift construction.
-The left chain of A at lam0 is a right chain of A* at conj(lam0), so
-the left resolvent identity is the right one computed for A*.
 
 Tables are batched: a Gram table is one product U* V of the stacked
 chains, and the resolvent identities of several chain pairs come from
@@ -26,7 +24,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import Matrix, Vector, _as_scalar
-from .scalars import ONE, ZERO
+from .scalars import ZERO
 from .synthesis import ChainPair
 
 
@@ -106,20 +104,6 @@ def check_hankel(table: GramTable):
     return True, None
 
 
-def middle_product_nonzero(left: Sequence[Vector], right: Sequence[Vector]):
-    """u_m* v_m for the middle index m = (p+1)/2 of an odd full chain.
-
-    A zero raises InvalidChainError, as for GramTable.middle.
-    """
-    p = len(left)
-    if p != len(right):
-        raise InvalidChainError("left/right chain lengths differ")
-    if p % 2 == 0:
-        raise InvalidChainError("middle product needs odd chain length")
-    m = (p + 1) // 2
-    return gram_table([left[m - 1]], [right[m - 1]]).middle()
-
-
 def _resolvent_solve(A: Matrix, lam, rhs):
     """(A - lam I)^{-1} rhs; a point of the spectrum raises ResolventError."""
     try:
@@ -128,46 +112,6 @@ def _resolvent_solve(A: Matrix, lam, rhs):
         raise ResolventError(
             f"resolvent point {lam} lies in the spectrum"
         ) from None
-
-
-def _resolvent_apply(A: Matrix, lam, lam0, chain, i: int, side: str):
-    """(A - lam I)^{-1} x_i for a chain x of A at lam0, cross-checked.
-
-    The closed form is sum_{j=1}^{i} (-1)^{i-j} x_j / (lam0 - lam)^{i-j+1};
-    solving the linear system and evaluating the sum validate each other.
-    """
-    solved = _resolvent_solve(A, lam, chain[i - 1])
-    d = lam0 - lam
-    acc = Vector.zero(solved.dim)
-    for j in range(1, i + 1):
-        coeff = (ONE if (i - j) % 2 == 0 else -ONE) / d ** (i - j + 1)
-        acc = acc + chain[j - 1].scale(coeff)
-    if solved != acc:
-        raise InvalidChainError(
-            "resolvent closed form disagrees with the exact solve; "
-            f"input is not a genuine {side} chain"
-        )
-    return solved
-
-
-def resolvent_apply_right(
-    A: Matrix, lam, pair: ChainPair, i: int
-) -> Vector:
-    """(A - lam I)^{-1} v_i, exactly, cross-checked against the closed form."""
-    lam = _as_scalar(lam)
-    return _resolvent_apply(A, lam, pair.lam, pair.right, i, "right")
-
-
-def resolvent_apply_left(A: Matrix, lam, pair: ChainPair, i: int) -> Vector:
-    """w with w* = u_i* (A - lam I)^{-1}, cross-checked likewise.
-
-    w = (A* - conj(lam) I)^{-1} u_i, and the u_i form a right chain of A*
-    at conj(lam0), so this is the right-side computation for A*.
-    """
-    return _resolvent_apply(
-        A.H, _as_scalar(lam).conjugate(), pair.lam.conjugate(), pair.left,
-        i, "left",
-    )
 
 
 def resolvent_identities(A: Matrix, lam, pairs: Sequence[ChainPair]) -> list:

@@ -303,12 +303,6 @@ class Vector(_Exact):
             raise ShapeError("vector dimensions differ")
         return _vector(_sum(self._form, other._form, -1))
 
-    def concat(self, other: "Vector") -> "Vector":
-        return _vector(_concat([self._form, other._form]))
-
-    def conj(self) -> "Vector":
-        return _vector((self.den, self.re, _negated(self.im)))
-
     def as_column(self) -> "Matrix":
         return _matrix(self.dim, 1, self._form)
 
@@ -322,11 +316,6 @@ def inner(u: Vector, v: Vector):
         raise ShapeError("inner product of different dimensions")
     (re,), im = _mul(1, u.dim, 1, u.re, _negated(u.im), v.re, v.im)
     return from_integers(re, im[0] if im else 0, u.den * v.den)
-
-
-def outer_conj(u: Vector, v: Vector) -> "Matrix":
-    """Rank-one matrix u v* (conjugate transpose of v)."""
-    return _matrix(u.dim, v.dim, _product(u.as_column(), v, v.dim, _negated(v.im)))
 
 
 def outer_plain(u: Vector, v: Vector) -> "Matrix":
@@ -877,15 +866,6 @@ def vstack(*mats: Matrix) -> Matrix:
     if any(m.cols != c for m in mats):
         raise ShapeError("vstack with differing column counts")
     return _matrix(sum(m.rows for m in mats), c, _concat([m._form for m in mats]))
-
-
-def direct_sum(*mats: Matrix) -> Matrix:
-    c, c0, bands = sum(m.cols for m in mats), 0, []
-    for m in mats:
-        left, right = Matrix.zeros(m.rows, c0), Matrix.zeros(m.rows, c - c0 - m.cols)
-        bands.append(_hcat([left, m, right]))
-        c0 += m.cols
-    return vstack(*bands) if bands else Matrix.zeros(0, 0)
 
 
 def stack_vectors_as_rows(vectors: Sequence[Vector]) -> Matrix:

@@ -42,10 +42,6 @@ class WeyrProfile:
             prev = d
         return tuple(out)
 
-    @property
-    def algebraic_multiplicity(self) -> int:
-        return self.null_dims[-1] if self.null_dims else 0
-
     def block_sizes(self) -> tuple:
         """Jordan block sizes at lam: conjugate partition of the increments."""
         inc = self.increments

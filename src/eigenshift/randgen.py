@@ -32,6 +32,7 @@ from .synthesis import (
     SegreCharacteristic,
     basis_inverse,
     build_matrix,
+    parametric_chain_matrices,
     random_unimodular,
 )
 
@@ -95,21 +96,6 @@ def _random_extras(rng: random.Random, avoid) -> list:
     return extras
 
 
-def _chain_matrices(m: int, n: int, a, b):
-    """The full-length parametric chains of the leading block J_m, in J
-    coordinates, as the columns of two n x m matrices (left, right):
-
-    u_i = sum_{j<=i} a_{i-j+1} e_{m-j+1}, v_i = sum_{j<=i} b_{i-j+1} e_j.
-    """
-    left = [[0] * m for _ in range(n)]
-    right = [[0] * m for _ in range(n)]
-    for i in range(m):
-        for j in range(i + 1):
-            left[m - 1 - j][i] = a[i - j]
-            right[j][i] = b[i - j]
-    return Matrix.from_rows(left), Matrix.from_rows(right)
-
-
 def _int_params(rng: random.Random, m: int):
     """Chain parameters with a unit leading coefficient (integer inverses)."""
     return [rng.choice((-1, 1))] + [rng.randint(-2, 2) for _ in range(m - 1)]
@@ -139,11 +125,11 @@ def _structured_inverses(
     L = P0 H with H = [S2; (U_blk^*)^{-1}; 0]; the random integer blocks
     S1, S2 are the free parameters of the update.  B = B_k and U_blk
     are the leading k x k block of the right chains and the trailing
-    one of the left chains (``_chain_matrices``): B_k is the upper
-    triangular Toeplitz matrix T_b with first row b_1..b_k, and U_blk
-    is T_a with its rows reversed, so (U_blk^*)^{-1} is (T_a^{-1})^T
-    with its rows reversed.  Both inverses are integer back
-    substitutions.
+    one of the left chains (``synthesis.parametric_chain_matrices``):
+    B_k is the upper triangular Toeplitz matrix T_b with first row
+    b_1..b_k, and U_blk is T_a with its rows reversed, so
+    (U_blk^*)^{-1} is (T_a^{-1})^T with its rows reversed.  Both
+    inverses are integer back substitutions.
     """
     n, m = P0.rows, len(a)
     if k == 0:
@@ -180,7 +166,7 @@ def _make_instance(
     A, blocks = build_matrix(segre, P0)
     P0_invH = basis_inverse(blocks).H
     a, b = _int_params(rng, m), _int_params(rng, m)
-    left_j, right_j = _chain_matrices(m, n, a, b)
+    left_j, right_j = parametric_chain_matrices(m, n, a, b)
     right = P0 @ right_j
     chains = ChainPair(lam0, (P0_invH @ left_j).columns(), right.columns())
     R = L = None

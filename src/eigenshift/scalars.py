@@ -188,11 +188,6 @@ def CR(re, im=0) -> ComplexRational:
     return ComplexRational(re, im)
 
 
-def conj(x):
-    """Complex conjugate of a ``ComplexRational``."""
-    return x.conjugate()
-
-
 def format_scalar(x: ComplexRational) -> str:
     """Canonical string form: '3', '-1/2', '1/2+3i', '-2i', '1-1/3i'."""
     re, im = x.re, x.im

@@ -38,7 +38,7 @@ from .linalg import (
     outer_plain,
 )
 from .scalars import ComplexRational, ONE
-from .synthesis import ChainPair, _check_chains
+from .synthesis import ChainPair, check_chains
 
 
 @dataclass(frozen=True)
@@ -180,14 +180,11 @@ def half_chain_invariance_holds(shift: ShiftResult) -> bool:
     multiple of r, so u_1* A_hat = lam1 u_1* as well as A_hat v_1 = lam1 v_1.
     """
     h = max(shift.k, 1)
-    try:
-        _check_chains(
-            shift.A_hat, shift.lambda1,
-            shift.chains.left[:h], shift.chains.right[:h],
-        )
-    except InvalidChainError:
-        return False
-    return True
+    (failure,) = check_chains(
+        shift.A_hat,
+        [(shift.lambda1, shift.chains.left[:h], shift.chains.right[:h])],
+    )
+    return failure is None
 
 
 def charpoly_ratio_check(
@@ -234,8 +231,3 @@ def _times_power(p: Vector, lam, m: int):
                 [d * x - a * z - b * y for x, y, z in zip(im + [0], [0] + re, [0] + im)],
             )
     return _normal(p.den * d**m, re, im)
-
-
-def update_rank(shift: ShiftResult) -> int:
-    """Rank of A_hat - A (bounded by the shifted multiplicity)."""
-    return (shift.A_hat - shift.A).exact_rank()

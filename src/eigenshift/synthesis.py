@@ -3,8 +3,9 @@
 Given a block description and a change of basis P, builds A = P J P^{-1}
 together with the left/right generalized eigenvector chains of every
 block, read off from the columns of P and the rows of P^{-1}.  Also
-provides the parametrized chain families for a single Jordan block and
-for a pair of equal blocks.
+provides the parametrized chain family of a Jordan block
+(``parametric_chain_matrices``), which the random instances draw from,
+and its checked forms for a single block and for a pair of equal blocks.
 
 A chain pair is checked as two matrix equations, A V = V J_p(lam) and
 U* A = J_p(lam)^T U*; the shift's half-chain invariance runs the same
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 from .errors import InvalidChainError, InvalidParameterError, ShapeError
 from .linalg import (
     Matrix,
-    Vector,
     _as_scalar,
     _clear,
     _mul,
     jordan_sum,
+    vstack,
 )
-from .scalars import ComplexRational, ZERO
+from .scalars import ComplexRational
 
 
 @dataclass(frozen=True)
@@ -106,16 +107,11 @@ class ChainPair:
         return len(self.left)
 
     def verify_against(self, A: Matrix) -> None:
-        """Check the defining recurrences exactly; raise on violation."""
-        _check_chains(A, self.lam, self.left, self.right)
-
-
-def _check_chains(A: Matrix, lam, left, right) -> None:
-    """A V = V J_p(lam) and U* A = J_p(lam)^T U*, or InvalidChainError:
-    the one-chain case of ``check_chains``."""
-    (failure,) = check_chains(A, [(lam, left, right)])
-    if failure is not None:
-        raise failure
+        """Check the defining recurrences exactly; raise on violation:
+        the one-chain case of ``check_chains``."""
+        (failure,) = check_chains(A, [(self.lam, self.left, self.right)])
+        if failure is not None:
+            raise failure
 
 
 def check_chains(A: Matrix, chains):
@@ -253,12 +249,27 @@ def basis_inverse(chains) -> Matrix:
     return Matrix.from_columns([u for pair in chains for u in reversed(pair.left)]).H
 
 
-def generate_parametric_chains_single(lam, twok: int, a, b) -> ChainPair:
-    """Every chain pair of a single block J_{2k}(lam), parametrized.
+def parametric_chain_matrices(m: int, n: int, a, b):
+    """The full-length parametric chains of a leading block J_m, in J
+    coordinates, as the columns of two n x m matrices (left, right):
 
-    u_i = sum_{j=1}^{i} a_{i-j+1} e_{2k-j+1},
-    v_i = sum_{j=1}^{i} b_{i-j+1} e_j,   with a_1 b_1 != 0.
+    u_i = sum_{j<=i} a_{i-j+1} e_{m-j+1}, v_i = sum_{j<=i} b_{i-j+1} e_j.
+
+    The coefficient of each unit vector depends on i - j (a convolution),
+    as the chain recurrences need; rows past m are zero.
     """
+    left = [[0] * m for _ in range(n)]
+    right = [[0] * m for _ in range(n)]
+    for i in range(m):
+        for j in range(i + 1):
+            left[m - 1 - j][i] = a[i - j]
+            right[j][i] = b[i - j]
+    return Matrix.from_rows(left), Matrix.from_rows(right)
+
+
+def generate_parametric_chains_single(lam, twok: int, a, b) -> ChainPair:
+    """Every chain pair of a single block J_{2k}(lam), parametrized
+    (``parametric_chain_matrices`` with m = n = 2k), a_1 b_1 != 0."""
     if twok < 2 or twok % 2 != 0:
         raise InvalidParameterError("chain family needs even length >= 2")
     a = [_as_scalar(x) for x in a]
@@ -269,16 +280,8 @@ def generate_parametric_chains_single(lam, twok: int, a, b) -> ChainPair:
         )
     if (a[0] * b[0]).is_zero:
         raise InvalidParameterError("a_1 * b_1 must be nonzero")
-    left, right = [], []
-    for i in range(1, twok + 1):
-        u = [ZERO] * twok
-        v = [ZERO] * twok
-        for j in range(1, i + 1):
-            u[twok - j] = u[twok - j] + a[i - j]
-            v[j - 1] = v[j - 1] + b[i - j]
-        left.append(Vector(u))
-        right.append(Vector(v))
-    return ChainPair(lam, left, right)
+    left, right = parametric_chain_matrices(twok, twok, a, b)
+    return ChainPair(lam, left.columns(), right.columns())
 
 
 def generate_parametric_chains_two_blocks(lam, k: int, a, b, c, d):
@@ -286,11 +289,8 @@ def generate_parametric_chains_two_blocks(lam, k: int, a, b, c, d):
 
     Returns (left chain of the first block, right chain of the second):
     u_i = sum_{j<=i} a_{i-j+1} e_{k-j+1} + b_{i-j+1} e_{2k-j+1},
-    v_i = sum_{j<=i} c_{i-j+1} e_j + d_{i-j+1} e_{k+j}.
-
-    The coefficient of each unit vector must depend on i - j (a convolution)
-    for the chain recurrences to hold; any other indexing breaks them as
-    soon as the parameters are non-constant.
+    v_i = sum_{j<=i} c_{i-j+1} e_j + d_{i-j+1} e_{k+j},
+    the single-block families of (a, c) and (b, d) stacked.
     """
     if k < 1:
         raise InvalidParameterError("block size must be >= 1")
@@ -305,19 +305,12 @@ def generate_parametric_chains_two_blocks(lam, k: int, a, b, c, d):
         raise InvalidParameterError(
             "leading parameter pairs (a_1, b_1) and (c_1, d_1) cannot both vanish"
         )
-    n = 2 * k
-    left, right = [], []
-    for i in range(1, k + 1):
-        u = [ZERO] * n
-        v = [ZERO] * n
-        for j in range(1, i + 1):
-            u[k - j] = u[k - j] + a[i - j]
-            u[n - j] = u[n - j] + b[i - j]
-            v[j - 1] = v[j - 1] + c[i - j]
-            v[k + j - 1] = v[k + j - 1] + d[i - j]
-        left.append(Vector(u))
-        right.append(Vector(v))
-    return left, right
+    first_left, first_right = parametric_chain_matrices(k, k, a, c)
+    second_left, second_right = parametric_chain_matrices(k, k, b, d)
+    return (
+        vstack(first_left, second_left).columns(),
+        vstack(first_right, second_right).columns(),
+    )
 
 
 def random_unimodular(

@@ -12,8 +12,6 @@ import pytest
 from eigenshift.biortho import (
     check_hankel,
     gram_table,
-    resolvent_apply_left,
-    resolvent_apply_right,
     resolvent_orthogonality_check,
 )
 from eigenshift.canonical import classify_odd, predict_structure
@@ -228,6 +226,16 @@ def _random_pair(rng, size):
     return lam, chains[0]
 
 
+def _resolvent_closed_form(chain, d, i):
+    """sum_{j<=i} (-1)^{i-j} x_j / d^{i-j+1}, which is (M - t I)^{-1} x_i
+    for a right chain x of M at lam0 and d = lam0 - t."""
+    acc = Vector.zero(chain[0].dim)
+    for j in range(1, i + 1):
+        sign = ONE if (i - j) % 2 == 0 else -ONE
+        acc = acc + chain[j - 1].scale(sign / d ** (i - j + 1))
+    return acc
+
+
 def test_criterion_8_biorthogonality_suite(capsys):
     rng = random.Random(211)
     ok = True
@@ -297,8 +305,14 @@ def test_criterion_8_biorthogonality_suite(capsys):
         point = lam + CR(rng.choice([1, 2, -1, -2]))
         shifted = A - Matrix.identity(size).scale(point)
         for i in range(1, size + 1):
-            rv = resolvent_apply_right(A, point, pair, i)
-            lw = resolvent_apply_left(A, point, pair, i)
+            # (A - t I)^{-1} v_i = sum_j (-1)^{i-j} v_j / (lam0 - t)^{i-j+1},
+            # and the u_i, a right chain of A* at conj(lam0), likewise
+            rv = shifted.solve(pair.right[i - 1])
+            lw = shifted.H.solve(pair.left[i - 1])
+            ok = ok and rv == _resolvent_closed_form(pair.right, lam - point, i)
+            ok = ok and lw == _resolvent_closed_form(
+                pair.left, lam.conjugate() - point.conjugate(), i
+            )
         ok = ok and resolvent_orthogonality_check(A, point, pair)
 
     _report(capsys, 8, "biorthogonality, Hankel, families and resolvents", ok)

@@ -1,6 +1,7 @@
 """Biorthogonality patterns, Hankel Gram tables and resolvent identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,6 @@ from eigenshift.biortho import (
     GramTable,
     check_hankel,
     gram_table,
-    middle_product_nonzero,
-    resolvent_apply_left,
-    resolvent_apply_right,
     resolvent_identities,
     resolvent_orthogonality_check,
 )
@@ -22,7 +20,7 @@ from eigenshift.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from eigenshift.linalg import Matrix, Vector, direct_sum, inner, jordan_block
+from eigenshift.linalg import Matrix, Vector, inner, jordan_block
 from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.synthesis import (
     ChainPair,
@@ -124,40 +122,50 @@ def test_two_block_family_disjoint_pattern():
 def test_middle_product():
     segre = SegreCharacteristic([(0, 3)])
     _, chains = build_matrix(segre, Matrix.identity(3))
-    mu = middle_product_nonzero(chains[0].left, chains[0].right)
+    mu = gram_table(chains[0].left, chains[0].right).middle()
     assert not mu.is_zero
-    with pytest.raises(InvalidChainError):
-        middle_product_nonzero(chains[0].left[:2], chains[0].right[:2])
+    with pytest.raises(InvalidChainError, match="^middle inner product vanishes"):
+        GramTable(Matrix.zeros(3, 3)).middle()
+
+
+def resolvent_closed_form(chain, d, i):
+    """sum_{j<=i} (-1)^{i-j} x_j / d^{i-j+1}, which is (M - t I)^{-1} x_i
+    for a right chain x of M at lam0 and d = lam0 - t."""
+    acc = Vector.zero(chain[0].dim)
+    for j in range(1, i + 1):
+        sign = ONE if (i - j) % 2 == 0 else -ONE
+        acc = acc + chain[j - 1].scale(sign / d ** (i - j + 1))
+    return acc
 
 
 def test_resolvent_apply_matches_definition():
+    """(A - t I)^{-1} v_i has the closed form in the v_j; the u_i are a
+    right chain of A* at conj(lam0), so (A* - conj(t) I)^{-1} u_i has it
+    in the u_j with conj(lam0) - conj(t)."""
     rng = random.Random(8)
-    segre = SegreCharacteristic([(2, 4)])
-    P = random_unimodular(4, rng)
-    A, chains = build_matrix(segre, P)
-    pair = chains[0]
-    point = CR(7)
-    shifted = A - Matrix.identity(4).scale(point)
-    for i in range(1, 5):
-        rv = resolvent_apply_right(A, point, pair, i)
-        assert shifted @ rv == pair.right[i - 1]
-        lw = resolvent_apply_left(A, point, pair, i)
-        assert shifted.H @ lw == pair.left[i - 1]
+    for lam0, point in ((CR(2), CR(7)), (CR(1, -1), CR(Fraction(1, 2), 2))):
+        segre = SegreCharacteristic([(lam0, 4)])
+        A, chains = build_matrix(segre, random_unimodular(4, rng))
+        pair = chains[0]
+        shifted = A - Matrix.identity(4).scale(point)
+        for i in range(1, 5):
+            rv = shifted.solve(pair.right[i - 1])
+            assert shifted @ rv == pair.right[i - 1]
+            assert rv == resolvent_closed_form(pair.right, lam0 - point, i)
+            lw = shifted.H.solve(pair.left[i - 1])
+            assert shifted.H @ lw == pair.left[i - 1]
+            assert lw == resolvent_closed_form(
+                pair.left, lam0.conjugate() - point.conjugate(), i
+            )
 
 
 def test_resolvent_rejects_spectrum_point():
     segre = SegreCharacteristic([(2, 2)])
     A, chains = build_matrix(segre, Matrix.identity(2))
-    pair = chains[0]
-    for check in (
-        lambda: resolvent_apply_right(A, CR(2), pair, 1),
-        lambda: resolvent_apply_left(A, CR(2), pair, 2),
-        lambda: resolvent_orthogonality_check(A, CR(2), pair),
+    with pytest.raises(
+        ResolventError, match="^resolvent point 2 lies in the spectrum$"
     ):
-        with pytest.raises(
-            ResolventError, match="^resolvent point 2 lies in the spectrum$"
-        ):
-            check()
+        resolvent_orthogonality_check(A, CR(2), chains[0])
 
 
 def test_resolvent_orthogonality():

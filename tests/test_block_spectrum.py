@@ -25,7 +25,6 @@ from eigenshift.errors import ExtractionError
 from eigenshift.linalg import Matrix, Vector, jordan_block, outer_plain
 from eigenshift.oracle import oracle_segre
 from eigenshift.randgen import (
-    _chain_matrices,
     random_even_shift_instance,
     random_odd_shift_instance,
     random_scalar,
@@ -45,6 +44,7 @@ from eigenshift.synthesis import (
     SegreCharacteristic,
     basis_inverse,
     build_matrix,
+    parametric_chain_matrices,
     random_unimodular,
 )
 
@@ -182,7 +182,7 @@ def _explicit_job(rng, m):
     A = build_matrix(SegreCharacteristic([(lam0, m)]), P)[0]
     a = [rng.choice((-2, 3))] + [rng.randint(-2, 2) for _ in range(m - 1)]
     b = [rng.choice((-1, 2))] + [rng.randint(-2, 2) for _ in range(m - 1)]
-    left, right = _chain_matrices(m, m, a, b)
+    left, right = parametric_chain_matrices(m, m, a, b)
     P_invH = P.inverse().H
     return {
         "target_eigenvalue": str(lam0),

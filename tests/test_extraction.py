@@ -18,9 +18,8 @@ import pytest
 
 from eigenshift.canonical import _extract_leading_block, predict_structure
 from eigenshift.errors import ExtractionError
-from eigenshift.linalg import Matrix, Vector, outer_conj, outer_plain
+from eigenshift.linalg import Matrix, Vector, outer_plain
 from eigenshift.randgen import (
-    _chain_matrices,
     random_even_shift_instance,
     random_odd_shift_instance,
     random_scalar,
@@ -41,10 +40,11 @@ from eigenshift.shifting import (
     shift_even,
     shift_odd,
 )
-from eigenshift.synthesis import ChainPair
 from eigenshift.synthesis import (
+    ChainPair,
     SegreCharacteristic,
     build_matrix,
+    parametric_chain_matrices,
     random_unimodular,
 )
 
@@ -202,7 +202,7 @@ def _perturbed(shift, chain_list, rng):
     or couples it to another block, or stays outside it."""
     u = rng.choice(rng.choice(chain_list).right)
     v = rng.choice(rng.choice(chain_list).left)
-    A_hat = shift.A_hat + outer_conj(u, v)
+    A_hat = shift.A_hat + u.as_column() @ v.as_column().H
     return ShiftResult(shift.A, A_hat, shift.chains, shift.lambda1, shift.middle)
 
 
@@ -290,7 +290,7 @@ def test_explicit_jobs_with_parametric_chains_extract_as_their_chain_basis():
         a = [rng.choice((-2, 3))] + [rng.randint(-2, 2) for _ in range(m - 1)]
         b = [rng.choice((-1, 2))] + [rng.randint(-2, 2) for _ in range(m - 1)]
         A = build_matrix(SegreCharacteristic([(lam0, m)]), Matrix.identity(m))[0]
-        left, right = _chain_matrices(m, m, a, b)
+        left, right = parametric_chain_matrices(m, m, a, b)
         chains = ChainPair(lam0, left.columns(), right.columns())
         Ut = Matrix.from_columns(list(reversed(chains.left)))
         assert Ut.H @ right != Matrix.identity(m)

@@ -8,14 +8,13 @@ from eigenshift.canonical import classify_odd, predict_structure
 from eigenshift.linalg import Matrix, vstack
 from eigenshift.randgen import (
     ODD_CASE_LABELS,
-    _chain_matrices,
     _int_params,
     _structured_inverses,
     random_even_shift_instance,
     random_odd_shift_instance,
     targeted_concentrated_form,
 )
-from eigenshift.synthesis import random_unimodular
+from eigenshift.synthesis import parametric_chain_matrices, random_unimodular
 
 # SHA-256 of ``_selftest_stream(1, 3)``; any change to a random draw, its
 # order or a value built from it changes this digest
@@ -77,7 +76,7 @@ def _bareiss_structured_inverses(rng, P0, P0_invH, a, b, k):
     """R and L as the Bareiss inverses of B_k and U_blk^* give them: the
     reference for ``_structured_inverses``."""
     n, m = P0.rows, len(a)
-    left_j, right_j = _chain_matrices(m, n, a, b)
+    left_j, right_j = parametric_chain_matrices(m, n, a, b)
     Bk = right_j.submatrix(0, k, 0, k)
     Ublk = left_j.submatrix(m - k, m, 0, k)
     S1 = Matrix(m - k, k, [rng.randint(-2, 2) for _ in range((m - k) * k)])
@@ -100,7 +99,7 @@ def test_structured_inverses_equal_the_bareiss_inverses():
         R, L = _structured_inverses(rng, P0, P0_invH, a, b, k)
         rng.setstate(state)
         assert (R, L) == _bareiss_structured_inverses(rng, P0, P0_invH, a, b, k)
-        left_j, right_j = _chain_matrices(m, n, a, b)
+        left_j, right_j = parametric_chain_matrices(m, n, a, b)
         V = (P0 @ right_j).submatrix(0, n, 0, k)
         U = (P0_invH @ left_j).submatrix(0, n, 0, k)
         assert R.H @ V == U.H @ L == Matrix.identity(k)

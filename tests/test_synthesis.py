@@ -1,6 +1,7 @@
 """Matrix synthesis from block data and parametric chain families."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -167,11 +168,9 @@ def test_parametric_single_rejects_zero_lead():
 
 
 def test_parametric_two_blocks_verifies():
-    from eigenshift.linalg import direct_sum
-
     lam = CR(2)
     k = 3
-    J2 = direct_sum(jordan_block(lam, k), jordan_block(lam, k))
+    J2 = jordan_matrix(SegreCharacteristic([(lam, k), (lam, k)]))
     left, right = generate_parametric_chains_two_blocks(
         lam, k, [1, 0, 2], [1, -1, 0], [0, 1, 1], [1, 2, -1]
     )
@@ -183,6 +182,299 @@ def test_parametric_two_blocks_rejects_double_zero_lead():
         generate_parametric_chains_two_blocks(
             0, 2, [0, 1], [0, 1], [1, 1], [1, 1]
         )
+
+
+# Chain-family parameters with distinct entries, so that an index slip in
+# the convolution moves a visible value: per kind, the families a, b, c, d
+# (the single block reads a and b, the block pair all four).
+_FAMILY_PARAMS = {
+    "integer": (
+        [2, -3, 5, -7, 11, -13],
+        [3, 4, -1, 6, -2, 8],
+        [-1, 2, 0, 3, 1, -4],
+        [5, 0, -6, 1, 7, 2],
+    ),
+    "rational": (
+        [Fraction(1, 2), Fraction(-2, 3), 4, Fraction(5, 7), Fraction(-1, 6), 3],
+        [Fraction(-3, 4), 1, Fraction(2, 5), Fraction(-7, 2), 0, Fraction(1, 9)],
+        [Fraction(2, 3), Fraction(1, 4), -1, Fraction(3, 8), Fraction(5, 2), Fraction(-4, 3)],
+        [Fraction(-1, 5), Fraction(6, 7), Fraction(1, 3), 2, Fraction(-3, 2), Fraction(1, 8)],
+    ),
+    "complex": (
+        [CR(1, 1), CR(0, -2), CR(Fraction(1, 2), 3), CR(-4), CR(2, Fraction(-1, 3)), CR(0, 1)],
+        [CR(2, -1), CR(Fraction(-1, 2)), CR(0, 5), CR(1, 1), CR(Fraction(3, 4), -2), CR(-1, 0)],
+        [CR(0, 3), CR(1, -1), CR(2), CR(Fraction(-1, 3), 1), CR(0, -1), CR(4, 2)],
+        [CR(-2, 1), CR(0, 1), CR(Fraction(1, 5), Fraction(-2, 5)), CR(3), CR(1, 4), CR(-1, -1)],
+    ),
+}
+
+# (kind, 2k) -> (left chain, right chain) of the single-block family, each
+# vector as its space-separated entry texts, u_1 / v_1 first
+_SINGLE_GOLDEN = {
+    ("integer", 2): (
+        [
+            "0 2",
+            "2 -3",
+        ],
+        [
+            "3 0",
+            "4 3",
+        ],
+    ),
+    ("integer", 4): (
+        [
+            "0 0 0 2",
+            "0 0 2 -3",
+            "0 2 -3 5",
+            "2 -3 5 -7",
+        ],
+        [
+            "3 0 0 0",
+            "4 3 0 0",
+            "-1 4 3 0",
+            "6 -1 4 3",
+        ],
+    ),
+    ("integer", 6): (
+        [
+            "0 0 0 0 0 2",
+            "0 0 0 0 2 -3",
+            "0 0 0 2 -3 5",
+            "0 0 2 -3 5 -7",
+            "0 2 -3 5 -7 11",
+            "2 -3 5 -7 11 -13",
+        ],
+        [
+            "3 0 0 0 0 0",
+            "4 3 0 0 0 0",
+            "-1 4 3 0 0 0",
+            "6 -1 4 3 0 0",
+            "-2 6 -1 4 3 0",
+            "8 -2 6 -1 4 3",
+        ],
+    ),
+    ("rational", 2): (
+        [
+            "0 1/2",
+            "1/2 -2/3",
+        ],
+        [
+            "-3/4 0",
+            "1 -3/4",
+        ],
+    ),
+    ("rational", 4): (
+        [
+            "0 0 0 1/2",
+            "0 0 1/2 -2/3",
+            "0 1/2 -2/3 4",
+            "1/2 -2/3 4 5/7",
+        ],
+        [
+            "-3/4 0 0 0",
+            "1 -3/4 0 0",
+            "2/5 1 -3/4 0",
+            "-7/2 2/5 1 -3/4",
+        ],
+    ),
+    ("rational", 6): (
+        [
+            "0 0 0 0 0 1/2",
+            "0 0 0 0 1/2 -2/3",
+            "0 0 0 1/2 -2/3 4",
+            "0 0 1/2 -2/3 4 5/7",
+            "0 1/2 -2/3 4 5/7 -1/6",
+            "1/2 -2/3 4 5/7 -1/6 3",
+        ],
+        [
+            "-3/4 0 0 0 0 0",
+            "1 -3/4 0 0 0 0",
+            "2/5 1 -3/4 0 0 0",
+            "-7/2 2/5 1 -3/4 0 0",
+            "0 -7/2 2/5 1 -3/4 0",
+            "1/9 0 -7/2 2/5 1 -3/4",
+        ],
+    ),
+    ("complex", 2): (
+        [
+            "0 1+1i",
+            "1+1i -2i",
+        ],
+        [
+            "2-1i 0",
+            "-1/2 2-1i",
+        ],
+    ),
+    ("complex", 4): (
+        [
+            "0 0 0 1+1i",
+            "0 0 1+1i -2i",
+            "0 1+1i -2i 1/2+3i",
+            "1+1i -2i 1/2+3i -4",
+        ],
+        [
+            "2-1i 0 0 0",
+            "-1/2 2-1i 0 0",
+            "5i -1/2 2-1i 0",
+            "1+1i 5i -1/2 2-1i",
+        ],
+    ),
+    ("complex", 6): (
+        [
+            "0 0 0 0 0 1+1i",
+            "0 0 0 0 1+1i -2i",
+            "0 0 0 1+1i -2i 1/2+3i",
+            "0 0 1+1i -2i 1/2+3i -4",
+            "0 1+1i -2i 1/2+3i -4 2-1/3i",
+            "1+1i -2i 1/2+3i -4 2-1/3i 1i",
+        ],
+        [
+            "2-1i 0 0 0 0 0",
+            "-1/2 2-1i 0 0 0 0",
+            "5i -1/2 2-1i 0 0 0",
+            "1+1i 5i -1/2 2-1i 0 0",
+            "3/4-2i 1+1i 5i -1/2 2-1i 0",
+            "-1 3/4-2i 1+1i 5i -1/2 2-1i",
+        ],
+    ),
+}
+
+# (kind, k) -> (left chain of the first block, right chain of the second)
+# of the block-pair family
+_TWO_BLOCKS_GOLDEN = {
+    ("integer", 1): (
+        [
+            "2 3",
+        ],
+        [
+            "-1 5",
+        ],
+    ),
+    ("integer", 2): (
+        [
+            "0 2 0 3",
+            "2 -3 3 4",
+        ],
+        [
+            "-1 0 5 0",
+            "2 -1 0 5",
+        ],
+    ),
+    ("integer", 3): (
+        [
+            "0 0 2 0 0 3",
+            "0 2 -3 0 3 4",
+            "2 -3 5 3 4 -1",
+        ],
+        [
+            "-1 0 0 5 0 0",
+            "2 -1 0 0 5 0",
+            "0 2 -1 -6 0 5",
+        ],
+    ),
+    ("rational", 1): (
+        [
+            "1/2 -3/4",
+        ],
+        [
+            "2/3 -1/5",
+        ],
+    ),
+    ("rational", 2): (
+        [
+            "0 1/2 0 -3/4",
+            "1/2 -2/3 -3/4 1",
+        ],
+        [
+            "2/3 0 -1/5 0",
+            "1/4 2/3 6/7 -1/5",
+        ],
+    ),
+    ("rational", 3): (
+        [
+            "0 0 1/2 0 0 -3/4",
+            "0 1/2 -2/3 0 -3/4 1",
+            "1/2 -2/3 4 -3/4 1 2/5",
+        ],
+        [
+            "2/3 0 0 -1/5 0 0",
+            "1/4 2/3 0 6/7 -1/5 0",
+            "-1 1/4 2/3 1/3 6/7 -1/5",
+        ],
+    ),
+    ("complex", 1): (
+        [
+            "1+1i 2-1i",
+        ],
+        [
+            "3i -2+1i",
+        ],
+    ),
+    ("complex", 2): (
+        [
+            "0 1+1i 0 2-1i",
+            "1+1i -2i 2-1i -1/2",
+        ],
+        [
+            "3i 0 -2+1i 0",
+            "1-1i 3i 1i -2+1i",
+        ],
+    ),
+    ("complex", 3): (
+        [
+            "0 0 1+1i 0 0 2-1i",
+            "0 1+1i -2i 0 2-1i -1/2",
+            "1+1i -2i 1/2+3i 2-1i -1/2 5i",
+        ],
+        [
+            "3i 0 0 -2+1i 0 0",
+            "1-1i 3i 0 1i -2+1i 0",
+            "2 1-1i 3i 1/5-2/5i 1i -2+1i",
+        ],
+    ),
+}
+
+
+def _chain_texts(chain):
+    return [" ".join(v.texts()) for v in chain]
+
+
+@pytest.mark.parametrize("kind", sorted(_FAMILY_PARAMS))
+def test_parametric_families_match_their_golden_texts(kind):
+    a, b, c, d = _FAMILY_PARAMS[kind]
+    for twok in (2, 4, 6):
+        pair = generate_parametric_chains_single(CR(3), twok, a[:twok], b[:twok])
+        got = (_chain_texts(pair.left), _chain_texts(pair.right))
+        assert got == _SINGLE_GOLDEN[kind, twok]
+    for k in (1, 2, 3):
+        left, right = generate_parametric_chains_two_blocks(
+            CR(3), k, a[:k], b[:k], c[:k], d[:k]
+        )
+        assert (_chain_texts(left), _chain_texts(right)) == _TWO_BLOCKS_GOLDEN[kind, k]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: generate_parametric_chains_single(0, 3, [1] * 3, [1] * 3),
+         "chain family needs even length >= 2"),
+        (lambda: generate_parametric_chains_single(0, 0, [], []),
+         "chain family needs even length >= 2"),
+        (lambda: generate_parametric_chains_single(0, 4, [1] * 3, [1] * 4),
+         "need 4 parameters in each family, got 3/4"),
+        (lambda: generate_parametric_chains_single(0, 4, [0, 1, 1, 1], [1] * 4),
+         "a_1 * b_1 must be nonzero"),
+        (lambda: generate_parametric_chains_two_blocks(0, 0, [], [], [], []),
+         "block size must be >= 1"),
+        (lambda: generate_parametric_chains_two_blocks(0, 2, [1, 1], [1], [1, 1], [1, 1]),
+         "each parameter family needs 2 entries"),
+        (lambda: generate_parametric_chains_two_blocks(0, 2, [1, 1], [1, 1], [0, 1], [0, 1]),
+         "leading parameter pairs (a_1, b_1) and (c_1, d_1) cannot both vanish"),
+    ],
+)
+def test_parametric_families_refuse_with_their_messages(build, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_random_unimodular_entry_bound():
