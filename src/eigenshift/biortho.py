@@ -5,11 +5,13 @@ Inner products are conjugate-linear in the left argument throughout
 
 Tables are batched: a Gram table is one product U* V of the stacked
 chains, and the resolvent identities of several chain pairs come from
-one solve (A - lam I) X = [V_1 ... V_q] and one product U* X, each pair
-reading its own diagonal block.  With the chain recurrences, which
-``synthesis.check_chains`` checks with one product per side, A V and
-A* U, a verify job therefore makes one elimination and four products,
-however many chain pairs it holds.
+one forward Bareiss pass over the bordered matrix
+[[A - lam I, V], [U*, 0]] (``linalg.schur_product``), which leaves
+U* (A - lam I)^{-1} V in its trailing block with no solve and no
+product; each pair reads its own diagonal block.  With the chain
+recurrences, which ``synthesis.check_chains`` checks with one product
+per side, A V and A* U, a verify job therefore makes one elimination
+and three products, however many chain pairs it holds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Vector, _as_scalar
+from .linalg import Matrix, Vector, _as_scalar, schur_product
 from .scalars import ZERO
 from .synthesis import ChainPair
 
@@ -104,38 +106,33 @@ def check_hankel(table: GramTable):
     return True, None
 
 
-def _resolvent_solve(A: Matrix, lam, rhs):
-    """(A - lam I)^{-1} rhs; a point of the spectrum raises ResolventError."""
+def resolvent_identities(A: Matrix, lam, pairs: Sequence[ChainPair]) -> list:
+    """For each pair, whether u_i* (A - lam I)^{-1} v_j = 0 for all i + j <= p.
+
+    The identities read u_1 .. u_(p-1) and v_1 .. v_(p-1) only, and
+    their table U* (A - lam I)^{-1} V, for all pairs at once, is the one
+    ``schur_product`` of the bordered matrix: a pair's identities are the
+    leading anti-triangle of its diagonal block.  The pass runs even when
+    every pair has length 1, so a point of the spectrum always raises
+    ResolventError.
+    """
+    lam = _as_scalar(lam)
+    n = A.rows
+    heads = [pair.length - 1 for pair in pairs]
+    U = Matrix.from_columns([u for pair in pairs for u in pair.left[:-1]], n)
+    V = Matrix.from_columns([v for pair in pairs for v in pair.right[:-1]], n)
     try:
-        return A.minus_identity(lam).solve(rhs)
+        table = GramTable(schur_product(U.H, A.minus_identity(lam), V))
     except SingularMatrixError:
         raise ResolventError(
             f"resolvent point {lam} lies in the spectrum"
         ) from None
-
-
-def resolvent_identities(A: Matrix, lam, pairs: Sequence[ChainPair]) -> list:
-    """For each pair, whether u_i* (A - lam I)^{-1} v_j = 0 for all i + j <= p.
-
-    One solve (A - lam I) X = [V_1 ... V_q] and one product U* X serve
-    every pair: a pair's identities are the leading anti-triangle of its
-    diagonal block.  A point of the spectrum raises ResolventError.
-    """
-    lengths = [pair.length for pair in pairs]
-    images = _resolvent_solve(
-        A,
-        _as_scalar(lam),
-        Matrix.from_columns([v for pair in pairs for v in pair.right]),
-    )
-    table = GramTable(
-        Matrix.from_columns([u for pair in pairs for u in pair.left]).H @ images
-    )
     verdicts = []
     offset = 0
-    for p in lengths:
-        own = table.block(offset, p, offset, p)
-        verdicts.append(_antitriangle_entry(own, p) is None)
-        offset += p
+    for h in heads:
+        own = table.block(offset, h, offset, h)
+        verdicts.append(_antitriangle_entry(own, h + 1) is None)
+        offset += h
     return verdicts
 
 

@@ -14,9 +14,10 @@ integer parts; every operation reads and returns the form, ``texts``
 prints the entries straight from it, and a ``ComplexRational`` is made
 only when an entry is read.
 
-Products are integer dot products.  Rank, determinant, solve, inverse
-and null space run on one fraction-free kernel: row i enters it as its
-numerators over g_i = gcd(den, content of row i), integers or
+Products are integer dot products.  Rank, determinant, solve, inverse,
+null space and ``schur_product`` (C A^{-1} B from one forward pass over
+the bordered matrix) run on one fraction-free kernel: row i enters it as
+its numerators over g_i = gcd(den, content of row i), integers or
 Gaussian-integer (re, im) pairs.  Elimination is Bareiss's scheme, whose
 division by the previous pivot is exact in Z and in Z[i] (Bareiss 1968).
 Its row scaling is lazy: a row whose entry in the pivot column is 0 is
@@ -649,6 +650,42 @@ def power_ranks(N: Matrix):
         rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
 
 
+def schur_product(C: Matrix, A: Matrix, B: Matrix) -> Matrix:
+    """The exact C A^{-1} B for square nonsingular A, with no solve.
+
+    One forward Bareiss pass runs over the integer rows of the bordered
+    matrix [[A, B], [C, 0]], taking its n pivots from A's rows alone.
+    Entry (n + i, n + j) then ends as the bordered minor
+    det [[A, B_j], [C_i, 0]] of the integer rows, which is
+    -d s_i (C A^{-1} B)_ij, d being the last pivot and s_i the scale of
+    C's row i (A's row scales cancel in A^{-1} B).  So only the r x m
+    trailing block is divided, once; nothing is back-substituted and no
+    n x m A^{-1} B is formed (Bareiss 1968).  A singular A raises
+    SingularMatrixError with the rank that ``solve`` reports.
+    """
+    if not A.is_square:
+        raise ShapeError("schur_product requires a square matrix")
+    n, r, m = A.rows, C.rows, B.cols
+    if B.rows != n or C.cols != n:
+        raise ShapeError(f"cannot border a {A.shape} matrix with {C.shape} and {B.shape}")
+    bordered = vstack(_hcat([A, B]), _hcat([C, Matrix.zeros(r, m)]))
+    scales, rows, gaussian = _integer_rows(bordered)
+    piv_cols, _ = _eliminate(rows, n, gaussian, pivot_rows=n)
+    if len(piv_cols) < n:
+        raise SingularMatrixError(
+            f"matrix is singular (rank {len(piv_cols)})", rank=len(piv_cols)
+        )
+    d = rows[n - 1][n - 1] if n else ((1, 0) if gaussian else 1)
+    # entry (i, j) is z_ij / (-d s_i): over -d L, each row times L / s_i
+    L = lcm(*scales[n:])
+    d = (-d[0] * L, -d[1] * L) if gaussian else -d * L
+    zs = []
+    for s, row in zip(scales[n:], rows[n:]):
+        f = L // s
+        zs += [(a * f, b * f) for a, b in row[n:]] if gaussian else [x * f for x in row[n:]]
+    return _matrix(r, m, _divided(zs, d, gaussian))
+
+
 # -- fraction-free integer kernel ----------------------------------------------
 
 
@@ -715,11 +752,13 @@ def _primitive(row, gaussian):
     return [(a // g, b // g) for a, b in row] if g > 1 else row
 
 
-def _eliminate(rows, ncols, gaussian, reduced=False):
+def _eliminate(rows, ncols, gaussian, reduced=False, pivot_rows=None):
     """Bareiss elimination of integer rows, in place.
 
-    Pivots are searched in the first ncols columns; each is the first
-    nonzero entry at or below the current row.  Each row update is
+    Pivots are searched in the first ncols columns and, with pivot_rows
+    given, in the first pivot_rows rows only (the rows below are
+    updated but never pivot); each is the first nonzero entry at or
+    below the current row.  Each row update is
     (p * row - f * pivot_row) / previous pivot, where p and f are the
     entries of the pivot row and of the row in the pivot column.  The
     division is exact in Z and in Z[i], and the last pivot ends as the
@@ -740,33 +779,38 @@ def _eliminate(rows, ncols, gaussian, reduced=False):
     step = _step_gaussian if gaussian else _step_integer
     zero = (0, 0) if gaussian else 0
     n = len(rows)
+    bound = n if pivot_rows is None else pivot_rows
     piv_cols = []
     sign = 1
     pivots = [(1, 0) if gaussian else 1]  # pivots[t], the pivot of step t
     since = [0] * n  # since[i], the step row i is scaled to
     r = 0
+    skipped = ncols  # the first column without a pivot
     for c in range(ncols):
-        pr = next((i for i in range(r, n) if rows[i][c] != zero), None)
+        pr = next((i for i in range(r, bound) if rows[i][c] != zero), None)
         if pr is None:
+            skipped = min(skipped, c)
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             since[r], since[pr] = since[pr], since[r]
             sign = -sign
         t = len(pivots)
-        # the rows from r on are zero left of c
+        # the rows from r to bound are zero left of c, and the rows from
+        # bound on left of the first column without a pivot
         top = rows[r] = step(rows[r], rows[r], pivots[-1], zero, pivots[since[r]], c)
         since[r] = t
         p = top[c]
         for i in range(0 if reduced else r + 1, n):
             f = rows[i][c]
             if f != zero and i != r:
-                rows[i] = step(rows[i], top, p, f, pivots[since[i]], 0 if i < r else c)
+                lo = 0 if i < r else c if i < bound else min(c, skipped)
+                rows[i] = step(rows[i], top, p, f, pivots[since[i]], lo)
                 since[i] = t
         pivots.append(p)
         piv_cols.append(c)
         r += 1
-        if r == n:
+        if r == bound:
             break
     # pivot rows stay final unless reduced; bring the lazy rows up to date
     last = pivots[-1]

@@ -478,8 +478,9 @@ def run_verify_job(A: Matrix, pairs) -> dict:
 
     Every recurrence is checked first, all chains sharing one product
     per side (``check_chains``); the chains that pass then share one
-    Gram table and one resolvent solve, and each pair reads its own
-    blocks of them.
+    Gram table and one bordered forward pass for the resolvent table
+    (``resolvent_identities``), and each pair reads its own blocks of
+    them.
     """
     from .biortho import check_hankel, gram_table
     from .errors import InvalidChainError
@@ -563,7 +564,7 @@ def _resolvent_verdicts(A: Matrix, pairs, exclude):
     """Resolvent identity verdicts at the first t = 0, 1, 2, ... that is
     neither in exclude nor an eigenvalue of A.
 
-    A point of the spectrum shows as a singular solve, so the solve that
+    A point of the spectrum shows as a singular pass, so the pass that
     gives the verdicts also picks the point; at most n points fail.
     """
     from .biortho import resolvent_identities

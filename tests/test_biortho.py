@@ -1,6 +1,7 @@
 """Biorthogonality patterns, Hankel Gram tables and resolvent identities."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -242,12 +243,31 @@ def reference_resolvent_check(A, lam, pair):
     )
 
 
+def corrupted(pair, where):
+    """pair with one vector plus its chain's last: u_1 or v_1, or u_(p-1)
+    or v_(p-1), whose only identities lie on the edge i + j = p.  Each
+    breaks an identity: u_p* (A - t I)^{-1} v_1 and u_1* (A - t I)^{-1} v_p
+    are u_p* v_1 / (lam - t) and u_1* v_p / (lam - t), both nonzero."""
+    side, first = where
+    left, right = list(pair.left), list(pair.right)
+    chain = left if side == "left" else right
+    i = 0 if first else pair.length - 2
+    chain[i] = chain[i] + chain[-1]
+    return ChainPair(pair.lam, left, right)
+
+
+CORRUPTIONS = (("left", True), ("right", True), ("left", False), ("right", False))
+
+
 @st.composite
 def chain_families(draw):
-    """(A, chain pairs, point): blocks with complex eigenvalues in a random
-    unimodular basis, some left chains corrupted (u_1 -> u_1 + u_p)."""
+    """(A, chain pairs, point, corrupted): blocks with complex eigenvalues
+    in a random unimodular basis, some chains of length 2 or more
+    corrupted, and in one family every block of size 1; the point is an
+    eigenvalue in about a quarter of the draws."""
     count = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+    largest = draw(st.sampled_from((1, 4, 4, 4)))
+    sizes = draw(st.lists(st.integers(1, largest), min_size=count, max_size=count))
     parts = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
     lams = draw(st.lists(parts, min_size=count, max_size=count))
     lams[0] = (lams[0][0], lams[0][1] or 1)  # at least one non-real
@@ -256,25 +276,44 @@ def chain_families(draw):
     )
     rng = random.Random(draw(st.integers(0, 2**16)))
     A, chains = build_matrix(segre, random_unimodular(sum(sizes), rng))
-    corrupt = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    wheres = draw(
+        st.lists(
+            st.none() | st.sampled_from(CORRUPTIONS), min_size=count, max_size=count
+        )
+    )
+    bad = [where is not None and pair.length > 1 for pair, where in zip(chains, wheres)]
     pairs = [
-        ChainPair(pair.lam, [pair.left[0] + pair.left[-1], *pair.left[1:]], pair.right)
-        if bad and len(pair.left) > 1
-        else pair
-        for pair, bad in zip(chains, corrupt)
+        corrupted(pair, where) if hit else pair
+        for pair, where, hit in zip(chains, wheres, bad)
     ]
-    return A, pairs, CR(draw(st.integers(-3, 3)))
+    if draw(st.integers(0, 3)) == 0:
+        point = draw(st.sampled_from([pair.lam for pair in chains]))
+    else:
+        point = CR(draw(st.integers(-3, 3)))
+    return A, pairs, point, bad
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(chain_families())
 def test_batched_resolvent_verdicts_match_per_pair_solves(family):
-    A, pairs, point = family
+    A, pairs, point, bad = family
     try:
         want = [reference_resolvent_check(A, point, pair) for pair in pairs]
     except SingularMatrixError:
-        with pytest.raises(ResolventError):
+        with pytest.raises(ResolventError, match="^resolvent point .* lies in the spectrum$"):
             resolvent_identities(A, point, pairs)
         return
+    assert want == [not hit for hit in bad]
     assert resolvent_identities(A, point, pairs) == want
     assert [resolvent_orthogonality_check(A, point, p) for p in pairs] == want
+
+
+def test_length_one_pairs_still_refuse_a_spectrum_point():
+    """With every pair of length 1 there are no identities, but the pass
+    still runs, so a point of the spectrum raises."""
+    segre = SegreCharacteristic([(CR(0, 1), 1), (CR(3), 1), (CR(1), 1)])
+    A, chains = build_matrix(segre, random_unimodular(3, random.Random(5)))
+    assert resolvent_identities(A, CR(2), chains) == [True, True, True]
+    for lam in (CR(3), CR(1), CR(0, 1)):
+        with pytest.raises(ResolventError, match=f"^resolvent point {re.escape(str(lam))} lies"):
+            resolvent_identities(A, lam, chains)

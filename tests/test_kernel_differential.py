@@ -11,7 +11,9 @@ determinant per point, and the ranks of powers, which clear a matrix to
 integers once, against one rank per explicit power.  The operations
 that slice, stack, add or transpose the stored integer form are checked
 against entrywise ComplexRational references, and every result must
-keep the canonical form.
+keep the canonical form.  The bordered pass ``schur_product`` is checked
+against a solve and a product, C @ A.solve(B), and the lazy elimination,
+with and without a bound on its pivot rows, against eager Bareiss.
 """
 
 import operator
@@ -21,7 +23,7 @@ from itertools import accumulate, islice, repeat
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenshift.errors import ShapeError, SingularMatrixError
@@ -34,6 +36,7 @@ from eigenshift.linalg import (
     jordan_block,
     outer_plain,
     power_ranks,
+    schur_product,
     stack_vectors_as_rows,
     vstack,
 )
@@ -664,9 +667,11 @@ def exact_quotient(x, d):
     return q
 
 
-def eager_bareiss(rows, ncols, gaussian, reduced):
+def eager_bareiss(rows, ncols, gaussian, reduced, pivot_rows=None):
     """Plain Bareiss elimination that updates every row at every pivot,
-    each division checked exact; returns (rows, pivot columns, sign)."""
+    taking pivots from the first pivot_rows rows only (all rows when
+    None), each division checked exact; returns (rows, pivot columns,
+    sign)."""
     if gaussian:
         zero, one = (0, 0), (1, 0)
 
@@ -687,8 +692,9 @@ def eager_bareiss(rows, ncols, gaussian, reduced):
 
     rows = [list(row) for row in rows]
     n, piv_cols, sign, prev, r = len(rows), [], 1, one, 0
+    bound = n if pivot_rows is None else pivot_rows
     for c in range(ncols):
-        pr = next((i for i in range(r, n) if rows[i][c] != zero), None)
+        pr = next((i for i in range(r, bound) if rows[i][c] != zero), None)
         if pr is None:
             continue
         if pr != r:
@@ -704,7 +710,7 @@ def eager_bareiss(rows, ncols, gaussian, reduced):
         prev = p
         piv_cols.append(c)
         r += 1
-        if r == n:
+        if r == bound:
             break
     return rows, piv_cols, sign
 
@@ -712,7 +718,8 @@ def eager_bareiss(rows, ncols, gaussian, reduced):
 @st.composite
 def integer_rows(draw):
     """Integer or Gaussian rows with many zero entries and zero columns,
-    some of them rank-deficient, and the number of columns to pivot in."""
+    some of them rank-deficient, the number of columns to pivot in, and
+    the number of leading rows pivots may come from (None: all rows)."""
     gaussian = draw(st.booleans())
     n, width = draw(st.integers(0, 7)), draw(st.integers(0, 8))
     ncols = draw(st.integers(0, width))
@@ -725,14 +732,85 @@ def integer_rows(draw):
     ]
     if n > 2 and draw(st.booleans()):  # a repeated row
         rows[-1] = list(rows[0])
-    return rows, ncols, gaussian, draw(st.booleans())
+    pivot_rows = draw(st.none() | st.integers(0, n))
+    return rows, ncols, gaussian, draw(st.booleans()), pivot_rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_rows())
+# a row past the bound keeps its entry in a column that had no pivot
+@example(([[0, 2], [1, 1]], 2, False, False, 1))
 def test_lazy_elimination_matches_eager_bareiss(case):
-    rows, ncols, gaussian, reduced = case
-    want_rows, want_pivots, want_sign = eager_bareiss(rows, ncols, gaussian, reduced)
+    rows, ncols, gaussian, reduced, pivot_rows = case
+    want_rows, want_pivots, want_sign = eager_bareiss(
+        rows, ncols, gaussian, reduced, pivot_rows
+    )
     got_rows = [list(row) for row in rows]
-    assert _eliminate(got_rows, ncols, gaussian, reduced) == (want_pivots, want_sign)
+    got = _eliminate(got_rows, ncols, gaussian, reduced, pivot_rows=pivot_rows)
+    assert got == (want_pivots, want_sign)
     assert got_rows == want_rows
+
+
+# -- the bordered pass: C A^-1 B against a solve and a product -----------------
+
+
+def assert_schur_matches_solve(C, A, B):
+    """schur_product(C, A, B) equals C @ A.solve(B), or raises as the
+    solve does, with the same rank."""
+    try:
+        want = C @ A.solve(B)
+    except SingularMatrixError as err:
+        with pytest.raises(SingularMatrixError, match=r"^matrix is singular \(rank \d+\)$") as got:
+            schur_product(C, A, B)
+        assert got.value.rank == err.rank
+        return
+    assert schur_product(C, A, B) == want
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+)
+@pytest.mark.parametrize(
+    "n,r,m",
+    [(1, 1, 1), (4, 2, 3), (6, 5, 5), (5, 0, 3), (5, 3, 0), (4, 0, 0), (0, 2, 3), (0, 0, 0)],
+)
+def test_schur_product_matches_solve_then_product(n, r, m, probs):
+    """Real, Gaussian and mixed operands, B or C empty, and singular A
+    (a product through rank n - 1, and the zero matrix)."""
+    prob_c, prob_a, prob_b = probs
+    rng = random.Random(f"{n}:{r}:{m}:{probs}")
+    ranks = [None, None, n - 1, 0] if n else [None]
+    for rank in ranks:
+        A = random_matrix(rng, n, n, prob_a, rank=rank)
+        B = random_matrix(rng, n, m, prob_b)
+        C = random_matrix(rng, r, n, prob_c)
+        assert_schur_matches_solve(C, A, B)
+
+
+def test_schur_product_refuses_bad_shapes():
+    A, B, C = Matrix.identity(3), Matrix.zeros(3, 2), Matrix.zeros(2, 3)
+    with pytest.raises(ShapeError, match="^schur_product requires a square matrix$"):
+        schur_product(C, Matrix.zeros(3, 2), Matrix.zeros(3, 1))
+    for c, b in ((C, Matrix.zeros(2, 2)), (Matrix.zeros(2, 2), B)):
+        with pytest.raises(ShapeError, match=r"^cannot border a \(3, 3\) matrix"):
+            schur_product(c, A, b)
+
+
+@st.composite
+def bordered_operands(draw):
+    """(C, A, B): real, complex or mixed, empty B or C included, and A
+    often singular through a repeated or a zero row."""
+    n, r, m = draw(st.integers(0, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    A = draw(sized_matrices(n, n))
+    if n > 1 and draw(st.booleans()):
+        rows = A.row_list()
+        rows[-1] = rows[0] if draw(st.booleans()) else [ZERO] * n
+        A = Matrix.from_rows(rows)
+    return draw(sized_matrices(r, n)), A, draw(sized_matrices(n, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bordered_operands())
+def test_schur_product_property(operands):
+    assert_schur_matches_solve(*operands)
