@@ -6,13 +6,13 @@ pair alone: no n x n Jordan basis is built or inverted.  Both forms go
 through one concentrated reduction, an exact similarity that leaves a
 single coupling row c (T is the odd form with a = b = 0 and its middle
 1 x 1 block dropped).  The cases are dispatched on exact zero tests of
-b_1, a_k and c; each case names its chain tops and their sizes, and
-every cycle is read down from its top, [N^{s-1} t, ..., N t, t] with
-N = M - lam I.  The cycles belong to the reduced form, which the
-prediction carries as its canonical matrix, and each cycle set is
-verified exactly before it is surfaced.  Should a set ever fail its
-verification, the rank-sequence oracle supplies the cycles and the
-discrepancy is reported in the diagnostics instead of being trusted.
+b_1, a_k and c, and Brauer's m = 1 shift is the case Odd0; each case
+names its chain tops and their sizes.  Every cycle is read down from
+its top and each cycle set is checked exactly before it is surfaced,
+both in the oracle module (``read_down``, ``verify_cycles``).  The
+cycles belong to the reduced form, which the prediction carries as its
+canonical matrix.  Should a set ever fail its check, the oracle's own
+cycles replace it and the discrepancy is reported in the diagnostics.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .linalg import (
     jordan_sum,
     outer_plain,
 )
-from .oracle import jordan_cycles, verify_cycles
+from .oracle import jordan_cycles, read_down, verify_cycles
 from .scalars import ComplexRational, ONE
 from .shifting import ShiftResult
 from .synthesis import SegreCharacteristic
@@ -162,14 +162,9 @@ def extract_odd_canonical(shift: ShiftResult) -> OddCanonical:
     k = shift.k
     m = 2 * k + 1
     lead = _extract_leading_block(shift, m)
-    lam1 = shift.lambda1
-    if k == 0:
-        if lead[0, 0] != lam1:
-            raise ExtractionError("1x1 block does not equal lambda1")
-        return OddCanonical(0, lam1, Vector([]), Vector([]), Matrix(0, 0, []))
     form = OddCanonical(
         k,
-        lam1,
+        shift.lambda1,
         lead.submatrix(0, k, k, k + 1).col(0),
         lead.submatrix(k, k + 1, k + 1, m).row(0),
         lead.submatrix(0, k, k + 1, m),
@@ -326,25 +321,10 @@ def classify_odd(cf: ConcentratedForm) -> StructurePrediction:
 # shared machinery
 
 
-def _chains(M: Matrix, lam, tops) -> list:
-    """Each top t of size s read down to [N^{s-1} t, ..., N t, t], with
-    N = M - lam I; a top of size 0 names no cycle."""
-    N = M.minus_identity(lam)
-    cycles = []
-    for top, size in tops:
-        if size:
-            cycle = [top]
-            for _ in range(size - 1):
-                cycle.append(N @ cycle[-1])
-            cycle.reverse()
-            cycles.append(cycle)
-    return cycles
-
-
 def _finalize(M: Matrix, lam, label, tops) -> StructurePrediction:
     """Read the cycles down from their tops and verify them; fall back
     to the oracle's cycles on failure."""
-    cycles = _chains(M, lam, tops)
+    cycles = read_down(M.minus_identity(lam), tops)
     claimed = tuple(sorted((len(c) for c in cycles), reverse=True))
     diagnostics = []
     fallback = sum(claimed) != M.rows or not verify_cycles(M, lam, cycles)
@@ -424,12 +404,9 @@ def predict_structure(shift: ShiftResult, P=None) -> StructurePrediction:
         ec = extract_even_canonical(shift)
         return replace(classify_even(ec), block=ec.matrix())
     oc = extract_odd_canonical(shift)
-    if oc.k == 0:
-        return StructurePrediction(
-            segre=SegreCharacteristic([(oc.lam, 1)]),
-            cycles=((Vector([ONE]),),),
-            case_label="Odd0",
-            canonical=oc.matrix(),
-            block=oc.matrix(),
-        )
-    return replace(classify_odd(reduce_to_concentrated(oc)), block=oc.matrix())
+    if oc.k == 0:  # Brauer's shift: S = (lam1), with nothing to reduce
+        e_1 = Vector.unit(1, 0)
+        prediction = _finalize(oc.matrix(), oc.lam, "Odd0", [(e_1, 1)])
+    else:
+        prediction = classify_odd(reduce_to_concentrated(oc))
+    return replace(prediction, block=oc.matrix())

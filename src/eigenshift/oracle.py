@@ -8,7 +8,8 @@ algebraic multiplicity, a profile stops taking ranks where the
 multiplicity forces the rest (a forced tail): after an increment of 1,
 or with one dimension left, the remaining increments are all 1.
 Nothing here depends on the closed-form classifiers; this module is
-what they are verified against.
+what they are verified against; every cycle, theirs and its own, is
+read down from its top (``read_down``) and checked (``verify_cycles``).
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import ClassificationError, MissingEigenvalueError
+from .errors import ClassificationError, MissingEigenvalueError, ShapeError
 from .linalg import (
     Matrix,
-    Vector,
     _as_scalar,
     power_ranks,
     stack_vectors_as_rows,
 )
 from .scalars import ComplexRational
-from .synthesis import SegreCharacteristic
+from .synthesis import SegreCharacteristic, _first_failures
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def jordan_cycles(M: Matrix, lam):
     (M - lam I) c[0] = 0 and (M - lam I) c[i] = c[i-1].  The union of
     all cycles is a basis of the generalized eigenspace.  Standard
     construction: walk the kernel filtration top-down, completing each
-    level with fresh chain tops.
+    level with fresh chain tops, then read each top down to its cycle.
     """
     lam = _as_scalar(lam)
     n = M.rows
@@ -149,7 +149,7 @@ def jordan_cycles(M: Matrix, lam):
             return 0
         return stack_vectors_as_rows(vectors).exact_rank()
 
-    cycles = []
+    tops = []  # (top, size), tallest first
     carry = []  # images at the current level of taller chains' tops
     for j in range(len(kernels), 0, -1):
         lower = kernels[j - 2] if j >= 2 else []
@@ -170,29 +170,36 @@ def jordan_cycles(M: Matrix, lam):
                 f"kernel filtration walk at level {j} found {len(picked)} "
                 f"of {needed} chain tops"
             )
-        for top in picked:
-            cycle = [top]
-            for _ in range(j - 1):
-                cycle.append(N @ cycle[-1])
-            cycle.reverse()
-            cycles.append(cycle)
+        tops += [(top, j) for top in picked]
         carry = [N @ v for v in carry] + [N @ v for v in picked]
-    cycles.sort(key=len, reverse=True)
+    return read_down(N, tops)
+
+
+def read_down(N: Matrix, tops) -> list:
+    """Each top t of size s, for (t, s) in tops, read down to the cycle
+    [N^{s-1} t, ..., N t, t], eigenvector first; a top of size 0 names
+    no cycle."""
+    cycles = []
+    for top, size in tops:
+        cycle = [top]
+        while len(cycle) < size:
+            cycle.append(N @ cycle[-1])
+        if size:
+            cycles.append(cycle[::-1])
     return cycles
 
 
 def verify_cycles(M: Matrix, lam, cycles) -> bool:
-    """Chain recurrences hold and the stacked cycles have full rank."""
-    lam = _as_scalar(lam)
-    N = M.minus_identity(lam)
-    flat = []
-    for cycle in cycles:
-        prev = Vector.zero(M.rows)
-        for v in cycle:
-            if N @ v != prev:
-                return False
-            prev = v
-        flat.extend(cycle)
-    if not flat:
+    """Chain recurrences hold, all in one product
+    (``synthesis._first_failures``), and the stacked cycles have full
+    rank; an empty set is refused, and a misfit vector raises ShapeError."""
+    chains = [(_as_scalar(lam), c) for c in cycles if c]
+    if not chains:
         return False
-    return stack_vectors_as_rows(flat).exact_rank() == len(flat)
+    failures = _first_failures(M, chains)
+    if None in failures or not M.is_square:
+        raise ShapeError(f"cycles do not fit a {M.rows}x{M.cols} matrix")
+    flat = [v for _, c in chains for v in c]
+    return not any(failures) and (
+        stack_vectors_as_rows(flat).exact_rank() == len(flat)
+    )

@@ -132,8 +132,6 @@ def _structured_inverses(
     inverses are integer back substitutions.
     """
     n, m = P0.rows, len(a)
-    if k == 0:
-        return Matrix(n, 0, []), Matrix(n, 0, [])
     eye = [[int(i == j) for j in range(k)] for i in range(k)]
     B_inv = _toeplitz_solved(b[:k], eye)
     Ta_inv = _toeplitz_solved(a[:k], eye)

@@ -11,8 +11,8 @@ reproduces the report byte for byte.
 A shift job predicts before it checks the spectrum: when extraction
 succeeds, the m x m block it checked decides the spectrum claim, and
 the full n x n check runs only when prediction is refused or skipped.
-A segre job's oracle reads the shifted matrix in the job's Jordan
-basis, P0^{-1} A_hat P0, which is J plus the target block's update.
+Every job's oracle reads the shifted matrix in the job's Jordan basis,
+P0^{-1} A_hat P0 (A_hat itself without one): J plus the block's update.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import Matrix, Vector, jordan_block
-from .oracle import oracle_segre, weyr_profile
+from .oracle import oracle_segre
 from .scalars import ComplexRational, format_scalar, parse_scalar
 from .shifting import (
     ShiftResult,
@@ -358,8 +358,8 @@ def run_shift_job(job: ShiftJob) -> dict:
 
     Prediction runs first, so that the spectrum check can use the block
     that extraction checked (``spectrum_holds``); a job whose prediction
-    is skipped or refused gets the full n x n check.  A segre job's
-    oracle reads its shifted matrix in the job's Jordan basis
+    is skipped or refused gets the full n x n check.  Every job's oracle
+    reads its shifted matrix in the job's Jordan basis
     (``_in_jordan_basis``).
     """
     lam1 = job.new_eigenvalue
@@ -377,8 +377,9 @@ def run_shift_job(job: ShiftJob) -> dict:
     prediction = None
     if job.segre is None and A.rows != m:
         skipped = (
-            "no full-dimension Jordan basis available for an explicit "
-            "matrix larger than the supplied chain; prediction skipped"
+            "an explicit job names only the shifted chain, so A's Jordan "
+            "blocks outside it, at lambda1 too, are unknown to the oracle; "
+            "prediction skipped"
         )
     else:
         try:
@@ -402,26 +403,14 @@ def run_shift_job(job: ShiftJob) -> dict:
         diagnostics.append(skipped)
     else:
         diagnostics.extend(prediction.diagnostics)
-        predicted_full = SegreCharacteristic(
-            list(prediction.segre.blocks) + others
-        )
-        if job.segre is not None:
-            eigs = [lam1] + [lam for lam, _ in others]
-            mults = None
-            if verdicts["spectrum_check"] == PASS:
-                # the passing check proves the algebraic multiplicities
-                sizes = [m] + [size for _, size in others]
-                mults = [
-                    sum(s for mu, s in zip(eigs, sizes) if mu == lam)
-                    for lam in eigs
-                ]
-            oracle = oracle_segre(
-                _in_jordan_basis(shift.A_hat, basis), eigs, mults
-            )
-        else:
-            sizes = weyr_profile(shift.A_hat, lam1).block_sizes()
-            oracle = SegreCharacteristic([(lam1, s) for s in sizes])
-            predicted_full = prediction.segre
+        predicted_full = SegreCharacteristic([*prediction.segre.blocks, *others])
+        eigs = [lam1] + [lam for lam, _ in others]
+        mults = None
+        if verdicts["spectrum_check"] == PASS:
+            # the passing check proves the algebraic multiplicities
+            proven = SegreCharacteristic([(lam1, m)] + others)
+            mults = [sum(proven.sizes_at(lam)) for lam in eigs]
+        oracle = oracle_segre(_in_jordan_basis(shift.A_hat, basis), eigs, mults)
         verdicts["prediction_vs_oracle"] = (
             PASS if predicted_full == oracle else FAIL
         )

@@ -85,8 +85,6 @@ def _one_sided_inverse(X: Matrix, free: Optional[Matrix], name: str):
     X lacks full column rank, and its error carries rank(X).
     """
     n, k = X.shape
-    if k == 0:
-        return Matrix(n, 0, [])
     try:
         out = X @ (X.H @ X).inverse()
     except SingularMatrixError as exc:

@@ -286,15 +286,46 @@ def test_oracle_gets_multiplicities_only_after_a_passing_spectrum_check(monkeypa
         return oracle_segre(M, eigenvalues, multiplicities)
 
     monkeypatch.setattr(reporting, "oracle_segre", recording_oracle)
-    job = dict(GOLDEN_JOB, segre=[["1", 4], ["2", 1], ["3", 2]])
-    report = run_shift_job(parse_shift_job(job))
-    assert report["verdicts"]["prediction_vs_oracle"] == "pass"
-    assert calls == [[5, 5, 2]]  # lam1 = 2 owns the shifted 4 and a 1-block
+    segre_job = dict(GOLDEN_JOB, segre=[["1", 4], ["2", 1], ["3", 2]])
+    # an explicit n = m job takes the same oracle call, at lam1 alone
+    A, chains = build_matrix(
+        SegreCharacteristic([(1, 3)]), random_unimodular(3, random.Random(3))
+    )
+    explicit_job = {
+        "target_eigenvalue": "1",
+        "new_eigenvalue": "2",
+        "k": 1,
+        "matrix": matrix_to_obj(A),
+        "chains": {
+            "left": [vector_to_obj(u) for u in chains[0].left],
+            "right": [vector_to_obj(v) for v in chains[0].right],
+        },
+    }
+    jobs = [parse_shift_job(segre_job), parse_shift_job(explicit_job)]
+    reports = [run_shift_job(job) for job in jobs]
+    assert all(r["verdicts"]["prediction_vs_oracle"] == "pass" for r in reports)
+    # lam1 = 2 owns the shifted 4 and a 1-block; the explicit job's 3
+    assert calls == [[5, 5, 2], [3]]
     monkeypatch.setattr(reporting, "charpoly_ratio_check", lambda *args: False)
-    failed = run_shift_job(parse_shift_job(job))
-    assert failed["verdicts"]["spectrum_check"] == "fail"
-    assert calls[-1] is None
-    assert failed["oracle_segre"] == report["oracle_segre"]
+    for job, report in zip(jobs, reports):
+        failed = run_shift_job(job)
+        assert failed["verdicts"]["spectrum_check"] == "fail"
+        assert calls[-1] is None
+        assert failed["oracle_segre"] == report["oracle_segre"]
+    assert reports[1]["oracle_segre"] == [["2", 3]]
+
+
+def test_brauer_job_free_part_has_no_columns(tmp_path, capsys):
+    """With k = 0 the free parts are n x 0, as every free part is n x k:
+    a free part with a column is refused, an empty one is taken."""
+    job = dict(GOLDEN_JOB, k=0, segre=[["1", 1], ["3", 2]])
+    for side in ("r_free", "l_free"):
+        misfit = dict(job, **{side: [["0"]] * 3})
+        assert run_cli(["shift", write(tmp_path, "job.json", misfit)]) == 3
+        assert "free part must be 3x0, got (3, 1)" in capsys.readouterr().err
+        report = run_shift_job(parse_shift_job(dict(job, **{side: [[]] * 3})))
+        assert all(v == "pass" for v in report["verdicts"].values())
+        assert report["job"][side] == [[]] * 3
 
 
 def test_non_square_matrix_job_is_a_shape_error(tmp_path, capsys):
@@ -475,3 +506,4 @@ def test_explicit_matrix_job(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"]["prediction_vs_oracle"] == "pass"
     assert report["prediction"]["segre"] == [["6", 4]]
+    assert report["oracle_segre"] == [["6", 4]]

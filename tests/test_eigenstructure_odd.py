@@ -14,7 +14,7 @@ from eigenshift.canonical import (
 )
 from eigenshift.errors import ExtractionError
 from eigenshift.linalg import Matrix, Vector, stack_vectors_as_rows
-from eigenshift.oracle import verify_cycles, weyr_profile
+from eigenshift.oracle import jordan_cycles, verify_cycles, weyr_profile
 from eigenshift.randgen import (
     ODD_CASE_LABELS,
     random_odd_shift_instance,
@@ -103,7 +103,8 @@ def test_targeted_labels_all_reachable_and_sound():
 def test_fallback_substitutes_verified_oracle_cycles(monkeypatch):
     """No known form reaches the fallback, so one verification is made
     to fail: the oracle's cycles replace the closed-form ones, the
-    prediction says so, and the substituted cycles verify."""
+    prediction says so, and the substituted cycles verify.  The m = 1
+    case takes the same path."""
     from eigenshift import canonical
 
     calls = []
@@ -125,6 +126,16 @@ def test_fallback_substitutes_verified_oracle_cycles(monkeypatch):
     assert verify_cycles(cf.matrix(), cf.lam, [list(c) for c in pred.cycles])
     # the next prediction verifies its own cycles again
     assert not classify_odd(cf).fallback_used
+    # Brauer's m = 1 shift (Odd0) is verified like every other case
+    calls.clear()
+    A, chains = build_matrix(SegreCharacteristic([(3, 1), (5, 2)]), Matrix.identity(3))
+    pred = predict_structure(shift_odd(A, chains[0], -1))
+    assert pred.case_label == "Odd0" and pred.fallback_used
+    assert pred.cycles == tuple(map(tuple, jordan_cycles(pred.canonical, -1)))
+    assert pred.diagnostics == (
+        "closed-form cycles for case Odd0 failed verification; oracle "
+        "cycles substituted (claimed (1,), actual (1,))",
+    )
 
 
 def test_odd_segre_family_membership():

@@ -125,12 +125,13 @@ def test_explicit_job_larger_than_its_chain_skips_prediction():
     )
     assert report["verdicts"] == NOT_PREDICTED
     assert report["diagnostics"] == [
-        "no full-dimension Jordan basis available for an explicit matrix "
-        "larger than the supplied chain; prediction skipped"
+        "an explicit job names only the shifted chain, so A's Jordan blocks "
+        "outside it, at lambda1 too, are unknown to the oracle; prediction "
+        "skipped"
     ]
     assert report["prediction"] is None and report["cycles"] is None
     assert digest == (
-        "1ded7a7f6f87d05896e070ff8d869a853a8f9836ac5731fe0363ed9ad45180de"
+        "e6a4309e305b60348037a93ecfc8741dccb483113b6f7b9f9177b3c30cae955b"
     )
 
 

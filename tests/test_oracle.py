@@ -9,14 +9,27 @@ import pytest
 
 import eigenshift
 from eigenshift import oracle
-from eigenshift.errors import ClassificationError, MissingEigenvalueError
-from eigenshift.linalg import Matrix, jordan_block, power_ranks
+from eigenshift.canonical import classify_odd, predict_structure
+from eigenshift.errors import ClassificationError, MissingEigenvalueError, ShapeError
+from eigenshift.linalg import (
+    Matrix,
+    Vector,
+    jordan_block,
+    power_ranks,
+    stack_vectors_as_rows,
+)
 from eigenshift.oracle import (
     WeyrProfile,
     jordan_cycles,
     oracle_segre,
     verify_cycles,
     weyr_profile,
+)
+from eigenshift.randgen import (
+    ODD_CASE_LABELS,
+    random_even_shift_instance,
+    random_odd_shift_instance,
+    targeted_concentrated_form,
 )
 from eigenshift.scalars import CR
 from eigenshift.synthesis import (
@@ -115,8 +128,6 @@ def test_jordan_cycles_mixed_blocks_random_basis():
 
 def test_verify_cycles_rejects_wrong_chain():
     M = jordan_block(CR(0), 2)
-    from eigenshift.linalg import Vector
-
     good = jordan_cycles(M, 0)
     assert verify_cycles(M, 0, good)
     bad = [[Vector.unit(2, 1), Vector.unit(2, 0)]]  # reversed order
@@ -125,10 +136,65 @@ def test_verify_cycles_rejects_wrong_chain():
 
 def test_verify_cycles_rejects_dependent_cycles():
     M = Matrix.identity(2)
-    from eigenshift.linalg import Vector
-
     dep = [[Vector.unit(2, 0)], [Vector.unit(2, 0)]]
     assert not verify_cycles(M, 1, dep)
+
+
+def _walk_verify(M, lam, cycles):
+    """Each vector walked against its predecessor, one product per
+    vector, then the rank of all of them: the reference for
+    ``verify_cycles``."""
+    N = M.minus_identity(lam)
+    flat = []
+    for cycle in cycles:
+        prev = Vector.zero(M.rows)
+        for v in cycle:
+            if N @ v != prev:
+                return False
+            prev = v
+        flat.extend(cycle)
+    if not flat:
+        return False
+    return stack_vectors_as_rows(flat).exact_rank() == len(flat)
+
+
+def _pool_predictions(rng):
+    """Predictions of the guarded random shift pools, whose update never
+    couples out of the shifted block, and of every targeted odd case."""
+    for make in (random_even_shift_instance, random_odd_shift_instance):
+        for _ in range(6):
+            yield predict_structure(make(rng, max_k=2).shift)
+    for label in ODD_CASE_LABELS:
+        yield classify_odd(targeted_concentrated_form(rng, label, max_k=3))
+
+
+def test_verify_cycles_agrees_with_the_walk():
+    rng = random.Random(5)
+    verdicts = set()
+    for pred in _pool_predictions(rng):
+        M, lam = pred.canonical, pred.segre.blocks[0][0]
+        cycles = [list(c) for c in pred.cycles]
+        assert verify_cycles(M, lam, cycles) and _walk_verify(M, lam, cycles)
+        # one vector moved by a unit vector
+        bent = [list(c) for c in cycles]
+        i = rng.randrange(len(bent))
+        j = rng.randrange(len(bent[i]))
+        bent[i][j] = bent[i][j] + Vector.unit(M.rows, rng.randrange(M.rows))
+        verdict = verify_cycles(M, lam, bent)
+        assert verdict == _walk_verify(M, lam, bent)
+        verdicts.add(verdict)
+        # two linearly dependent cycles: the last one twice
+        twice = cycles + [cycles[-1]]
+        assert not verify_cycles(M, lam, twice)
+        assert not _walk_verify(M, lam, twice)
+    assert False in verdicts
+    # the empty set verifies nothing
+    M = jordan_block(CR(2), 3)
+    assert not verify_cycles(M, 2, []) and not _walk_verify(M, 2, [])
+    # a cycle of the wrong dimension
+    for check in (verify_cycles, _walk_verify):
+        with pytest.raises(ShapeError):
+            check(M, 2, [[Vector.unit(4, 0)]])
 
 
 def test_weyr_check_raises_instead_of_asserting(monkeypatch):
