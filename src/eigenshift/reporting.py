@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
+from .biortho import check_hankel, gram_table
 from .canonical import predict_structure
 from .errors import (
     EigenShiftError,
@@ -471,9 +472,6 @@ def run_verify_job(A: Matrix, pairs) -> dict:
     (``resolvent_identities``), and each pair reads its own blocks of
     them.
     """
-    from .biortho import check_hankel, gram_table
-    from .errors import InvalidChainError
-
     _check_square(A)
     failures = {}  # pair index -> recurrence failure
     blocks = {}  # pair index -> (offset, length) in the batched tables
@@ -504,7 +502,7 @@ def run_verify_job(A: Matrix, pairs) -> dict:
             continue
         verdicts[f"{tag}:recurrence"] = PASS
         o, p = blocks[i]
-        own = gram.block(o, p, o, p)
+        own = gram.submatrix(o, o + p, o, o + p)
         ok, info = check_hankel(own)
         verdicts[f"{tag}:hankel_pattern"] = PASS if ok else FAIL
         if not ok:
@@ -512,13 +510,15 @@ def run_verify_job(A: Matrix, pairs) -> dict:
                 f"{tag}: Gram table violates the Hankel pattern at {info[0]}:"
                 f" {info[1]}"
             )
-        if p % 2 == 1:
-            try:
-                own.middle()
-                verdicts[f"{tag}:middle_product"] = PASS
-            except InvalidChainError as exc:
-                verdicts[f"{tag}:middle_product"] = FAIL
-                diagnostics.append(f"{tag}: {exc}")
+        if p % 2 == 1:  # a genuine full pair has x_{m,m} != 0, m = (p + 1) / 2
+            m = p // 2
+            ok = not own.submatrix(m, m + 1, m, m + 1).is_zero
+            verdicts[f"{tag}:middle_product"] = PASS if ok else FAIL
+            if not ok:
+                diagnostics.append(
+                    f"{tag}: middle inner product vanishes: not a genuine full"
+                    " chain pair"
+                )
         verdicts[f"{tag}:resolvent_identities"] = (
             PASS if resolvent[i] else FAIL
         )
@@ -526,7 +526,7 @@ def run_verify_job(A: Matrix, pairs) -> dict:
         for j, (oj, pj) in blocks.items():
             if i == j or pairs[i].lam == pairs[j].lam:
                 continue
-            ok = gram.block(oi, pi, oj, pj).table.is_zero
+            ok = gram.submatrix(oi, oi + pi, oj, oj + pj).is_zero
             verdicts[f"cross_orthogonality_{i}_{j}"] = PASS if ok else FAIL
             if not ok:
                 diagnostics.append(

@@ -51,11 +51,7 @@ class SegreCharacteristic:
 
     def eigenvalues(self):
         """Distinct eigenvalues in deterministic (re, im) order."""
-        seen = []
-        for lam, _ in self.blocks:
-            if lam not in seen:
-                seen.append(lam)
-        return sorted(seen, key=lambda s: s.sort_key())
+        return sorted({lam for lam, _ in self.blocks}, key=lambda s: s.sort_key())
 
     def sizes_at(self, lam) -> tuple:
         lam = _as_scalar(lam)
@@ -65,10 +61,8 @@ class SegreCharacteristic:
 
     def canonical(self) -> "SegreCharacteristic":
         """Grouped by eigenvalue (lexicographic on (re, im)), sizes descending."""
-        out = []
-        for lam in self.eigenvalues():
-            out.extend((lam, s) for s in self.sizes_at(lam))
-        return SegreCharacteristic(out)
+        key = lambda block: (*block[0].sort_key(), -block[1])
+        return SegreCharacteristic(sorted(self.blocks, key=key))
 
     def __eq__(self, other):
         if not isinstance(other, SegreCharacteristic):
@@ -151,7 +145,8 @@ def check_chains(A: Matrix, chains):
 def _first_failures(M: Matrix, blocks) -> list:
     """For each (lam, chain) of blocks: None when the chain's vectors do
     not all have M's column count, else the first index c, 1-based, with
-    M x_c != lam x_c + x_(c-1) (x_0 = 0), or 0 when there is none.
+    M x_c != lam x_c + x_(c-1) (x_0 = 0), or 0 when there is none (as
+    for an empty chain, which adds no column).
 
     The fitting chains, stacked as the columns of X, meet M in one
     product M X, which is compared with X J, J the direct sum of the
@@ -165,17 +160,20 @@ def _first_failures(M: Matrix, blocks) -> list:
     if not stacked:
         return [None] * len(blocks)
     if not M.is_square:  # M x_c and x_c differ in length
-        return [1 if ok else None for ok in fits]
-    X = Matrix.from_columns([x for _, chain in stacked for x in chain])
+        return [
+            min(len(chain), 1) if ok else None
+            for (_, chain), ok in zip(blocks, fits)
+        ]
+    X = Matrix.from_columns([x for _, chain in stacked for x in chain], M.cols)
     n, s, den = M.rows, X.cols, M.den
     got_re, got_im = _mul(n, n, s, M.re, M.im, X.re, X.im)
-    # (a, b, e, carry) for each column, carry = e where x_(c-1) is added
+    # (a, b, carry, e) for each column, carry = e where x_(c-1) is added
     starts, terms = [], []
     for lam, chain in stacked:
         e, (a,), b = _clear((lam,))
+        b = b[0] if b else 0
         starts.append(len(terms))
-        terms += [(a, b[0] if b else 0, 0, e)]
-        terms += [(a, b[0] if b else 0, e, e)] * (len(chain) - 1)
+        terms += [(a, b, e if c else 0, e) for c in range(len(chain))]
     terms *= n  # row-major, as the entries of X
     x = X.re
     y = X.im or [0] * (n * s)

@@ -248,8 +248,8 @@ def test_criterion_8_biorthogonality_suite(capsys):
         _, chains = build_matrix(
             SegreCharacteristic([(l0, p), (l1, q)]), P
         )
-        ok = ok and gram_table(chains[0].left, chains[1].right).table.is_zero
-        ok = ok and gram_table(chains[1].left, chains[0].right).table.is_zero
+        ok = ok and gram_table(chains[0].left, chains[1].right).is_zero
+        ok = ok and gram_table(chains[1].left, chains[0].right).is_zero
 
     # (b) lower triangular Hankel Gram table for a single chain
     # (c) vanishing pattern u_i* v_j = 0 for i + j <= block size
@@ -261,7 +261,7 @@ def test_criterion_8_biorthogonality_suite(capsys):
         for i in range(1, size + 1):
             for j in range(1, size + 1):
                 if i + j <= size:
-                    ok = ok and table.at(i, j).is_zero
+                    ok = ok and table[i - 1, j - 1].is_zero
 
     # (d) parametric chain families, all four displayed patterns
     for _ in range(50):
@@ -273,14 +273,14 @@ def test_criterion_8_biorthogonality_suite(capsys):
         for i in range(1, 2 * k + 1):
             for j in range(1, 2 * k + 1):
                 if i <= k and j <= k:
-                    ok = ok and table.at(i, j).is_zero
+                    ok = ok and table[i - 1, j - 1].is_zero
                 if i >= k + 1 and j >= k + 1:
-                    ok = ok and not table.at(i, j).is_zero
+                    ok = ok and not table[i - 1, j - 1].is_zero
         pair = generate_parametric_chains_single(lam, 2 * k, unit2k, unit2k)
         table = gram_table(pair.left, pair.right)
         for i in range(1, 2 * k + 1):
             for j in range(1, 2 * k + 1):
-                ok = ok and table.at(i, j).is_zero != (i + j == 2 * k + 1)
+                ok = ok and table[i - 1, j - 1].is_zero != (i + j == 2 * k + 1)
         ones, zeros = [ONE] * k, [ZERO] * k
         left, right = generate_parametric_chains_two_blocks(
             lam, k, ones, ones, ones, ones
@@ -288,11 +288,11 @@ def test_criterion_8_biorthogonality_suite(capsys):
         table = gram_table(left, right)
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                ok = ok and table.at(i, j).is_zero == (i + j < k + 1)
+                ok = ok and table[i - 1, j - 1].is_zero == (i + j < k + 1)
         left, right = generate_parametric_chains_two_blocks(
             lam, k, ones, zeros, zeros, ones
         )
-        ok = ok and gram_table(left, right).table.is_zero
+        ok = ok and gram_table(left, right).is_zero
 
     # (e) resolvent action on chains and resolvent orthogonality
     for _ in range(50):

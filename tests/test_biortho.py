@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenshift import linalg
 from eigenshift.biortho import (
-    GramTable,
+    _antitriangle_entry,
     check_hankel,
     gram_table,
     resolvent_identities,
     resolvent_orthogonality_check,
 )
 from eigenshift.errors import (
-    InvalidChainError,
     ResolventError,
     ShapeError,
     SingularMatrixError,
@@ -39,9 +39,9 @@ def test_cross_gram_zero_for_distinct_eigenvalues():
     P = random_unimodular(5, rng)
     A, chains = build_matrix(segre, P)
     cross = gram_table(chains[0].left, chains[1].right)
-    assert cross.table.is_zero
+    assert cross.is_zero
     cross = gram_table(chains[1].left, chains[0].right)
-    assert cross.table.is_zero
+    assert cross.is_zero
 
 
 def test_same_block_gram_is_lower_triangular_hankel():
@@ -57,7 +57,7 @@ def test_same_block_gram_is_lower_triangular_hankel():
 
 def test_check_hankel_flags_violations():
     bad = Matrix.from_rows([[ONE, ZERO], [ZERO, ONE]])
-    ok, info = check_hankel(GramTable(bad))
+    ok, info = check_hankel(bad)
     assert not ok
     (i, j), reason = info
     assert (i, j) == (1, 1)
@@ -72,7 +72,7 @@ def test_single_block_family_all_ones_pattern():
         table = gram_table(pair.left, pair.right)
         for i in range(1, twok + 1):
             for j in range(1, twok + 1):
-                value = table.at(i, j)
+                value = table[i - 1, j - 1]
                 if i <= k and j <= k:
                     assert value.is_zero
                 if i >= k + 1 and j >= k + 1:
@@ -89,9 +89,9 @@ def test_single_block_family_unit_pattern():
         for i in range(1, twok + 1):
             for j in range(1, twok + 1):
                 if i + j == twok + 1:
-                    assert not table.at(i, j).is_zero
+                    assert not table[i - 1, j - 1].is_zero
                 else:
-                    assert table.at(i, j).is_zero
+                    assert table[i - 1, j - 1].is_zero
 
 
 def test_two_block_family_all_ones_pattern():
@@ -104,9 +104,9 @@ def test_two_block_family_all_ones_pattern():
         for i in range(1, k + 1):
             for j in range(1, k + 1):
                 if i + j < k + 1:
-                    assert table.at(i, j).is_zero
+                    assert table[i - 1, j - 1].is_zero
                 else:
-                    assert not table.at(i, j).is_zero
+                    assert not table[i - 1, j - 1].is_zero
 
 
 def test_two_block_family_disjoint_pattern():
@@ -117,16 +117,13 @@ def test_two_block_family_disjoint_pattern():
             CR(3), k, ones, zeros, zeros, ones
         )
         table = gram_table(left, right)
-        assert table.table.is_zero
+        assert table.is_zero
 
 
 def test_middle_product():
     segre = SegreCharacteristic([(0, 3)])
     _, chains = build_matrix(segre, Matrix.identity(3))
-    mu = gram_table(chains[0].left, chains[0].right).middle()
-    assert not mu.is_zero
-    with pytest.raises(InvalidChainError, match="^middle inner product vanishes"):
-        GramTable(Matrix.zeros(3, 3)).middle()
+    assert not gram_table(chains[0].left, chains[0].right)[1, 1].is_zero
 
 
 def resolvent_closed_form(chain, d, i):
@@ -216,7 +213,7 @@ def test_gram_table_matches_entrywise_inner(p, q, complex_prob):
         left = [_random_vector(rng, n, complex_prob) for _ in range(p)]
         right = [_random_vector(rng, n, complex_prob) for _ in range(q)]
         want = Matrix(p, q, [inner(u, v) for u in left for v in right])
-        assert gram_table(left, right).table == want
+        assert gram_table(left, right) == want
 
 
 def test_gram_table_shape_errors():
@@ -317,3 +314,95 @@ def test_length_one_pairs_still_refuse_a_spectrum_point():
     for lam in (CR(3), CR(1), CR(0, 1)):
         with pytest.raises(ResolventError, match=f"^resolvent point {re.escape(str(lam))} lies"):
             resolvent_identities(A, lam, chains)
+
+
+# ---------------------------------------------------------------------------
+# the scans on the integer form against entrywise ComplexRational references
+
+
+def reference_antitriangle_entry(table, bound):
+    """First (i, j), 1-based, with i + j <= bound and x_{i,j} != 0, read
+    entry by entry as ComplexRationals."""
+    p, q = table.shape
+    for i in range(1, p + 1):
+        for j in range(1, min(q, bound - i) + 1):
+            if table[i - 1, j - 1] != ZERO:
+                return (i, j)
+    return None
+
+
+def reference_hankel(table):
+    p, q = table.shape
+    at = reference_antitriangle_entry(table, max(p, q))
+    if at is not None:
+        return False, (at, "leading anti-triangle entry nonzero")
+    for i in range(2, p + 1):
+        for j in range(1, q):
+            if table[i - 1, j - 1] != table[i - 2, j]:
+                return False, ((i, j), "anti-diagonal not constant")
+    return True, None
+
+
+def _near_hankel_table(rng, complex_prob):
+    """A p x q table built along its anti-diagonals: those with
+    i + j <= max(p, q) mostly 0, the others one value each, and now and
+    then an entry replaced, so that both violations and passes occur."""
+    p, q = rng.randint(1, 5), rng.randint(1, 5)
+
+    def value():
+        re = CR(rng.randint(-4, 4)) / rng.randint(1, 6)
+        if rng.random() < complex_prob:
+            return re + CR(0, rng.randint(-3, 3)) / rng.randint(1, 6)
+        return re
+
+    diagonal = {
+        s: ZERO if s <= max(p, q) and rng.random() < 0.9 else value()
+        for s in range(2, p + q + 1)
+    }
+    entries = [
+        value() if rng.random() < 0.04 else diagonal[i + j]
+        for i in range(1, p + 1)
+        for j in range(1, q + 1)
+    ]
+    return Matrix(p, q, entries)
+
+
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5])
+def test_scans_match_the_entrywise_references(complex_prob):
+    rng = random.Random(31 + int(complex_prob * 10))
+    outcomes = set()
+    for _ in range(600):
+        table = _near_hankel_table(rng, complex_prob)
+        want = reference_hankel(table)
+        assert check_hankel(table) == want
+        outcomes.add(want[1] and want[1][1])
+        for bound in range(1, sum(table.shape) + 2):
+            assert _antitriangle_entry(table, bound) == (
+                reference_antitriangle_entry(table, bound)
+            )
+    assert outcomes == {
+        None,
+        "leading anti-triangle entry nonzero",
+        "anti-diagonal not constant",
+    }
+
+
+def test_scans_make_no_scalar(monkeypatch):
+    """check_hankel and resolvent_identities read the integer form only:
+    with scalar construction refused they still finish."""
+    segre = SegreCharacteristic(
+        [(CR(1, 2), 3), (CR(-1), 2), (CR(Fraction(1, 2)), 1), (CR(1, 2), 2)]
+    )
+    A, chains = build_matrix(segre, random_unimodular(8, random.Random(8)))
+    tables = [gram_table(pair.left, pair.right) for pair in chains]
+    bad = Matrix.from_rows([[0, 0, 1], [0, 1, 0], [2, 0, 0]])
+
+    def refuse(re, im, den):
+        raise AssertionError("a scalar was made")
+
+    monkeypatch.setattr(linalg, "from_integers", refuse)
+    assert [check_hankel(table) for table in tables] == [(True, None)] * 4
+    assert check_hankel(bad) == (False, ((3, 1), "anti-diagonal not constant"))
+    assert resolvent_identities(A, CR(0), chains) == [True] * 4
+    with pytest.raises(AssertionError, match="^a scalar was made$"):
+        tables[0][0, 0]

@@ -15,6 +15,7 @@ from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.synthesis import (
     ChainPair,
     SegreCharacteristic,
+    _first_failures,
     basis_inverse,
     build_matrix,
     check_chains,
@@ -33,6 +34,36 @@ def test_segre_canonicalization_and_equality():
     assert s1.canonical().blocks[0] == (CR(1), 4)
     assert s1.sizes_at(1) == (4, 1)
     assert s1.total_size == 7
+
+
+def _grouped(blocks):
+    """The grouping canonical() gives: each distinct eigenvalue, in (re, im)
+    order, followed by its sizes in descending order."""
+    seen = []
+    for lam, _ in blocks:
+        if lam not in seen:
+            seen.append(lam)
+    out = []
+    for lam in sorted(seen, key=lambda s: s.sort_key()):
+        sizes = sorted((s for ev, s in blocks if ev == lam), reverse=True)
+        out.extend((lam, s) for s in sizes)
+    return tuple(out)
+
+
+def test_canonical_order_matches_the_grouping_by_eigenvalue():
+    pool = [
+        CR(0), CR(1), CR(-1), CR(0, 1), CR(0, -1), CR(1, 1), CR(1, -1),
+        CR(Fraction(1, 2)), CR(Fraction(1, 2), -3), CR(Fraction(-7, 3), 2),
+    ]
+    rng = random.Random(12)
+    for _ in range(300):
+        blocks = [(rng.choice(pool), rng.randint(1, 4)) for _ in range(rng.randint(1, 8))]
+        segre = SegreCharacteristic(blocks)
+        want = _grouped(segre.blocks)
+        assert segre.canonical().blocks == want
+        assert segre.eigenvalues() == list(dict.fromkeys(lam for lam, _ in want))
+        for lam in segre.eigenvalues():
+            assert segre.sizes_at(lam) == tuple(s for ev, s in want if ev == lam)
 
 
 def test_segre_rejects_bad_sizes():
@@ -567,6 +598,21 @@ def test_batched_chain_check_matches_the_per_pair_reference(job):
             with pytest.raises(InvalidChainError) as exc:
                 pair.verify_against(A)
             assert str(exc.value) == message
+
+
+def test_first_failures_reads_past_an_empty_chain():
+    """An empty chain adds no column and no term: it reads 0, and the
+    chains after it are read against their own recurrences."""
+    J = jordan_block(2, 2)
+    good = [Vector.unit(2, 0), Vector.unit(2, 1)]
+    bad = [Vector.unit(2, 1), Vector.unit(2, 0)]
+    lam = CR(2)
+    assert _first_failures(J, [(lam, []), (lam, good)]) == [0, 0]
+    assert _first_failures(J, [(lam, good), (lam, []), (lam, bad)]) == [0, 0, 1]
+    assert _first_failures(J, [(lam, []), (lam, bad), (lam, [])]) == [0, 1, 0]
+    assert _first_failures(J, [(lam, [])]) == [0]
+    wide = Matrix.zeros(2, 3)
+    assert _first_failures(wide, [(lam, []), (lam, [Vector.unit(3, 0)])]) == [0, 1]
 
 
 def test_batched_chain_check_when_every_pair_fails():
