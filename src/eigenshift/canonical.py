@@ -17,8 +17,7 @@ cycles replace it and the discrepancy is reported in the diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import ExtractionError, ReductionError, SingularMatrixError
 from .linalg import (
@@ -117,11 +116,7 @@ class ConcentratedForm(_Assembled):
 
 @dataclass(frozen=True)
 class StructurePrediction:
-    """Predicted canonical structure at the shifted eigenvalue.
-
-    block is the m x m shifted block M = W* A_hat V that extraction read
-    and checked, when the prediction came from a shift.
-    """
+    """Predicted canonical structure at the shifted eigenvalue."""
 
     segre: SegreCharacteristic
     cycles: tuple
@@ -129,7 +124,6 @@ class StructurePrediction:
     canonical: Matrix
     fallback_used: bool = False
     diagnostics: tuple = ()
-    block: Optional[Matrix] = None
 
     @property
     def sizes(self) -> tuple:
@@ -397,16 +391,11 @@ def predict_structure(shift: ShiftResult, P=None) -> StructurePrediction:
 
     The shifted block is read from the shift's chain pair alone.  P, the
     Jordan basis that prediction once needed, is accepted and not read,
-    so callers that still pass one keep working.  The prediction carries
-    the extracted block, which equals the extracted form's matrix.
+    so callers that still pass one keep working.
     """
     if shift.multiplicity % 2 == 0:
-        ec = extract_even_canonical(shift)
-        return replace(classify_even(ec), block=ec.matrix())
+        return classify_even(extract_even_canonical(shift))
     oc = extract_odd_canonical(shift)
     if oc.k == 0:  # Brauer's shift: S = (lam1), with nothing to reduce
-        e_1 = Vector.unit(1, 0)
-        prediction = _finalize(oc.matrix(), oc.lam, "Odd0", [(e_1, 1)])
-    else:
-        prediction = classify_odd(reduce_to_concentrated(oc))
-    return replace(prediction, block=oc.matrix())
+        return _finalize(oc.matrix(), oc.lam, "Odd0", [(Vector.unit(1, 0), 1)])
+    return classify_odd(reduce_to_concentrated(oc))

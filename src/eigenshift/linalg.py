@@ -29,14 +29,15 @@ elimination, and the results equal those of elimination over
 reduces its matrix to integer rows once for every power.
 ``Matrix.charpoly`` computes the coefficients of det(x I - M) with no
 division at all, by Berkowitz's algorithm on the numerators (Berkowitz
-1984).
+1984).  Both first split their matrix into diagonal blocks, whose direct
+sum it is up to a permutation similarity (``_diagonal_blocks``).
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm, prod
-from operator import mul, neg
+from operator import mul, neg, or_
 from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularMatrixError
@@ -502,12 +503,16 @@ class Matrix(_Exact):
         """The n + 1 coefficients of det(x I - self), leading 1 first.
 
         Berkowitz's division-free algorithm (Berkowitz 1984) on the
-        numerators Z = den self.  With Z_r the leading r x r block,
-        det(x I - Z_(r+1)) is the lower triangular Toeplitz matrix with
-        first column 1, -z, -R C, -R Z_r C, ..., -R Z_r^(r-1) C times the
-        coefficients of det(x I - Z_r), where z, R and C are the diagonal
-        entry, the row and the column that Z_(r+1) adds.  Coefficient j
-        of det(x I - self) is c_j / den^j for c_j that of det(x I - Z).
+        numerators Z = den self, taken block by block (a permutation
+        similarity, ``_diagonal_blocks``).  With Z_r the leading r x r
+        block, det(x I - Z_(r+1)) is the lower triangular Toeplitz matrix
+        with first column 1, -z, -R C, -R Z_r C, ..., -R Z_r^(r-1) C times
+        the coefficients of det(x I - Z_r), where z, R and C are the
+        diagonal entry, the row and the column that Z_(r+1) adds.  R and
+        C are zero outside z's block, so R Z_r^k C is taken in that block;
+        where R or C is zero, as in a triangular block, the column is
+        1, -z, 0, ....  Coefficient j of det(x I - self) is c_j / den^j
+        for c_j that of det(x I - Z).
         """
         if not self.is_square:
             raise ShapeError(f"charpoly of a {self.rows}x{self.cols} matrix")
@@ -515,23 +520,25 @@ class Matrix(_Exact):
         flat, gaussian, times = _numerators(self)
         one, zero, negate = ((1, 0), (0, 0), _negated) if gaussian else (1, 0, neg)
         poly = [one]
-        for r in range(n):
-            # the columns of Z_r and -C: one product gives R Z_r^(k+1) and -R Z_r^k C
-            cols = [flat[j : r * n : n] for j in range(r)]
-            cols.append([negate(z) for z in flat[r : r * n : n]])
-            row = flat[r * n : r * n + r]
-            t = [one, negate(flat[r * n + r])]
-            for _ in range(r):
-                *row, c = times(row, cols)
-                t.append(c)
-            # row i of the Toeplitz matrix is u[r + 1 - i : 2r + 2 - i]
-            u = t[::-1] + [zero] * r
-            poly = times(poly, [u[r + 1 - i : 2 * r + 2 - i] for i in range(r + 2)])
+        for g in _diagonal_blocks(self):
+            s = len(g)
+            Z = flat if s == n else [flat[i * n + j] for i in g for j in g]
+            for r in range(s):
+                row, col, z = Z[r * s : r * s + r], Z[r : r * s : s], Z[r * s + r]
+                if row.count(zero) == r or col.count(zero) == r:
+                    poly = _times_root(poly, z, gaussian)
+                    continue
+                # the columns of the block and -C: one product gives R Z^(k+1) and -R Z^k C
+                cols = [Z[j : r * s : s] for j in range(r)] + [list(map(negate, col))]
+                t, k = [one, negate(z)], len(poly) - 1
+                for _ in range(k):
+                    *row, c = times(row, cols)
+                    t.append(c)
+                # row i of the Toeplitz matrix is u[k + 1 - i : 2k + 2 - i]
+                u = t[::-1] + [zero] * k
+                poly = times(poly, [u[k + 1 - i : 2 * k + 2 - i] for i in range(k + 2)])
         scaled = lambda xs: [x * den ** (n - j) for j, x in enumerate(xs)]
-        if gaussian:
-            re, im = scaled([z[0] for z in poly]), scaled([z[1] for z in poly])
-        else:
-            re, im = scaled(poly), None
+        re, im = map(scaled, zip(*poly)) if gaussian else (scaled(poly), None)
         return _vector(_normal(den**n, re, im))
 
     def solve(self, rhs):
@@ -627,12 +634,14 @@ def _matrix(rows, cols, form) -> Matrix:
     return _set_form(out, form)
 
 
-def power_ranks(N: Matrix):
-    """Yield rank(N), rank(N^2), rank(N^3), ... of a square matrix.
+def power_ranks(N: Matrix, groups=None):
+    """Iterate rank(N), rank(N^2), rank(N^3), ... of a square matrix:
+    the sums over N's diagonal blocks (groups, found from N when not
+    given), a block whose rank repeats or is full taking no further step.
 
-    N's numerators are Z = den N, integral (or Gaussian-integral); Z^j
-    and N^j have the same rank.  The row space of Z^(j+1) is spanned by
-    (rows spanning that of Z^j) Z, so each step multiplies only the
+    A block's numerators Z = den N are integral (or Gaussian-integral);
+    Z^j and N^j have the same rank.  The row space of Z^(j+1) is spanned
+    by (rows spanning that of Z^j) Z, so each step multiplies only the
     rank(Z^j) pivot rows that elimination leaves by the columns of Z.
     The pivot rows are reduced (fraction-free Gauss-Jordan) and cut to
     their least integer multiples, which depend on the row space alone,
@@ -642,12 +651,20 @@ def power_ranks(N: Matrix):
         raise ShapeError(f"powers of a {N.rows}x{N.cols} matrix")
     n = N.rows
     flat, gaussian, times = _numerators(N)
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    columns = [flat[j::n] for j in range(n)]
-    while True:
-        rank = len(_eliminate(rows, n, gaussian, reduced=True)[0])
-        yield rank
-        rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
+
+    def ranks(g):  # one block's, repeated once they stop changing
+        s, rank = len(g), None
+        Z = flat if s == n else [flat[i * n + j] for i in g for j in g]
+        rows = [Z[i * s : (i + 1) * s] for i in range(s)]
+        columns = [Z[j::s] for j in range(s)]
+        while True:
+            prev, rank = rank, len(_eliminate(rows, s, gaussian, reduced=True)[0])
+            if rank in (prev, s):
+                yield from repeat(rank)
+            yield rank
+            rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
+
+    return map(sum, zip(repeat(0), *map(ranks, groups or _diagonal_blocks(N))))
 
 
 def schur_product(C: Matrix, A: Matrix, B: Matrix) -> Matrix:
@@ -687,6 +704,37 @@ def schur_product(C: Matrix, A: Matrix, B: Matrix) -> Matrix:
 
 
 # -- fraction-free integer kernel ----------------------------------------------
+
+
+def _diagonal_blocks(M: Matrix):
+    """The index groups, each ascending and in order of their least
+    index, of the connected components of M's nonzero pattern off the
+    diagonal (i and j joined when entry (i, j) or (j, i) is nonzero):
+    permuting M to them is an exact similarity to the direct sum of its
+    principal submatrices on them.  Each nonzero entry joins the groups
+    of its row and column, the smaller relabelled into the larger."""
+    n = M.rows
+    label, members, joins = list(range(n)), [[i] for i in range(n)], n - 1
+    for t in compress(range(n * n), M.re if M.im is None else map(or_, M.re, M.im)):
+        a, b = label[t // n], label[t % n]
+        if a != b:
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for i in members[b]:
+                label[i] = a
+            members[a], members[b], joins = members[a] + members[b], None, joins - 1
+            if not joins:  # one group is left
+                return [list(range(n))]
+    return sorted(sorted(g) for g in members if g)
+
+
+def _times_root(poly, z, gaussian):
+    """The coefficients, leading first, of poly(x) (x - z)."""
+    if not gaussian:
+        return [a - z * b for a, b in zip(poly + [0], [0] + poly)]
+    zr, zi = z
+    pairs = zip(poly + [(0, 0)], [(0, 0)] + poly)
+    return [(ar - zr * br + zi * bi, ai - zr * bi - zi * br) for (ar, ai), (br, bi) in pairs]
 
 
 def _integer_rows(M: Matrix):

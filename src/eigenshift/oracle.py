@@ -3,10 +3,12 @@
 The Weyr characteristic (nullity increments of powers of M - lam I) is
 the conjugate partition of the block sizes at lam.  Its ranks are taken
 on one integer clearing of M - lam I, each power's row space spanned by
-the previous power's pivot rows times M - lam I.  Given a proven
-algebraic multiplicity, a profile stops taking ranks where the
-multiplicity forces the rest (a forced tail): after an increment of 1,
-or with one dimension left, the remaining increments are all 1.
+the previous power's pivot rows times M - lam I, and summed over M's
+diagonal blocks, found once per matrix from its zero pattern alone.
+Given a proven algebraic multiplicity, a profile stops taking ranks
+where the multiplicity forces the rest (a forced tail): after an
+increment of 1, or with one dimension left, the remaining increments
+are all 1.
 Nothing here depends on the closed-form classifiers; this module is
 what they are verified against; every cycle, theirs and its own, is
 read down from its top (``read_down``) and checked (``verify_cycles``).
@@ -21,6 +23,7 @@ from .errors import ClassificationError, MissingEigenvalueError, ShapeError
 from .linalg import (
     Matrix,
     _as_scalar,
+    _diagonal_blocks,
     power_ranks,
     stack_vectors_as_rows,
 )
@@ -54,24 +57,24 @@ class WeyrProfile:
         )
 
 
-def weyr_profile(M: Matrix, lam, multiplicity=None) -> WeyrProfile:
+def weyr_profile(M: Matrix, lam, multiplicity=None, groups=None) -> WeyrProfile:
     """Exact nullity sequence of (M - lam I)^j, stopping when stable.
 
     The ranks of the powers come from ``power_ranks``, which clears
-    M - lam I to integers once and never forms a full power.  Given the
-    algebraic multiplicity of lam, the sequence also stops when the
-    nullity reaches it, which saves the power that would repeat it, and
-    it stops early where the multiplicity forces the rest: the nullity
-    grows by at least 1 per power until it reaches the multiplicity and
-    its increments never increase, so after an increment of 1, or with
-    one dimension left, every later increment is 1.  The first rank is
-    always computed.
+    M - lam I to integers once and never forms a full power, summing
+    over groups, M's diagonal blocks.  Given the algebraic multiplicity
+    of lam, the sequence also stops when the nullity reaches it, which
+    saves the power that would repeat it, and it stops early where the
+    multiplicity forces the rest: the nullity grows by at least 1 per
+    power until it reaches the multiplicity and its increments never
+    increase, so after an increment of 1, or with one dimension left,
+    every later increment is 1.  The first rank is always computed.
     """
     lam = _as_scalar(lam)
     n = M.rows
     null_dims = []
     prev = 0
-    for rank in power_ranks(M.minus_identity(lam)):
+    for rank in power_ranks(M.minus_identity(lam), groups):
         d = n - rank
         if d == prev:
             break
@@ -100,15 +103,14 @@ def oracle_segre(M: Matrix, eigenvalues, multiplicities=None) -> SegreCharacteri
     eigenvalue in the same order, and each Weyr profile stops there.
     """
     n = M.rows
-    if multiplicities is None:
-        multiplicities = repeat(None)
     seen = {}
-    for lam, mult in zip(eigenvalues, multiplicities):
+    for lam, mult in zip(eigenvalues, repeat(None) if multiplicities is None else multiplicities):
         seen.setdefault(_as_scalar(lam), mult)
+    groups = _diagonal_blocks(M)
     blocks = []
     total = 0
     for lam, mult in seen.items():
-        prof = weyr_profile(M, lam, mult)
+        prof = weyr_profile(M, lam, mult, groups)
         for size in prof.block_sizes():
             blocks.append((lam, size))
             total += size

@@ -8,11 +8,9 @@ straight from it (``texts``), with no scalar object per entry.  Reports
 embed their normalized input job, so re-running a report's job
 reproduces the report byte for byte.
 
-A shift job predicts before it checks the spectrum: when extraction
-succeeds, the m x m block it checked decides the spectrum claim, and
-the full n x n check runs only when prediction is refused or skipped.
-Every job's oracle reads the shifted matrix in the job's Jordan basis,
-P0^{-1} A_hat P0 (A_hat itself without one): J plus the block's update.
+Every shift job, predicted or refused, checks its spectrum and runs its
+oracle on one n x n pair in its Jordan basis (``_in_jordan_basis``),
+which both checks split into diagonal blocks from its zero pattern alone.
 """
 
 from __future__ import annotations
@@ -23,18 +21,26 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .biortho import check_hankel, gram_table
-from .canonical import predict_structure
+from .biortho import check_hankel, gram_table, resolvent_identities
+from .canonical import (
+    EvenCanonical,
+    OddCanonical,
+    classify_even,
+    classify_odd,
+    predict_structure,
+    reduce_to_concentrated,
+)
 from .errors import (
     EigenShiftError,
     ExtractionError,
     InvalidParameterError,
     InverseIdentityError,
+    ResolventError,
     ShapeError,
 )
-from .linalg import Matrix, Vector, jordan_block
+from .linalg import Matrix, Vector
 from .oracle import oracle_segre
-from .scalars import ComplexRational, format_scalar, parse_scalar
+from .scalars import CR, ComplexRational, format_scalar, parse_scalar
 from .shifting import (
     ShiftResult,
     charpoly_ratio_check,
@@ -50,6 +56,7 @@ from .synthesis import (
     basis_inverse,
     build_matrix,
     check_chains,
+    jordan_matrix,
 )
 
 
@@ -282,7 +289,7 @@ def _job_inputs(job: ShiftJob):
     """Materialize (A, chain pair at lam0, other blocks, basis) from
     either job source, once k fits the chain.  A segre job's chain pair
     is its target block's, as ``build_matrix`` returns it; prediction
-    reads that pair alone and needs no basis.  basis is (P0, every
+    reads that pair alone and needs no basis.  basis is (P0, J, every
     block's chain pair) for a segre job with a change of basis, and None
     otherwise."""
     lam0 = job.target_eigenvalue
@@ -307,7 +314,7 @@ def _job_inputs(job: ShiftJob):
             segre, Matrix.identity(n) if P0 is None else P0
         )
         others = [b for i, b in enumerate(segre.blocks) if i != t]
-        basis = None if P0 is None else (P0, chain_list)
+        basis = None if P0 is None else (P0, jordan_matrix(segre), chain_list)
         return A, chain_list[t], others, basis
     A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
@@ -315,54 +322,27 @@ def _job_inputs(job: ShiftJob):
     return A, chains, [], None
 
 
-def spectrum_holds(shift: ShiftResult, block: Optional[Matrix] = None) -> bool:
-    """Brauer's claim: A_hat's spectrum is A's with lam0 moved to lam1,
-    m times, by ``charpoly_ratio_check``.
+def _in_jordan_basis(shift: ShiftResult, basis):
+    """(A, A_hat) in the job's Jordan basis: (J, P0^{-1} A_hat P0) for a
+    basis (P0, J, chains), or (A, A_hat) itself for None.
 
-    Without a block the n x n pair (A, A_hat) is checked.  A block is
-    the shifted block M = W* A_hat V that extraction read and checked
-    (``StructurePrediction.block``); the pair (J_m(lam0), M) then
-    decides the claim.  The chain recurrences give W* A = J W*, and
-    extraction checked A_hat V = V M and A_hat - A = (A_hat V - V J) W*,
-    so K = ker W* is A-invariant and A_hat acts on K as A does: A_hat
-    is similar to M + A|K and A to J_m(lam0) + A|K (for n = m, W* =
-    V^{-1} and K = 0).  So p_A_hat (x - lam0)^m = p_A (x - lam1)^m
-    exactly when p_M (x - lam0)^m = p_J (x - lam1)^m.
-    """
-    lam0, lam1, m = shift.chains.lam, shift.lambda1, shift.multiplicity
-    if block is None:
-        return charpoly_ratio_check(shift.A, shift.A_hat, lam0, lam1, m)
-    return charpoly_ratio_check(jordan_block(lam0, m), block, lam0, lam1, m)
-
-
-def _in_jordan_basis(A_hat: Matrix, basis) -> Matrix:
-    """P0^{-1} A_hat P0 for a job's basis (P0, chains), or A_hat itself
-    when the basis is the identity (None).
-
-    P0^{-1} is read off the chains ``build_matrix`` returned
-    (``basis_inverse``), and checked: InverseIdentityError unless
-    P0^{-1} P0 = I exactly.  The similar matrix has A_hat's ranks, and
-    where the update stays in the target block it is J plus that block's
-    update, so it is sparse.
+    P0^{-1} is read off the chains (``basis_inverse``) and checked:
+    InverseIdentityError unless P0^{-1} P0 = I.  J stands in for
+    P0^{-1} A P0 with no product: ``_job_inputs`` built A = P0 J P0^{-1}
+    in this process, so with P0^{-1} P0 = I, P0^{-1} A P0 = J exactly.
     """
     if basis is None:
-        return A_hat
-    P0, chain_list = basis
+        return shift.A, shift.A_hat
+    P0, J, chain_list = basis
     P0_inv = basis_inverse(chain_list)
     if P0_inv @ P0 != Matrix.identity(P0.rows):
         raise InverseIdentityError("P0^{-1} P0 != I")
-    return P0_inv @ A_hat @ P0
+    return J, P0_inv @ shift.A_hat @ P0
 
 
 def run_shift_job(job: ShiftJob) -> dict:
-    """Execute shift -> predict -> verify and assemble the report.
-
-    Prediction runs first, so that the spectrum check can use the block
-    that extraction checked (``spectrum_holds``); a job whose prediction
-    is skipped or refused gets the full n x n check.  Every job's oracle
-    reads its shifted matrix in the job's Jordan basis
-    (``_in_jordan_basis``).
-    """
+    """Execute shift -> predict -> verify and assemble the report; the
+    spectrum check and the oracle read the pair ``_in_jordan_basis``."""
     lam1 = job.new_eigenvalue
     A, chains, others, basis = _job_inputs(job)
     m = chains.length
@@ -388,17 +368,16 @@ def run_shift_job(job: ShiftJob) -> dict:
         except ExtractionError as exc:
             skipped = f"prediction not applicable: {exc}"
 
-    diagnostics = []
-    verdicts = {}
-    block = None if prediction is None else prediction.block
-    verdicts["spectrum_check"] = PASS if spectrum_holds(shift, block) else FAIL
+    diagnostics, verdicts = [], {}
+    A_in, A_hat_in = _in_jordan_basis(shift, basis)
+    verdicts["spectrum_check"] = (
+        PASS if charpoly_ratio_check(A_in, A_hat_in, chains.lam, lam1, m) else FAIL
+    )
     verdicts["half_chain_invariance"] = (
         PASS if half_chain_invariance_holds(shift) else FAIL
     )
 
-    predicted_obj = None
-    cycles_obj = None
-    report_oracle = None
+    predicted_obj = cycles_obj = report_oracle = None
     if prediction is None:
         verdicts["prediction_vs_oracle"] = NA
         diagnostics.append(skipped)
@@ -411,7 +390,7 @@ def run_shift_job(job: ShiftJob) -> dict:
             # the passing check proves the algebraic multiplicities
             proven = SegreCharacteristic([(lam1, m)] + others)
             mults = [sum(proven.sizes_at(lam)) for lam in eigs]
-        oracle = oracle_segre(_in_jordan_basis(shift.A_hat, basis), eigs, mults)
+        oracle = oracle_segre(A_hat_in, eigs, mults)
         verdicts["prediction_vs_oracle"] = (
             PASS if predicted_full == oracle else FAIL
         )
@@ -424,7 +403,7 @@ def run_shift_job(job: ShiftJob) -> dict:
             [vector_to_obj(v) for v in cycle] for cycle in prediction.cycles
         ]
         report_oracle = segre_to_obj(oracle)
-    report = {
+    return {
         "kind": "shift-report",
         "job": job.normalized(),
         "shifted_matrix": matrix_to_obj(shift.A_hat),
@@ -434,7 +413,6 @@ def run_shift_job(job: ShiftJob) -> dict:
         "verdicts": verdicts,
         "diagnostics": diagnostics,
     }
-    return report
 
 
 def report_exit_code(report: dict) -> int:
@@ -556,10 +534,6 @@ def _resolvent_verdicts(A: Matrix, pairs, exclude):
     A point of the spectrum shows as a singular pass, so the pass that
     gives the verdicts also picks the point; at most n points fail.
     """
-    from .biortho import resolvent_identities
-    from .errors import ResolventError
-    from .scalars import CR
-
     for t in itertools.count():
         point = CR(t)
         if any(point == x for x in exclude):
@@ -575,14 +549,6 @@ def _resolvent_verdicts(A: Matrix, pairs, exclude):
 
 
 def run_classify_job(doc) -> dict:
-    from .canonical import (
-        EvenCanonical,
-        OddCanonical,
-        classify_even,
-        classify_odd,
-        reduce_to_concentrated,
-    )
-
     if not isinstance(doc, dict):
         raise JobParseError("form document must be a single object")
     kind = doc.get("kind")

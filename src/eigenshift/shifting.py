@@ -7,11 +7,8 @@ R1 = [V L], R2 = [R U], which an odd chain extends by its middle pair to
 R1 = [V v_{k+1} L], R2 = [R r U] with the normalized middle vector r.
 The checks test that the half chains carry over to lam1 and that the
 spectrum changes only in lam0 -> lam1 (the characteristic polynomials,
-each computed once without division and compared coefficient by
-coefficient).  The spectrum check takes any square pair: a shift job
-hands it (A, A_hat), or, once extraction has checked the shifted block
-M, the m x m pair (J_m(lam0), M), which decides the same claim
-(``reporting.spectrum_holds``).
+each computed once without division, as the product of its diagonal
+blocks', and compared coefficient by coefficient).
 """
 
 from __future__ import annotations
@@ -194,8 +191,9 @@ def charpoly_ratio_check(
     as polynomials in x.  Up to the sign (-1)^(n+m), which both sides
     share, this is p_A_hat(x) (x - lam0)^m = p_A(x) (x - lam1)^m for the
     characteristic polynomials p = det(x I - M), each computed once,
-    exactly and without division, by ``Matrix.charpoly``.  Each side is
-    that polynomial times (x - lam)^m on its integer numerators
+    exactly and without division, by ``Matrix.charpoly``, which splits
+    its matrix into diagonal blocks by a permutation similarity.  Each
+    side is that polynomial times (x - lam)^m on its integer numerators
     (``_times_power``); the sides agree exactly when their canonical
     forms are equal.
     """

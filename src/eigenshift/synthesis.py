@@ -49,10 +49,6 @@ class SegreCharacteristic:
     def total_size(self) -> int:
         return sum(size for _, size in self.blocks)
 
-    def eigenvalues(self):
-        """Distinct eigenvalues in deterministic (re, im) order."""
-        return sorted({lam for lam, _ in self.blocks}, key=lambda s: s.sort_key())
-
     def sizes_at(self, lam) -> tuple:
         lam = _as_scalar(lam)
         return tuple(

@@ -1,13 +1,14 @@
-"""The block spectrum check and the oracle in the job's Jordan basis.
+"""The one spectrum path and the oracle in the job's Jordan basis.
 
-A shift job whose prediction extracted the shifted m x m block M takes
-its spectrum verdict from M (``reporting.spectrum_holds``); a job whose
-prediction is refused or skipped takes it from the full n x n pair.  A
-segre job with a change of basis P0 runs its oracle on P0^{-1} A_hat P0
-(``reporting._in_jordan_basis``).  These tests compare both with the
-direct checks, the full ``charpoly_ratio_check`` and ``oracle_segre`` on
-A_hat, and tell the paths apart by the pair handed to
-``charpoly_ratio_check``.
+Every shift job, predicted or refused, hands ``charpoly_ratio_check``
+one pair in its Jordan basis (``reporting._in_jordan_basis``): (J,
+P0^{-1} A_hat P0) for a segre job with a change of basis P0, and
+(A, A_hat) otherwise; its oracle reads the second matrix.  Both checks
+split their matrices into diagonal blocks, so the block verdict is the
+verdict read off those blocks.  These tests compare it with the dense
+check in the job's coordinates, ``charpoly_ratio_check(A, A_hat)``, and
+the oracle with ``oracle_segre`` on A_hat, and tell the pairs apart by
+what was handed to ``charpoly_ratio_check``.
 """
 
 import hashlib
@@ -19,10 +20,9 @@ from fractions import Fraction
 import pytest
 
 from eigenshift import reporting
-from eigenshift.canonical import predict_structure
 from eigenshift.cli import main
 from eigenshift.errors import ExtractionError
-from eigenshift.linalg import Matrix, Vector, jordan_block, outer_plain
+from eigenshift.linalg import Matrix, Vector, _diagonal_blocks, outer_plain
 from eigenshift.oracle import oracle_segre
 from eigenshift.randgen import (
     random_even_shift_instance,
@@ -35,7 +35,6 @@ from eigenshift.reporting import (
     matrix_to_obj,
     parse_shift_job,
     run_shift_job,
-    spectrum_holds,
     vector_to_obj,
 )
 from eigenshift.scalars import CR
@@ -44,6 +43,7 @@ from eigenshift.synthesis import (
     SegreCharacteristic,
     basis_inverse,
     build_matrix,
+    jordan_matrix,
     parametric_chain_matrices,
     random_unimodular,
 )
@@ -63,29 +63,31 @@ def checked(monkeypatch):
 
 
 def _full(shift) -> bool:
-    """The full n x n check of the shift's spectrum claim."""
+    """The dense check of the shift's spectrum claim, in the job's
+    coordinates."""
     return charpoly_ratio_check(
         shift.A, shift.A_hat, shift.chains.lam, shift.lambda1, shift.multiplicity
     )
 
 
-def _verdict(shift, checked):
-    """(verdict, block or None) as ``run_shift_job`` takes them, after
-    checking that the pair handed to charpoly_ratio_check was
-    (J_m(lam0), M) for a block and (A, A_hat) otherwise."""
-    try:
-        block = predict_structure(shift).block
-    except ExtractionError:
-        block = None
-    checked.clear()
-    verdict = spectrum_holds(shift, block)
-    m = shift.multiplicity
-    if block is None:
-        assert checked == [(shift.A, shift.A_hat)]
+def _verdict(shift, basis):
+    """(verdict, pair) as ``run_shift_job`` takes them: the pair in the
+    Jordan basis, after checking that J is P0^{-1} A P0, and the check on
+    it."""
+    pair = _in_jordan_basis(shift, basis)
+    if basis is None:
+        assert pair == (shift.A, shift.A_hat)
     else:
-        assert block.shape == (m, m)
-        assert checked == [(jordan_block(shift.chains.lam, m), block)]
-    return verdict, block
+        P0, J, _ = basis
+        assert pair[0] == J == P0.inverse() @ shift.A @ P0
+    lam0, lam1, m = shift.chains.lam, shift.lambda1, shift.multiplicity
+    return charpoly_ratio_check(*pair, lam0, lam1, m), pair
+
+
+def _target_block_splits_off(M, m) -> bool:
+    """No diagonal block of M straddles its leading m indices and the
+    rest: the update stayed inside the target block."""
+    return all(max(g) < m or min(g) >= m for g in _diagonal_blocks(M))
 
 
 def _shift_of(job):
@@ -208,56 +210,65 @@ def _instances(guarded):
 
 
 # ---------------------------------------------------------------------------
-# block verdict against the full check
+# the one spectrum path against the dense check
 
 
 def test_householder_basis_jobs_take_the_block_verdict(checked):
+    """The pair is (J, P0^{-1} A_hat P0), whose target block splits off
+    (the update stays in it), and its verdict is the dense check's."""
     for doc in _householder_jobs():
         job = parse_shift_job(doc)
         m = doc["segre"][0][1]
         report = run_shift_job(job)
-        ((J, M),) = checked
-        assert J == jordan_block(job.target_eigenvalue, m) and M.shape == (m, m)
-        shift, _, _ = _shift_of(job)
+        shift, _, basis = _shift_of(job)
+        verdict, pair = _verdict(shift, basis)
+        assert checked == [pair]
+        assert pair[0] == jordan_matrix(job.segre)
+        assert _target_block_splits_off(pair[1], m)
         assert report["verdicts"]["spectrum_check"] == "pass"
-        assert _full(shift)
+        assert verdict and _full(shift)
         checked.clear()
 
 
 @pytest.mark.parametrize("guarded", [True, False])
-def test_instance_pools_block_verdict_equals_full_check(guarded, checked):
-    blocks = 0
+def test_instance_pools_block_verdict_equals_full_check(guarded):
+    split = 0
     for inst in _instances(guarded):
-        verdict, block = _verdict(inst.shift, checked)
+        _, chain_list = build_matrix(inst.segre, inst.P)
+        basis = (inst.P, jordan_matrix(inst.segre), chain_list)
+        verdict, pair = _verdict(inst.shift, basis)
         assert verdict == _full(inst.shift)
-        blocks += block is not None
-    # guarded factors always keep the update in the block; minimal ones
-    # couple it to the extra blocks of about half the instances
+        split += _target_block_splits_off(pair[1], inst.shift.multiplicity)
+    # guarded factors always keep the update in the target block; minimal
+    # ones couple it to the extra blocks of about half the instances
     if guarded:
-        assert blocks == 40
+        assert split == 40
     else:
-        assert 10 <= blocks < 40
+        assert 10 <= split < 40
 
 
 def test_explicit_n_equals_m_jobs_take_the_block_verdict(checked):
+    """An explicit job has no change of basis: the pair is (A, A_hat)."""
     rng = random.Random(5)
     for _ in range(12):
         m = rng.randint(1, 6)
         job = parse_shift_job(_explicit_job(rng, m))
         report = run_shift_job(job)
-        ((J, M),) = checked
-        assert J == jordan_block(job.target_eigenvalue, m) and M.shape == (m, m)
         assert report["prediction"] is not None
-        shift, _, _ = _shift_of(job)
+        shift, _, basis = _shift_of(job)
+        assert basis is None
+        assert checked == [(shift.A, shift.A_hat)]
         assert report["verdicts"]["spectrum_check"] == "pass" and _full(shift)
         checked.clear()
 
 
 @pytest.mark.parametrize("m", [4, 5])
-def test_perturbed_shifted_matrices_pick_their_path(m, checked):
-    """A_hat plus V E W*: E in C keeps M's shape and the block verdict;
-    E on M's diagonal makes extraction refuse and the full check fail;
-    an entry of the complementary block is refused too."""
+def test_perturbed_shifted_matrices_pick_their_path(m):
+    """A_hat plus V E W*: E in C keeps M's shape, and extraction reads
+    it; E on M's diagonal makes extraction refuse and the spectrum check
+    fail; an entry of the complementary block is refused too.  Whichever
+    way extraction goes, the verdict comes from the one pair in the
+    Jordan basis, and it is the dense check's."""
     job = parse_shift_job(
         {
             "target_eigenvalue": "1",
@@ -271,52 +282,98 @@ def test_perturbed_shifted_matrices_pick_their_path(m, checked):
             ),
         }
     )
-    shift, _, _ = _shift_of(job)
+    shift, _, basis = _shift_of(job)
     n = shift.A.rows
     V = Matrix.from_columns(list(shift.chains.right))
     Ut_H = Matrix.from_columns(list(reversed(shift.chains.left))).H
     W = (Ut_H @ V).solve(Ut_H)
+    _, (_, before) = _verdict(shift, basis)
 
     def perturbed(delta):
         return replace(shift, A_hat=shift.A_hat + delta)
 
+    def predicts(s):
+        try:
+            reporting.predict_structure(s)
+        except ExtractionError:
+            return False
+        return True
+
     in_C = perturbed(outer_plain(V.col(0), W.row(m - 1)))
-    verdict, block = _verdict(in_C, checked)
-    corner = outer_plain(Vector.unit(m, 0), Vector.unit(m, m - 1))
-    assert block == predict_structure(shift).block + corner
+    verdict, (_, after) = _verdict(in_C, basis)
+    corner = outer_plain(Vector.unit(n, 0), Vector.unit(n, m - 1))
+    assert after == before + corner and predicts(in_C)
     assert verdict and _full(in_C)
 
     on_diagonal = perturbed(outer_plain(V.col(0), W.row(0)))
-    verdict, block = _verdict(on_diagonal, checked)
-    assert block is None
+    verdict, _ = _verdict(on_diagonal, basis)
+    assert not predicts(on_diagonal)
     assert not verdict and not _full(on_diagonal)
 
     outside = perturbed(outer_plain(Vector.unit(n, n - 1), Vector.unit(n, n - 1)))
-    verdict, block = _verdict(outside, checked)
-    assert block is None
+    verdict, _ = _verdict(outside, basis)
+    assert not predicts(outside)
     assert verdict == _full(outside)
+
+
+R_FREE_JOB = {
+    "target_eigenvalue": "1",
+    "new_eigenvalue": "-5",
+    "k": 2,
+    "segre": [["1", 4], ["3", 2]],
+    "r_free": [["0", "0"]] * 4 + [["1", "0"], ["0", "0"]],
+}
 
 
 def test_refused_extraction_reports_the_full_check(checked):
     """The r_free job couples into the trailing columns: no prediction,
-    and the 6 x 6 pair decides the spectrum verdict."""
-    r_free = [["0", "0"] for _ in range(6)]
-    r_free[4][0] = "1"
-    doc = {
-        "target_eigenvalue": "1",
-        "new_eigenvalue": "-5",
-        "k": 2,
-        "segre": [["1", 4], ["3", 2]],
-        "r_free": r_free,
-    }
-    report = run_shift_job(parse_shift_job(doc))
+    and the 6 x 6 pair (A, A_hat), split, decides the spectrum verdict."""
+    report = run_shift_job(parse_shift_job(R_FREE_JOB))
     assert report["verdicts"]["prediction_vs_oracle"] == "not-applicable"
     ((A, A_hat),) = checked
     assert A.shape == A_hat.shape == (6, 6)
     assert A_hat == Matrix.from_texts(report["shifted_matrix"])
+    assert not _target_block_splits_off(A_hat, 4)
     assert report["verdicts"]["spectrum_check"] == (
         "pass" if charpoly_ratio_check(A, A_hat, 1, -5, 4) else "fail"
     )
+
+
+IDENTITY_BASIS_JOB = {
+    "target_eigenvalue": "1",
+    "new_eigenvalue": "-5",
+    "k": 4,
+    "segre": [["1", 8]] + [[str(v), 2] for v in range(3, 7)],
+}
+
+
+@pytest.mark.parametrize("which", ["householder", "identity"])
+def test_refused_prediction_keeps_the_spectrum_verdict_and_its_pair(
+    which, checked, monkeypatch
+):
+    """A job that predicts gets the same spectrum verdict, from the same
+    pair, when prediction is made to refuse: the verdict does not depend
+    on extraction."""
+    docs = _householder_jobs()[:4] if which == "householder" else [IDENTITY_BASIS_JOB]
+    for doc in docs:
+        job = parse_shift_job(doc)
+        predicted = run_shift_job(job)
+        assert predicted["prediction"] is not None
+        (pair,) = checked
+        checked.clear()
+        with monkeypatch.context() as patch:
+
+            def refusing(shift, P=None):
+                raise ExtractionError("refused for the test")
+
+            patch.setattr(reporting, "predict_structure", refusing)
+            refused = run_shift_job(job)
+        assert refused["verdicts"]["prediction_vs_oracle"] == "not-applicable"
+        assert checked == [pair]
+        assert refused["verdicts"]["spectrum_check"] == (
+            predicted["verdicts"]["spectrum_check"]
+        )
+        checked.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +384,7 @@ def test_householder_jobs_oracle_in_basis_equals_direct_oracle():
     for doc in _householder_jobs():
         shift, others, basis = _shift_of(parse_shift_job(doc))
         eigs = [shift.lambda1] + [lam for lam, _ in others]
-        B = _in_jordan_basis(shift.A_hat, basis)
+        _, B = _in_jordan_basis(shift, basis)
         assert B != shift.A_hat
         assert oracle_segre(B, eigs) == oracle_segre(shift.A_hat, eigs)
 
@@ -336,7 +393,8 @@ def test_householder_jobs_oracle_in_basis_equals_direct_oracle():
 def test_instance_pools_oracle_in_basis_equals_direct_oracle(guarded):
     for inst in _instances(guarded):
         _, chain_list = build_matrix(inst.segre, inst.P)
-        B = _in_jordan_basis(inst.shift.A_hat, (inst.P, chain_list))
+        basis = (inst.P, jordan_matrix(inst.segre), chain_list)
+        _, B = _in_jordan_basis(inst.shift, basis)
         eigs = [inst.lambda1] + [lam for lam, _ in inst.segre.blocks[1:]]
         assert oracle_segre(B, eigs) == oracle_segre(inst.shift.A_hat, eigs)
 
@@ -377,8 +435,8 @@ GOLDEN_SEGRE = [
 
 def test_dense_block_orthogonal_job_at_n_32(tmp_path):
     """J_7(1) -> -3 with nine other blocks in H diag(Q_target, Q_rest):
-    the block verdict and the oracle in the Jordan basis give the report
-    the full check and the direct oracle gave."""
+    the split spectrum check and the oracle in the Jordan basis give the
+    report the full check and the direct oracle gave."""
     m = GOLDEN_SEGRE[0][1]
     n = sum(size for _, size in GOLDEN_SEGRE)
     doc = {

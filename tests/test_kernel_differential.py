@@ -16,6 +16,8 @@ against a solve and a product, C @ A.solve(B), and the lazy elimination,
 with and without a bound on its pivot rows, against eager Bareiss.
 """
 
+import hashlib
+import json
 import operator
 import random
 from fractions import Fraction
@@ -30,6 +32,7 @@ from eigenshift.errors import ShapeError, SingularMatrixError
 from eigenshift.linalg import (
     Matrix,
     Vector,
+    _diagonal_blocks,
     _eliminate,
     hstack,
     inner,
@@ -440,6 +443,104 @@ def test_points_and_powers_property(M, points):
     assert power_rank_list(M, count) == [
         ref_rank(P) for P in islice(accumulate(repeat(M), ref_matmul), count)
     ]
+
+
+# -- diagonal blocks: direct sums under a permutation similarity --------------
+
+EIGENVALUES = (ZERO, ONE, CR(0, 1))
+
+
+def random_block(rng, size, complex_prob):
+    """A generic, a rank-deficient or a Jordan-similar block, the last
+    S J_size(lam) S^{-1} for a unimodular S and lam in EIGENVALUES; with
+    complex entries, also i J_size(lam), coupled by imaginary parts alone."""
+    kind = rng.randrange(4 if complex_prob else 3)
+    if kind == 0:
+        return random_matrix(rng, size, size, complex_prob)
+    if kind == 1:
+        return random_matrix(rng, size, size, complex_prob, rank=rng.randint(0, size))
+    if kind == 3:
+        return jordan_block(rng.choice(EIGENVALUES), size).scale(CR(0, 1))
+    S = random_unimodular(size, rng)
+    return S @ jordan_block(rng.choice(EIGENVALUES), size) @ S.inverse()
+
+
+def permuted_direct_sum(rng, complex_prob):
+    """(M, owner): M = Q (X_1 + ... + X_b) Q^T for 1 to 4 random blocks
+    X_i of size 1 to 5 and a random permutation Q; owner[i] is the block
+    that M's index i belongs to."""
+    blocks = [
+        random_block(rng, rng.randint(1, 5), complex_prob)
+        for _ in range(rng.randint(1, 4))
+    ]
+    owner = [b for b, X in enumerate(blocks) for _ in range(X.rows)]
+    n = len(owner)
+    D = [[ZERO] * n for _ in range(n)]
+    t = 0
+    for X in blocks:
+        for i in range(X.rows):
+            for j in range(X.rows):
+                D[t + i][t + j] = X[i, j]
+        t += X.rows
+    perm = list(range(n))
+    rng.shuffle(perm)
+    M = Matrix(n, n, [D[perm[i]][perm[j]] for i in range(n) for j in range(n)])
+    return M, [owner[perm[i]] for i in range(n)]
+
+
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5])
+def test_permuted_direct_sums_split_exactly(complex_prob):
+    """The split finds groups inside the drawn blocks; the charpoly, a
+    product over them, equals (-1)^n det(M - t I) at n + 1 integer
+    points, and the ranks of powers, sums over them, equal the ranks of
+    the explicit powers."""
+    rng = random.Random(41 + int(10 * complex_prob))
+    for _ in range(30):
+        M, owner = permuted_direct_sum(rng, complex_prob)
+        n = M.rows
+        groups = _diagonal_blocks(M)
+        assert sorted(i for g in groups for i in g) == list(range(n))
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+        assert all(g == sorted(g) and len({owner[i] for i in g}) == 1 for g in groups)
+        points = list(range(n + 1))
+        assert charpoly_dets(M, points) == [M.minus_identity(t).det() for t in points]
+        for lam in EIGENVALUES:
+            N = M.minus_identity(lam)
+            assert power_rank_list(N, n + 1) == explicit_power_ranks(N, n + 1)
+            assert list(islice(power_ranks(N, groups), n + 1)) == power_rank_list(N, n + 1)
+
+
+def connected_dense_matrices():
+    """Real and complex matrices of size 1 to 6 with no zero entry, each
+    generic or of rank at most 2: one diagonal block each."""
+    rng = random.Random(23)
+    part = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    out = []
+    for complex_ in (False, True):
+        for n in range(1, 7):
+            entries = lambda r, c: [
+                CR(part(), part() if complex_ else 0) for _ in range(r * c)
+            ]
+            out.append(Matrix(n, n, entries(n, n)))
+            out.append(Matrix(n, 2, entries(n, 2)) @ Matrix(2, n, entries(2, n)))
+    return out
+
+
+def test_connected_dense_matrices_are_one_block_with_unchanged_results():
+    """A matrix with no zero entry is one diagonal block, and its charpoly
+    and ranks of powers are those of the unsplit kernel, which the digest
+    pins."""
+    record = []
+    for M in connected_dense_matrices():
+        assert _diagonal_blocks(M) == [list(range(M.rows))]
+        ranks = [
+            list(islice(power_ranks(M.minus_identity(lam)), M.rows + 1))
+            for lam in EIGENVALUES
+        ]
+        record.append([M.charpoly().texts(), *ranks])
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == (
+        "e8ce7f0a88bf0823b6077fd624f4c9b210f899e64acb6b5b95487873d5eb73c7"
+    )
 
 
 def ref_charpoly_ratio_check(A, A_hat, lambda0, lambda1, m):

@@ -203,7 +203,7 @@ def test_resolvent_point_skips_chain_eigenvalues_and_the_spectrum(monkeypatch):
         tried.append(lam)
         return solve(A, lam, pairs)
 
-    monkeypatch.setattr(biortho, "resolvent_identities", recording)
+    monkeypatch.setattr(reporting, "resolvent_identities", recording)
     # eigenvalues 0, 1 and 2; the only chain is at 0
     A = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
     report = run_verify_job(A, [ChainPair(0, [e(3, 1)], [e(3, 1)])])
