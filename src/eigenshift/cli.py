@@ -16,8 +16,15 @@ import json
 import random
 import sys
 
+from .canonical import classify_odd, predict_structure
 from .errors import EigenShiftError
 from .oracle import oracle_segre
+from .randgen import (
+    ODD_CASE_LABELS,
+    random_even_shift_instance,
+    random_odd_shift_instance,
+    targeted_concentrated_form,
+)
 from .reporting import (
     FAIL,
     JobParseError,
@@ -78,14 +85,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .canonical import classify_odd, predict_structure
-    from .randgen import (
-        ODD_CASE_LABELS,
-        random_even_shift_instance,
-        random_odd_shift_instance,
-        targeted_concentrated_form,
-    )
-
     rng = random.Random(args.seed)
     failures = []
     checked = 0

@@ -29,8 +29,10 @@ elimination, and the results equal those of elimination over
 reduces its matrix to integer rows once for every power.
 ``Matrix.charpoly`` computes the coefficients of det(x I - M) with no
 division at all, by Berkowitz's algorithm on the numerators (Berkowitz
-1984).  Both first split their matrix into diagonal blocks, whose direct
-sum it is up to a permutation similarity (``_diagonal_blocks``).
+1984).  Both first split their own argument into diagonal blocks, whose
+direct sum it is up to a permutation similarity (``_diagonal_blocks``).
+``Matrix.minus_identity`` changes only the diagonal, so M - lam I splits
+as M does.
 """
 
 from __future__ import annotations
@@ -178,18 +180,6 @@ def _scaled(form, c):
     den, re, im = form
     dc, cr, ci = _entries_form((c,))
     return _normal(den * dc, *_mul(len(re), 1, 1, re, im, cr, ci))
-
-
-def _times_identity(n, c):
-    """The (not yet canonical) form of c I_n for a scalar c."""
-    d, (r,), i = _entries_form((c,))
-
-    def diagonal(x):
-        out = [0] * (n * n)
-        out[:: n + 1] = [x] * n
-        return out
-
-    return d, diagonal(r), i and diagonal(i[0])
 
 
 def _divided(zs, d, gaussian):
@@ -376,7 +366,9 @@ class Matrix(_Exact):
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return _matrix(n, n, _normal(*_times_identity(n, ONE)))
+        re = [0] * (n * n)
+        re[:: n + 1] = [1] * n
+        return _matrix(n, n, (1, tuple(re), None))
 
     # -- access -------------------------------------------------------------
 
@@ -440,7 +432,15 @@ class Matrix(_Exact):
         """self - lam I, changing only the diagonal (square matrices)."""
         if not self.is_square:
             raise ShapeError(f"{self.shape} matrix minus a multiple of I")
-        return self._like(_sum(self._form, _times_identity(self.rows, lam), -1))
+        n = self.rows
+
+        def shifted(xs, part):  # xs less lam's one numerator on the diagonal
+            xs = list(xs)
+            xs[:: n + 1] = [x - part[0] for x in xs[:: n + 1]]
+            return xs
+
+        d, res, ims = _common([self._form, _entries_form((lam,))])
+        return self._like(_normal(d, shifted(*res), ims and shifted(*ims)))
 
     def __matmul__(self, other):
         if isinstance(other, Vector):
@@ -634,10 +634,10 @@ def _matrix(rows, cols, form) -> Matrix:
     return _set_form(out, form)
 
 
-def power_ranks(N: Matrix, groups=None):
+def power_ranks(N: Matrix):
     """Iterate rank(N), rank(N^2), rank(N^3), ... of a square matrix:
-    the sums over N's diagonal blocks (groups, found from N when not
-    given), a block whose rank repeats or is full taking no further step.
+    the sums over N's diagonal blocks (``_diagonal_blocks``), a block
+    whose rank repeats or is full taking no further step.
 
     A block's numerators Z = den N are integral (or Gaussian-integral);
     Z^j and N^j have the same rank.  The row space of Z^(j+1) is spanned
@@ -664,7 +664,7 @@ def power_ranks(N: Matrix, groups=None):
             yield rank
             rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
 
-    return map(sum, zip(repeat(0), *map(ranks, groups or _diagonal_blocks(N))))
+    return map(sum, zip(repeat(0), *map(ranks, _diagonal_blocks(N))))
 
 
 def schur_product(C: Matrix, A: Matrix, B: Matrix) -> Matrix:
@@ -959,11 +959,3 @@ def vstack(*mats: Matrix) -> Matrix:
         raise ShapeError("vstack with differing column counts")
     return _matrix(sum(m.rows for m in mats), c, _concat([m._form for m in mats]))
 
-
-def stack_vectors_as_rows(vectors: Sequence[Vector]) -> Matrix:
-    if not vectors:
-        raise ShapeError("no vectors to stack")
-    n = vectors[0].dim
-    if any(v.dim != n for v in vectors):
-        raise ShapeError("ragged rows")
-    return _matrix(len(vectors), n, _concat([v._form for v in vectors]))

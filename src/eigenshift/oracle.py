@@ -3,8 +3,9 @@
 The Weyr characteristic (nullity increments of powers of M - lam I) is
 the conjugate partition of the block sizes at lam.  Its ranks are taken
 on one integer clearing of M - lam I, each power's row space spanned by
-the previous power's pivot rows times M - lam I, and summed over M's
-diagonal blocks, found once per matrix from its zero pattern alone.
+the previous power's pivot rows times M - lam I, and summed over the
+diagonal blocks that ``power_ranks`` finds from the zero pattern of
+M - lam I, which is M's off the diagonal.
 Given a proven algebraic multiplicity, a profile stops taking ranks
 where the multiplicity forces the rest (a forced tail): after an
 increment of 1, or with one dimension left, the remaining increments
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import ClassificationError, MissingEigenvalueError, ShapeError
-from .linalg import (
-    Matrix,
-    _as_scalar,
-    _diagonal_blocks,
-    power_ranks,
-    stack_vectors_as_rows,
-)
+from .linalg import Matrix, _as_scalar, power_ranks
 from .scalars import ComplexRational
 from .synthesis import SegreCharacteristic, _first_failures
 
@@ -57,12 +52,12 @@ class WeyrProfile:
         )
 
 
-def weyr_profile(M: Matrix, lam, multiplicity=None, groups=None) -> WeyrProfile:
+def weyr_profile(M: Matrix, lam, multiplicity=None) -> WeyrProfile:
     """Exact nullity sequence of (M - lam I)^j, stopping when stable.
 
     The ranks of the powers come from ``power_ranks``, which clears
     M - lam I to integers once and never forms a full power, summing
-    over groups, M's diagonal blocks.  Given the algebraic multiplicity
+    over its diagonal blocks.  Given the algebraic multiplicity
     of lam, the sequence also stops when the nullity reaches it, which
     saves the power that would repeat it, and it stops early where the
     multiplicity forces the rest: the nullity grows by at least 1 per
@@ -74,7 +69,7 @@ def weyr_profile(M: Matrix, lam, multiplicity=None, groups=None) -> WeyrProfile:
     n = M.rows
     null_dims = []
     prev = 0
-    for rank in power_ranks(M.minus_identity(lam), groups):
+    for rank in power_ranks(M.minus_identity(lam)):
         d = n - rank
         if d == prev:
             break
@@ -106,11 +101,10 @@ def oracle_segre(M: Matrix, eigenvalues, multiplicities=None) -> SegreCharacteri
     seen = {}
     for lam, mult in zip(eigenvalues, repeat(None) if multiplicities is None else multiplicities):
         seen.setdefault(_as_scalar(lam), mult)
-    groups = _diagonal_blocks(M)
     blocks = []
     total = 0
     for lam, mult in seen.items():
-        prof = weyr_profile(M, lam, mult, groups)
+        prof = weyr_profile(M, lam, mult)
         for size in prof.block_sizes():
             blocks.append((lam, size))
             total += size
@@ -149,7 +143,7 @@ def jordan_cycles(M: Matrix, lam):
     def rank_of(vectors):
         if not vectors:
             return 0
-        return stack_vectors_as_rows(vectors).exact_rank()
+        return Matrix.from_columns(vectors).exact_rank()
 
     tops = []  # (top, size), tallest first
     carry = []  # images at the current level of taller chains' tops
@@ -203,5 +197,5 @@ def verify_cycles(M: Matrix, lam, cycles) -> bool:
         raise ShapeError(f"cycles do not fit a {M.rows}x{M.cols} matrix")
     flat = [v for _, c in chains for v in c]
     return not any(failures) and (
-        stack_vectors_as_rows(flat).exact_rank() == len(flat)
+        Matrix.from_columns(flat).exact_rank() == len(flat)
     )

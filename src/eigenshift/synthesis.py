@@ -307,24 +307,21 @@ def generate_parametric_chains_two_blocks(lam, k: int, a, b, c, d):
     )
 
 
-def random_unimodular(
-    n: int, rng: random.Random, max_abs: int = 3, steps: int | None = None
-) -> Matrix:
-    """Random integer matrix with determinant +-1 and entries in [-max_abs, max_abs].
+def random_unimodular(n: int, rng: random.Random) -> Matrix:
+    """Random integer matrix with determinant +-1 and entries in [-3, 3].
 
-    Built from elementary row operations so the inverse stays exact and
-    integer; operations that would push an entry past the bound are
+    Built from 4n elementary row operations so the inverse stays exact
+    and integer; operations that would push an entry past the bound are
     skipped, which keeps rational growth bounded in tests.
     """
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    steps = steps if steps is not None else 4 * n
-    for _ in range(steps):
+    for _ in range(4 * n):
         op = rng.randrange(3)
         if op == 0 and n > 1:  # transvection
             i, j = rng.sample(range(n), 2)
             c = rng.choice((-1, 1))
             new_row = [rows[i][t] + c * rows[j][t] for t in range(n)]
-            if all(abs(x) <= max_abs for x in new_row):
+            if all(abs(x) <= 3 for x in new_row):
                 rows[i] = new_row
         elif op == 1 and n > 1:  # swap
             i, j = rng.sample(range(n), 2)

@@ -9,7 +9,7 @@ from eigenshift.canonical import (
     predict_structure,
 )
 from eigenshift.errors import ExtractionError
-from eigenshift.linalg import Matrix, Vector, stack_vectors_as_rows
+from eigenshift.linalg import Matrix, Vector
 from eigenshift.oracle import oracle_segre, verify_cycles, weyr_profile
 from eigenshift.randgen import random_even_shift_instance
 from eigenshift.scalars import CR, ONE, ZERO
@@ -167,7 +167,7 @@ def test_eigenspace_even_matches_null_space():
                 assert (shifted @ v).is_zero
             null = ec.matrix().minus_identity(ec.lam).null_space_basis()
             assert len(bottoms) == len(null)
-            assert stack_vectors_as_rows(bottoms).exact_rank() == len(bottoms)
+            assert Matrix.from_columns(bottoms).exact_rank() == len(bottoms)
 
 
 def test_geometric_multiplicity_at_most_two():

@@ -13,7 +13,7 @@ from eigenshift.canonical import (
     reduce_to_concentrated,
 )
 from eigenshift.errors import ExtractionError
-from eigenshift.linalg import Matrix, Vector, stack_vectors_as_rows
+from eigenshift.linalg import Matrix, Vector
 from eigenshift.oracle import jordan_cycles, verify_cycles, weyr_profile
 from eigenshift.randgen import (
     ODD_CASE_LABELS,
@@ -217,7 +217,7 @@ def test_eigenspace_odd_matches_null_space():
             assert (shifted @ v).is_zero
         null = oc.matrix().minus_identity(oc.lam).null_space_basis()
         assert len(bottoms) == len(null)
-        assert stack_vectors_as_rows(bottoms).exact_rank() == len(bottoms)
+        assert Matrix.from_columns(bottoms).exact_rank() == len(bottoms)
 
 
 def test_geometric_multiplicity_at_most_three():

@@ -14,7 +14,6 @@ from eigenshift.linalg import (
     inner,
     jordan_block,
     outer_plain,
-    stack_vectors_as_rows,
     vstack,
 )
 from eigenshift.scalars import CR, I, ONE, ZERO
@@ -96,7 +95,7 @@ def test_null_space_basis():
     assert len(basis) == 2
     for v in basis:
         assert (A @ v).is_zero
-    assert stack_vectors_as_rows(basis).exact_rank() == 2
+    assert Matrix.from_columns(basis).exact_rank() == 2
 
 
 def test_jordan_block_shape():

@@ -16,7 +16,6 @@ from eigenshift.linalg import (
     Vector,
     jordan_block,
     power_ranks,
-    stack_vectors_as_rows,
 )
 from eigenshift.oracle import (
     WeyrProfile,
@@ -155,7 +154,7 @@ def _walk_verify(M, lam, cycles):
         flat.extend(cycle)
     if not flat:
         return False
-    return stack_vectors_as_rows(flat).exact_rank() == len(flat)
+    return Matrix.from_columns(flat).exact_rank() == len(flat)
 
 
 def _pool_predictions(rng):
@@ -199,7 +198,7 @@ def test_verify_cycles_agrees_with_the_walk():
 
 def test_weyr_check_raises_instead_of_asserting(monkeypatch):
     # ranks 3, 1, 1 of the powers give nullities 1, 3: increments (1, 2)
-    monkeypatch.setattr(oracle, "power_ranks", lambda N, groups=None: iter([3, 1, 1]))
+    monkeypatch.setattr(oracle, "power_ranks", lambda N: iter([3, 1, 1]))
     with pytest.raises(ClassificationError):
         weyr_profile(jordan_block(CR(0), 4), 0)
 
@@ -311,8 +310,8 @@ def counted_power_ranks(monkeypatch):
     """Patch oracle.power_ranks to count the ranks taken from it."""
     steps = []
 
-    def counting(N, groups=None):
-        for rank in power_ranks(N, groups):
+    def counting(N):
+        for rank in power_ranks(N):
             steps.append(rank)
             yield rank
 

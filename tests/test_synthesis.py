@@ -510,7 +510,7 @@ def test_parametric_families_refuse_with_their_messages(build, message):
 def test_random_unimodular_entry_bound():
     rng = random.Random(3)
     for n in (1, 2, 5):
-        U = random_unimodular(n, rng, max_abs=3)
+        U = random_unimodular(n, rng)
         assert all(e.im == 0 and abs(e.re) <= 3 for e in U.entries)
         assert U.det() in (ONE, -ONE)
 
