@@ -6,7 +6,8 @@
     eigenshift selftest [--seed N] [--count N]
 
 Exit codes: 0 all applicable verdicts pass, 2 parse error,
-3 precondition violation, 4 internal discrepancy (report still written).
+3 precondition violation or a job too large to hold, 4 internal
+discrepancy (report still written).
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except EigenShiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (MemoryError, OverflowError) as exc:
+        print(f"error: job too large: {exc!r}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

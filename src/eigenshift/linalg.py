@@ -391,12 +391,16 @@ class Matrix(_Exact):
         return _normal(self.den, pick(self.re), self.im and pick(self.im))
 
     def row(self, i: int) -> Vector:
+        if not 0 <= i < self.rows:
+            raise ShapeError(f"row {i} out of range for {self.shape}")
         c = self.cols
         return _vector(self._part(lambda xs: xs[i * c : (i + 1) * c]))
 
     def col(self, j: int) -> Vector:
-        c, n = self.cols, self.rows
-        return _vector(self._part(lambda xs: [xs[i * c + j] for i in range(n)]))
+        if not 0 <= j < self.cols:
+            raise ShapeError(f"column {j} out of range for {self.shape}")
+        c = self.cols
+        return _vector(self._part(lambda xs: xs[j::c]))
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]

@@ -205,19 +205,6 @@ ODD_CASE_LABELS = (
     "Odd4c",
 )
 
-_MIN_K = {
-    "Odd1a": 1,
-    "Odd1b": 1,
-    "Odd2a": 1,
-    "Odd2b": 2,
-    "Odd2c": 1,
-    "Odd3a": 1,
-    "Odd3b": 1,
-    "Odd4a": 1,
-    "Odd4b": 2,
-    "Odd4c": 1,
-}
-
 
 def targeted_concentrated_form(
     rng: random.Random, label: str, max_k: int = 4
@@ -225,7 +212,8 @@ def targeted_concentrated_form(
     """Concentrated form whose (b_1, a_k, last row) pattern hits `label`."""
     if label not in ODD_CASE_LABELS:
         raise InvalidParameterError(f"unknown odd case label {label!r}")
-    k = rng.randint(_MIN_K[label], max(max_k, _MIN_K[label]))
+    min_k = 2 if label in ("Odd2b", "Odd4b") else 1  # at k = 1 their i0 range is empty
+    k = rng.randint(min_k, max(max_k, min_k))
     lam = random_scalar(rng, imag_prob=0.2)
     nz = lambda: random_nonzero_scalar(rng, max_num=3, max_den=2)
     sc = lambda: random_scalar(rng, max_num=3, max_den=2)

@@ -293,9 +293,7 @@ def generate_parametric_chains_two_blocks(lam, k: int, a, b, c, d):
     )
     if any(len(xs) != k for xs in (a, b, c, d)):
         raise InvalidParameterError(f"each parameter family needs {k} entries")
-    lead_left = a[0].re * a[0].re + a[0].im * a[0].im + b[0].re * b[0].re + b[0].im * b[0].im
-    lead_right = c[0].re * c[0].re + c[0].im * c[0].im + d[0].re * d[0].re + d[0].im * d[0].im
-    if lead_left == 0 or lead_right == 0:
+    if (a[0].is_zero and b[0].is_zero) or (c[0].is_zero and d[0].is_zero):
         raise InvalidParameterError(
             "leading parameter pairs (a_1, b_1) and (c_1, d_1) cannot both vanish"
         )

@@ -271,6 +271,22 @@ def test_classify_form_whose_fields_misfit_k_exits_2_before_allocating(
     assert capsys.readouterr().err == "error: C must be 1000000x1000000\n"
 
 
+@pytest.mark.parametrize(
+    "cmd, doc",
+    [
+        ("classify", {"kind": "odd", "k": 10**9, "lambda": "1"}),
+        ("classify", {"kind": "even", "k": 10**10, "lambda": "1"}),
+        ("shift", {"target_eigenvalue": "1", "new_eigenvalue": "2", "k": 5 * 10**9,
+                   "segre": [["1", 10**10]]}),
+    ],
+)
+def test_job_too_large_to_hold_exits_3(tmp_path, capsys, cmd, doc):
+    """Sizes whose first matrix fails (MemoryError or OverflowError) before
+    anything is allocated."""
+    assert run_cli([cmd, write(tmp_path, "doc.json", doc)]) == 3
+    assert capsys.readouterr().err.startswith("error: job too large: ")
+
+
 def test_target_eigenvalue_with_two_blocks_exit_3(tmp_path, capsys):
     job = dict(GOLDEN_JOB, segre=[["1", 4], ["1", 1], ["3", 2]])
     assert run_cli(["shift", write(tmp_path, "job.json", job)]) == 3

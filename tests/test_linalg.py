@@ -117,6 +117,14 @@ def test_submatrix():
     assert A.submatrix(1, 1, 0, 3).rows == 0
 
 
+def test_row_and_col_refuse_indices_out_of_range():
+    A = M([[1, 2, 3], [4, 5, 6]])
+    reads = [(A.row, -1), (A.row, 2), (A.col, -1), (A.col, 3)]
+    for read, index in reads + [(Matrix.zeros(0, 2).row, 0), (Matrix.zeros(2, 0).col, 0)]:
+        with pytest.raises(ShapeError):
+            read(index)
+
+
 def test_float_entries_refused_for_exact_ops():
     """A float or complex value is refused when the object is built."""
     with pytest.raises(BackendError):
