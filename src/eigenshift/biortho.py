@@ -5,13 +5,13 @@ Inner products are conjugate-linear in the left argument throughout
 
 Tables are batched: a Gram table is one product U* V of the stacked
 chains, and the resolvent identities of several chain pairs come from
-one forward Bareiss pass over the bordered matrix
-[[A - lam I, V], [U*, 0]] (``linalg.schur_product``), which leaves
-U* (A - lam I)^{-1} V in its trailing block with no solve and no
-product; each pair reads its own diagonal block.  With the chain
-recurrences, which ``synthesis.check_chains`` checks with one product
-per side, A V and A* U, a verify job therefore makes one elimination
-and three products, however many chain pairs it holds.
+one forward Bareiss pass over [A - lam I | V] (``linalg.schur_blocks``),
+below whose pivot rows each pair's rows of U* are reduced over its own
+columns of V alone: that leaves the pair's diagonal block of
+U* (A - lam I)^{-1} V with no solve, no product and no cross-pair entry.
+With the chain recurrences, which ``synthesis.check_chains`` checks with
+one product per side, A V and A* U, a verify job therefore makes one
+forward pass and three products, however many chain pairs it holds.
 
 A table is a plain ``Matrix``, and the checks read its integer form: one
 denominator serves every entry, so two entries are equal, or an entry
@@ -24,7 +24,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .errors import ResolventError, ShapeError, SingularMatrixError
-from .linalg import Matrix, Vector, _as_scalar, schur_product
+from .linalg import Matrix, Vector, _as_scalar, schur_blocks
 from .synthesis import ChainPair
 
 
@@ -76,12 +76,11 @@ def check_hankel(table: Matrix):
 def resolvent_identities(A: Matrix, lam, pairs: Sequence[ChainPair]) -> list:
     """For each pair, whether u_i* (A - lam I)^{-1} v_j = 0 for all i + j <= p.
 
-    The identities read u_1 .. u_(p-1) and v_1 .. v_(p-1) only, and
-    their table U* (A - lam I)^{-1} V, for all pairs at once, is the one
-    ``schur_product`` of the bordered matrix: a pair's identities are the
-    leading anti-triangle of its diagonal block.  The pass runs even when
-    every pair has length 1, so a point of the spectrum always raises
-    ResolventError.
+    The identities read u_1 .. u_(p-1) and v_1 .. v_(p-1) only, and a
+    pair's are the leading anti-triangle of its own diagonal block of
+    U* (A - lam I)^{-1} V, which ``schur_blocks`` gives for all pairs
+    from one pass.  The pass runs even when every pair has length 1, so
+    a point of the spectrum always raises ResolventError.
     """
     lam = _as_scalar(lam)
     n = A.rows
@@ -89,18 +88,12 @@ def resolvent_identities(A: Matrix, lam, pairs: Sequence[ChainPair]) -> list:
     U = Matrix.from_columns([u for pair in pairs for u in pair.left[:-1]], n)
     V = Matrix.from_columns([v for pair in pairs for v in pair.right[:-1]], n)
     try:
-        table = schur_product(U.H, A.minus_identity(lam), V)
+        own = schur_blocks(U.H, A.minus_identity(lam), V, [(h, h) for h in heads])
     except SingularMatrixError:
         raise ResolventError(
             f"resolvent point {lam} lies in the spectrum"
         ) from None
-    verdicts = []
-    offset = 0
-    for h in heads:
-        own = table.submatrix(offset, offset + h, offset, offset + h)
-        verdicts.append(_antitriangle_entry(own, h + 1) is None)
-        offset += h
-    return verdicts
+    return [_antitriangle_entry(table, h + 1) is None for table, h in zip(own, heads)]
 
 
 def resolvent_orthogonality_check(A: Matrix, lam, pair: ChainPair) -> bool:

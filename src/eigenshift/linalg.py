@@ -15,9 +15,9 @@ prints the entries straight from it, and a ``ComplexRational`` is made
 only when an entry is read.
 
 Products are integer dot products.  Rank, determinant, solve, inverse,
-null space and ``schur_product`` (C A^{-1} B from one forward pass over
-the bordered matrix) run on one fraction-free kernel: row i enters it as
-its numerators over g_i = gcd(den, content of row i), integers or
+null space and ``schur_blocks`` (diagonal blocks of C A^{-1} B from one
+forward pass over [A | B]) run on one fraction-free kernel: row i enters
+it as its numerators over g_i = gcd(den, content of row i), integers or
 Gaussian-integer (re, im) pairs.  Elimination is Bareiss's scheme, whose
 division by the previous pivot is exact in Z and in Z[i] (Bareiss 1968).
 Its row scaling is lazy: a row whose entry in the pivot column is 0 is
@@ -37,7 +37,7 @@ as M does.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm, prod
 from operator import mul, neg, or_
 from typing import Iterable, Sequence
@@ -671,40 +671,47 @@ def power_ranks(N: Matrix):
     return map(sum, zip(repeat(0), *map(ranks, _diagonal_blocks(N))))
 
 
-def schur_product(C: Matrix, A: Matrix, B: Matrix) -> Matrix:
-    """The exact C A^{-1} B for square nonsingular A, with no solve.
+def schur_blocks(C: Matrix, A: Matrix, B: Matrix, sizes) -> list:
+    """The diagonal blocks of the exact C A^{-1} B, A square and
+    nonsingular: the pairs (r_i, m_i) of sizes split C's rows and B's
+    columns in order, and [(r, m)] gives the whole product.
 
-    One forward Bareiss pass runs over the integer rows of the bordered
-    matrix [[A, B], [C, 0]], taking its n pivots from A's rows alone.
-    Entry (n + i, n + j) then ends as the bordered minor
-    det [[A, B_j], [C_i, 0]] of the integer rows, which is
-    -d s_i (C A^{-1} B)_ij, d being the last pivot and s_i the scale of
-    C's row i (A's row scales cancel in A^{-1} B).  So only the r x m
-    trailing block is divided, once; nothing is back-substituted and no
-    n x m A^{-1} B is formed (Bareiss 1968).  A singular A raises
+    One forward Bareiss pass runs over the integer rows of [A | B]; each
+    row of C_i, bordered by zeros, is then reduced below its pivot rows
+    by the lazy updates of ``_eliminate``, over A's and B_i's columns
+    alone.  It ends as det [[A, B_j], [C_i, 0]] = -d s_i (C A^{-1} B)_ij,
+    d being the last pivot and s_i the row's scale (Bareiss 1968), so
+    each block is divided once, with no solve.  A singular A raises
     SingularMatrixError with the rank that ``solve`` reports.
     """
     if not A.is_square:
-        raise ShapeError("schur_product requires a square matrix")
-    n, r, m = A.rows, C.rows, B.cols
-    if B.rows != n or C.cols != n:
-        raise ShapeError(f"cannot border a {A.shape} matrix with {C.shape} and {B.shape}")
-    bordered = vstack(_hcat([A, B]), _hcat([C, Matrix.zeros(r, m)]))
-    scales, rows, gaussian = _integer_rows(bordered)
-    piv_cols, _ = _eliminate(rows, n, gaussian, pivot_rows=n)
-    if len(piv_cols) < n:
-        raise SingularMatrixError(
-            f"matrix is singular (rank {len(piv_cols)})", rank=len(piv_cols)
-        )
-    d = rows[n - 1][n - 1] if n else ((1, 0) if gaussian else 1)
-    # entry (i, j) is z_ij / (-d s_i): over -d L, each row times L / s_i
-    L = lcm(*scales[n:])
-    d = (-d[0] * L, -d[1] * L) if gaussian else -d * L
-    zs = []
-    for s, row in zip(scales[n:], rows[n:]):
-        f = L // s
-        zs += [(a * f, b * f) for a, b in row[n:]] if gaussian else [x * f for x in row[n:]]
-    return _matrix(r, m, _divided(zs, d, gaussian))
+        raise ShapeError("schur_blocks requires a square matrix")
+    n, rs, ms = A.rows, [r for r, _ in sizes], [m for _, m in sizes]
+    if (B.rows, C.cols, sum(rs), sum(ms)) != (n, n, C.rows, B.cols) or min(rs + ms, default=0) < 0:
+        raise ShapeError(f"cannot border {A.shape} with {C.shape} and {B.shape} in blocks {sizes}")
+    _, tops, gaussian = _integer_rows(_hcat([A, B]), C.im is not None)
+    rank = len(_eliminate(tops, n, gaussian)[0])
+    if rank < n:
+        raise SingularMatrixError(f"matrix is singular (rank {rank})", rank=rank)
+    step, zero = (_step_gaussian, (0, 0)) if gaussian else (_step_integer, 0)
+    pivots = [(1, 0) if gaussian else 1] + [top[t] for t, top in enumerate(tops)]
+    scales, rows, _ = _integer_rows(C, gaussian)
+    blocks = []
+    for (r, m), r0, m0 in zip(sizes, accumulate([0] + rs), accumulate([n] + ms)):
+        own = [top[:n] + top[m0 : m0 + m] for top in tops]
+        zs, L = [], lcm(*scales[r0 : r0 + r])
+        for s, row in zip(scales[r0 : r0 + r], rows[r0 : r0 + r]):
+            row, since = row + [zero] * m, 0  # since: the step the row is scaled to
+            for t, top in enumerate(own, 1):
+                if row[t - 1] != zero:
+                    row = step(row, top, pivots[t], row[t - 1], pivots[since], t - 1)
+                    since = t
+            # entry (i, j) is z_ij / (-d s_i): over -d L, each row times L / s_i
+            z, f = step(row, row, pivots[-1], zero, pivots[since], n)[n:], L // s
+            zs += [(a * f, b * f) for a, b in z] if gaussian else [x * f for x in z]
+        den, re, im = _divided(zs, pivots[-1], gaussian)
+        blocks.append(_matrix(r, m, _normal(-den * L, re, im)))
+    return blocks
 
 
 # -- fraction-free integer kernel ----------------------------------------------
@@ -741,24 +748,25 @@ def _times_root(poly, z, gaussian):
     return [(ar - zr * br + zi * bi, ai - zr * bi - zi * br) for (ar, ai), (br, bi) in pairs]
 
 
-def _integer_rows(M: Matrix):
+def _integer_rows(M: Matrix, gaussian=False):
     """(row scales, integer rows, gaussian): row i is M's numerators over
     g_i = gcd(den, content of row i), which is M's row i times
-    scales[i] = den / g_i; entries are ints, or (re, im) pairs when some
-    imaginary part of M is nonzero."""
+    scales[i] = den / g_i; entries are ints, or (re, im) pairs when
+    gaussian is asked for or some imaginary part of M is nonzero."""
     den, re, im, c = M.den, M.re, M.im, M.cols
+    gaussian = gaussian or im is not None
     scales, rows = [], []
     for i in range(M.rows):
         r = re[i * c : (i + 1) * c]
-        if im is None:
+        if not gaussian:
             g = gcd(den, *r)
             rows.append([x // g for x in r] if g > 1 else list(r))
         else:
-            s = im[i * c : (i + 1) * c]
+            s = im[i * c : (i + 1) * c] if im else [0] * c
             g = gcd(den, *r, *s)
             rows.append([(x // g, y // g) for x, y in zip(r, s)])
         scales.append(den // g)
-    return scales, rows, im is not None
+    return scales, rows, gaussian
 
 
 def _numerators(M: Matrix):
@@ -804,13 +812,11 @@ def _primitive(row, gaussian):
     return [(a // g, b // g) for a, b in row] if g > 1 else row
 
 
-def _eliminate(rows, ncols, gaussian, reduced=False, pivot_rows=None):
+def _eliminate(rows, ncols, gaussian, reduced=False):
     """Bareiss elimination of integer rows, in place.
 
-    Pivots are searched in the first ncols columns and, with pivot_rows
-    given, in the first pivot_rows rows only (the rows below are
-    updated but never pivot); each is the first nonzero entry at or
-    below the current row.  Each row update is
+    Pivots are searched in the first ncols columns; each is the first
+    nonzero entry at or below the current row.  Each row update is
     (p * row - f * pivot_row) / previous pivot, where p and f are the
     entries of the pivot row and of the row in the pivot column.  The
     division is exact in Z and in Z[i], and the last pivot ends as the
@@ -831,39 +837,32 @@ def _eliminate(rows, ncols, gaussian, reduced=False, pivot_rows=None):
     step = _step_gaussian if gaussian else _step_integer
     zero = (0, 0) if gaussian else 0
     n = len(rows)
-    bound = n if pivot_rows is None else pivot_rows
     piv_cols = []
     sign = 1
     pivots = [(1, 0) if gaussian else 1]  # pivots[t], the pivot of step t
     since = [0] * n  # since[i], the step row i is scaled to
     r = 0
-    skipped = ncols  # the first column without a pivot
     for c in range(ncols):
-        pr = next((i for i in range(r, bound) if rows[i][c] != zero), None)
+        pr = next((i for i in range(r, n) if rows[i][c] != zero), None)
         if pr is None:
-            skipped = min(skipped, c)
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             since[r], since[pr] = since[pr], since[r]
             sign = -sign
         t = len(pivots)
-        # the rows from r to bound are zero left of c, and the rows from
-        # bound on left of the first column without a pivot
+        # the rows from r on are zero left of c
         top = rows[r] = step(rows[r], rows[r], pivots[-1], zero, pivots[since[r]], c)
         since[r] = t
         p = top[c]
         for i in range(0 if reduced else r + 1, n):
             f = rows[i][c]
             if f != zero and i != r:
-                lo = 0 if i < r else c if i < bound else min(c, skipped)
-                rows[i] = step(rows[i], top, p, f, pivots[since[i]], lo)
+                rows[i] = step(rows[i], top, p, f, pivots[since[i]], 0 if i < r else c)
                 since[i] = t
         pivots.append(p)
         piv_cols.append(c)
         r += 1
-        if r == bound:
-            break
     # pivot rows stay final unless reduced; bring the lazy rows up to date
     last = pivots[-1]
     for i in range(0 if reduced else r, n):

@@ -446,9 +446,9 @@ def run_verify_job(A: Matrix, pairs) -> dict:
 
     Every recurrence is checked first, all chains sharing one product
     per side (``check_chains``); the chains that pass then share one
-    Gram table and one bordered forward pass for the resolvent table
-    (``resolvent_identities``), and each pair reads its own blocks of
-    them.
+    Gram table, of which each pair reads its own blocks, and one forward
+    pass that gives each pair's own block of the resolvent table
+    (``resolvent_identities``).
     """
     _check_square(A)
     failures = {}  # pair index -> recurrence failure

@@ -316,6 +316,43 @@ def test_length_one_pairs_still_refuse_a_spectrum_point():
             resolvent_identities(A, lam, chains)
 
 
+def resolvent_table(A, point, pairs):
+    """U* (A - t I)^{-1} V over every pair's first p - 1 vectors, by a
+    solve and a product."""
+    U = Matrix.from_columns([u for pair in pairs for u in pair.left[:-1]])
+    V = Matrix.from_columns([v for pair in pairs for v in pair.right[:-1]])
+    return U.H @ A.minus_identity(point).solve(V)
+
+
+def test_resolvent_verdicts_read_each_pairs_own_anti_triangle_only():
+    """A verdict reads its pair's own diagonal block of the table, up to
+    and including the edge i + j = p, and no cross-pair entry."""
+    segre = SegreCharacteristic([(CR(1), 3), (CR(-2, 1), 2), (CR(0, 1), 4)])
+    A, (first, second, third) = build_matrix(segre, random_unimodular(9, random.Random(21)))
+    point = CR(3)
+    # u_1 of the first pair plus the last left vector of the second: u_2*
+    # of the second pair's chain is orthogonal to the first pair's right
+    # chain, so the first pair's own block stays zero, while its row meets
+    # the second pair's v_1 in u_2* (A - t I)^{-1} v_1 = u_2* v_1 / (lam - t)
+    mixed = ChainPair(first.lam, [first.left[0] + second.left[-1], *first.left[1:]], first.right)
+    pairs = [mixed, second, third]
+    table = resolvent_table(A, point, pairs)
+    assert _antitriangle_entry(table.submatrix(0, 2, 0, 2), 3) is None
+    assert not table.submatrix(0, 1, 2, 3).is_zero
+    assert resolvent_identities(A, point, pairs) == [True, True, True]
+    # u_1 of the third pair (p = 4) plus its u_2: of the identities
+    # i + j <= 4 only (1, 3), on the edge, becomes u_2* (A - t I)^{-1} v_3,
+    # which is u_2* v_3 / (lam - t), nonzero
+    edge = ChainPair(third.lam, [third.left[0] + third.left[1], *third.left[1:]], third.right)
+    pairs = [first, second, edge]
+    own = resolvent_table(A, point, pairs).submatrix(3, 6, 3, 6)
+    nonzero = [
+        (i, j) for i in range(1, 4) for j in range(1, 5 - i) if not own[i - 1, j - 1].is_zero
+    ]
+    assert nonzero == [(1, 3)]
+    assert resolvent_identities(A, point, pairs) == [True, True, False]
+
+
 # ---------------------------------------------------------------------------
 # the scans on the integer form against entrywise ComplexRational references
 

@@ -11,9 +11,9 @@ determinant per point, and the ranks of powers, which clear a matrix to
 integers once, against one rank per explicit power.  The operations
 that slice, stack, add or transpose the stored integer form are checked
 against entrywise ComplexRational references, and every result must
-keep the canonical form.  The bordered pass ``schur_product`` is checked
-against a solve and a product, C @ A.solve(B), and the lazy elimination,
-with and without a bound on its pivot rows, against eager Bareiss.
+keep the canonical form.  ``schur_blocks`` is checked, whole and split
+into random diagonal blocks, against the blocks of a solve and a
+product, C @ A.solve(B), and the lazy elimination against eager Bareiss.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ from itertools import accumulate, islice, repeat
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenshift.errors import ShapeError, SingularMatrixError
@@ -39,7 +39,7 @@ from eigenshift.linalg import (
     jordan_block,
     outer_plain,
     power_ranks,
-    schur_product,
+    schur_blocks,
     vstack,
 )
 from eigenshift.scalars import CR, ONE, ZERO
@@ -795,11 +795,9 @@ def exact_quotient(x, d):
     return q
 
 
-def eager_bareiss(rows, ncols, gaussian, reduced, pivot_rows=None):
+def eager_bareiss(rows, ncols, gaussian, reduced):
     """Plain Bareiss elimination that updates every row at every pivot,
-    taking pivots from the first pivot_rows rows only (all rows when
-    None), each division checked exact; returns (rows, pivot columns,
-    sign)."""
+    each division checked exact; returns (rows, pivot columns, sign)."""
     if gaussian:
         zero, one = (0, 0), (1, 0)
 
@@ -820,9 +818,8 @@ def eager_bareiss(rows, ncols, gaussian, reduced, pivot_rows=None):
 
     rows = [list(row) for row in rows]
     n, piv_cols, sign, prev, r = len(rows), [], 1, one, 0
-    bound = n if pivot_rows is None else pivot_rows
     for c in range(ncols):
-        pr = next((i for i in range(r, bound) if rows[i][c] != zero), None)
+        pr = next((i for i in range(r, n) if rows[i][c] != zero), None)
         if pr is None:
             continue
         if pr != r:
@@ -838,16 +835,13 @@ def eager_bareiss(rows, ncols, gaussian, reduced, pivot_rows=None):
         prev = p
         piv_cols.append(c)
         r += 1
-        if r == bound:
-            break
     return rows, piv_cols, sign
 
 
 @st.composite
 def integer_rows(draw):
     """Integer or Gaussian rows with many zero entries and zero columns,
-    some of them rank-deficient, the number of columns to pivot in, and
-    the number of leading rows pivots may come from (None: all rows)."""
+    some of them rank-deficient, and the number of columns to pivot in."""
     gaussian = draw(st.booleans())
     n, width = draw(st.integers(0, 7)), draw(st.integers(0, 8))
     ncols = draw(st.integers(0, width))
@@ -860,39 +854,39 @@ def integer_rows(draw):
     ]
     if n > 2 and draw(st.booleans()):  # a repeated row
         rows[-1] = list(rows[0])
-    pivot_rows = draw(st.none() | st.integers(0, n))
-    return rows, ncols, gaussian, draw(st.booleans()), pivot_rows
+    return rows, ncols, gaussian, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_rows())
-# a row past the bound keeps its entry in a column that had no pivot
-@example(([[0, 2], [1, 1]], 2, False, False, 1))
 def test_lazy_elimination_matches_eager_bareiss(case):
-    rows, ncols, gaussian, reduced, pivot_rows = case
-    want_rows, want_pivots, want_sign = eager_bareiss(
-        rows, ncols, gaussian, reduced, pivot_rows
-    )
+    rows, ncols, gaussian, reduced = case
+    want_rows, want_pivots, want_sign = eager_bareiss(rows, ncols, gaussian, reduced)
     got_rows = [list(row) for row in rows]
-    got = _eliminate(got_rows, ncols, gaussian, reduced, pivot_rows=pivot_rows)
+    got = _eliminate(got_rows, ncols, gaussian, reduced)
     assert got == (want_pivots, want_sign)
     assert got_rows == want_rows
 
 
-# -- the bordered pass: C A^-1 B against a solve and a product -----------------
+# -- the diagonal blocks of C A^-1 B against a solve and a product ------------
 
 
-def assert_schur_matches_solve(C, A, B):
-    """schur_product(C, A, B) equals C @ A.solve(B), or raises as the
-    solve does, with the same rank."""
+def assert_schur_matches_solve(C, A, B, sizes=None):
+    """schur_blocks(C, A, B, sizes) holds the diagonal blocks of
+    C @ A.solve(B), the whole product when sizes is None, or raises as
+    the solve does, with the same rank."""
+    sizes = [(C.rows, B.cols)] if sizes is None else sizes
     try:
         want = C @ A.solve(B)
     except SingularMatrixError as err:
         with pytest.raises(SingularMatrixError, match=r"^matrix is singular \(rank \d+\)$") as got:
-            schur_product(C, A, B)
+            schur_blocks(C, A, B, sizes)
         assert got.value.rank == err.rank
         return
-    assert schur_product(C, A, B) == want
+    starts = zip(accumulate([0] + [r for r, _ in sizes]), accumulate([0] + [m for _, m in sizes]))
+    assert schur_blocks(C, A, B, sizes) == [
+        want.submatrix(r0, r0 + r, m0, m0 + m) for (r, m), (r0, m0) in zip(sizes, starts)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -904,8 +898,9 @@ def assert_schur_matches_solve(C, A, B):
     [(1, 1, 1), (4, 2, 3), (6, 5, 5), (5, 0, 3), (5, 3, 0), (4, 0, 0), (0, 2, 3), (0, 0, 0)],
 )
 def test_schur_product_matches_solve_then_product(n, r, m, probs):
-    """Real, Gaussian and mixed operands, B or C empty, and singular A
-    (a product through rank n - 1, and the zero matrix)."""
+    """The whole product as one block: real, Gaussian and mixed
+    operands, B or C empty, and singular A (a product through rank
+    n - 1, and the zero matrix)."""
     prob_c, prob_a, prob_b = probs
     rng = random.Random(f"{n}:{r}:{m}:{probs}")
     ranks = [None, None, n - 1, 0] if n else [None]
@@ -916,13 +911,50 @@ def test_schur_product_matches_solve_then_product(n, r, m, probs):
         assert_schur_matches_solve(C, A, B)
 
 
+def random_split(rng, total, parts):
+    """total as a sum of parts nonnegative terms, zeros included."""
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+@pytest.mark.parametrize(
+    "probs", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)]
+)
+def test_schur_blocks_match_blocks_of_solve_then_product(probs):
+    """Random splits into 1 to 5 diagonal blocks, empty blocks and r = 0
+    or m = 0 included, over real, Gaussian and mixed operands.  Some of
+    C's rows are rows of A, which the pass zeroes at the first step, so
+    their last update comes long before the last pivot."""
+    prob_c, prob_a, prob_b = probs
+    rng = random.Random(f"blocks:{probs}")
+    for n, r, m in [(1, 1, 1), (3, 4, 2), (5, 5, 5), (6, 7, 4), (4, 0, 3), (4, 3, 0), (0, 2, 2)]:
+        for rank in [None, None, None, n - 1] if n else [None]:
+            A = random_matrix(rng, n, n, prob_a, rank=rank)
+            B = random_matrix(rng, n, m, prob_b)
+            rows = [
+                A.row_list()[rng.randrange(n)]
+                if n and rng.random() < 0.4
+                else random_matrix(rng, 1, n, prob_c).row_list()[0]
+                for _ in range(r)
+            ]
+            C = Matrix.from_rows(rows) if r else Matrix.zeros(0, n)
+            for parts in (1, 2, 3, 5):
+                sizes = list(zip(random_split(rng, r, parts), random_split(rng, m, parts)))
+                assert_schur_matches_solve(C, A, B, sizes)
+
+
 def test_schur_product_refuses_bad_shapes():
     A, B, C = Matrix.identity(3), Matrix.zeros(3, 2), Matrix.zeros(2, 3)
-    with pytest.raises(ShapeError, match="^schur_product requires a square matrix$"):
-        schur_product(C, Matrix.zeros(3, 2), Matrix.zeros(3, 1))
+    with pytest.raises(ShapeError, match="^schur_blocks requires a square matrix$"):
+        schur_blocks(C, Matrix.zeros(3, 2), Matrix.zeros(3, 1), [(2, 1)])
     for c, b in ((C, Matrix.zeros(2, 2)), (Matrix.zeros(2, 2), B)):
-        with pytest.raises(ShapeError, match=r"^cannot border a \(3, 3\) matrix"):
-            schur_product(c, A, b)
+        with pytest.raises(ShapeError, match=r"^cannot border \(3, 3\) with"):
+            schur_blocks(c, A, b, [(c.rows, b.cols)])
+    # sizes that do not split C's 2 rows and B's 2 columns
+    wrong = r"^cannot border \(3, 3\) with \(2, 3\) and \(3, 2\) in blocks"
+    for sizes in ([], [(1, 2)], [(2, 1)], [(2, 2), (0, 1)], [(1, 1), (1, 2)], [(3, 2), (-1, 0)]):
+        with pytest.raises(ShapeError, match=wrong):
+            schur_blocks(C, A, B, sizes)
 
 
 @st.composite
@@ -942,3 +974,11 @@ def bordered_operands(draw):
 @given(bordered_operands())
 def test_schur_product_property(operands):
     assert_schur_matches_solve(*operands)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bordered_operands(), st.randoms(use_true_random=False), st.integers(1, 4))
+def test_schur_blocks_property(operands, rng, parts):
+    C, A, B = operands
+    sizes = list(zip(random_split(rng, C.rows, parts), random_split(rng, B.cols, parts)))
+    assert_schur_matches_solve(C, A, B, sizes)
