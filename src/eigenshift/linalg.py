@@ -30,7 +30,9 @@ reduces its matrix to integer rows once for every power.
 ``Matrix.charpoly`` computes the coefficients of det(x I - M) with no
 division at all, by Berkowitz's algorithm on the numerators (Berkowitz
 1984).  Both first split their own argument into diagonal blocks, whose
-direct sum it is up to a permutation similarity (``_diagonal_blocks``).
+direct sum it is up to a permutation similarity (``_diagonal_blocks``);
+``power_ranks`` stops eliminating a block once the multiplicity of 0 in
+its own characteristic polynomial (``_berkowitz``) forces its later ranks.
 ``Matrix.minus_identity`` changes only the diagonal, so M - lam I splits
 as M does.
 """
@@ -277,6 +279,8 @@ class Vector(_Exact):
         return _vector((1, (0,) * i + (1,) + (0,) * (n - i - 1), None))
 
     def __getitem__(self, i: int):
+        if not 0 <= i < self.dim:
+            raise ShapeError(f"index {i} out of range for dim {self.dim}")
         return self._entry(i)
 
     def __iter__(self):
@@ -323,7 +327,8 @@ class Matrix(_Exact):
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(entries)
         form = _entries_form(entries)
-        _check_size(rows, cols, len(entries))
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_form(self, form)
@@ -411,14 +416,11 @@ class Matrix(_Exact):
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Rows r0:r1, columns c0:c1 (half-open, 0-based)."""
-        rows, cols, c = r1 - r0, c1 - c0, self.cols
-        if rows > 0 and cols > 0 and not (0 <= r0 and r1 <= self.rows and 0 <= c0 and c1 <= c):
-            for i in range(r0, r1):  # raise at the first index out of range
-                for j in range(c0, c1):
-                    self[i, j]
-        _check_size(rows, cols, max(rows, 0) * max(cols, 0))
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise ShapeError(f"rows {r0}:{r1}, columns {c0}:{c1} out of range for {self.shape}")
+        c = self.cols
         pick = lambda xs: [x for i in range(r0, r1) for x in xs[i * c + c0 : i * c + c1]]
-        return _matrix(rows, cols, self._part(pick))
+        return _matrix(r1 - r0, c1 - c0, self._part(pick))
 
     # -- algebra ------------------------------------------------------------
 
@@ -506,41 +508,20 @@ class Matrix(_Exact):
     def charpoly(self) -> Vector:
         """The n + 1 coefficients of det(x I - self), leading 1 first.
 
-        Berkowitz's division-free algorithm (Berkowitz 1984) on the
+        Berkowitz's division-free algorithm (``_berkowitz``) on the
         numerators Z = den self, taken block by block (a permutation
-        similarity, ``_diagonal_blocks``).  With Z_r the leading r x r
-        block, det(x I - Z_(r+1)) is the lower triangular Toeplitz matrix
-        with first column 1, -z, -R C, -R Z_r C, ..., -R Z_r^(r-1) C times
-        the coefficients of det(x I - Z_r), where z, R and C are the
-        diagonal entry, the row and the column that Z_(r+1) adds.  R and
-        C are zero outside z's block, so R Z_r^k C is taken in that block;
-        where R or C is zero, as in a triangular block, the column is
-        1, -z, 0, ....  Coefficient j of det(x I - self) is c_j / den^j
-        for c_j that of det(x I - Z).
+        similarity, ``_diagonal_blocks``).  Coefficient j of
+        det(x I - self) is c_j / den^j for c_j that of det(x I - Z).
         """
         if not self.is_square:
             raise ShapeError(f"charpoly of a {self.rows}x{self.cols} matrix")
         n, den = self.rows, self.den
         flat, gaussian, times = _numerators(self)
-        one, zero, negate = ((1, 0), (0, 0), _negated) if gaussian else (1, 0, neg)
-        poly = [one]
+        poly = [(1, 0) if gaussian else 1]
         for g in _diagonal_blocks(self):
             s = len(g)
             Z = flat if s == n else [flat[i * n + j] for i in g for j in g]
-            for r in range(s):
-                row, col, z = Z[r * s : r * s + r], Z[r : r * s : s], Z[r * s + r]
-                if row.count(zero) == r or col.count(zero) == r:
-                    poly = _times_root(poly, z, gaussian)
-                    continue
-                # the columns of the block and -C: one product gives R Z^(k+1) and -R Z^k C
-                cols = [Z[j : r * s : s] for j in range(r)] + [list(map(negate, col))]
-                t, k = [one, negate(z)], len(poly) - 1
-                for _ in range(k):
-                    *row, c = times(row, cols)
-                    t.append(c)
-                # row i of the Toeplitz matrix is u[k + 1 - i : 2k + 2 - i]
-                u = t[::-1] + [zero] * k
-                poly = times(poly, [u[k + 1 - i : 2 * k + 2 - i] for i in range(k + 2)])
+            poly = _berkowitz(poly, Z, s, gaussian, times)
         scaled = lambda xs: [x * den ** (n - j) for j, x in enumerate(xs)]
         re, im = map(scaled, zip(*poly)) if gaussian else (scaled(poly), None)
         return _vector(_normal(den**n, re, im))
@@ -610,11 +591,6 @@ def _flattened(rows):
     return r, c, [e for row in rows for e in row]
 
 
-def _check_size(rows, cols, count):
-    if count != rows * cols:
-        raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {count}")
-
-
 # the slot setters, which the immutable classes' __setattr__ does not reach
 _set_den, _set_re, _set_im = (_Exact.__dict__[f].__set__ for f in _Exact.__slots__)
 _set_rows, _set_cols = (Matrix.__dict__[f].__set__ for f in Matrix.__slots__)
@@ -640,8 +616,7 @@ def _matrix(rows, cols, form) -> Matrix:
 
 def power_ranks(N: Matrix):
     """Iterate rank(N), rank(N^2), rank(N^3), ... of a square matrix:
-    the sums over N's diagonal blocks (``_diagonal_blocks``), a block
-    whose rank repeats or is full taking no further step.
+    the sums over N's diagonal blocks (``_diagonal_blocks``).
 
     A block's numerators Z = den N are integral (or Gaussian-integral);
     Z^j and N^j have the same rank.  The row space of Z^(j+1) is spanned
@@ -650,23 +625,35 @@ def power_ranks(N: Matrix):
     The pivot rows are reduced (fraction-free Gauss-Jordan) and cut to
     their least integer multiples, which depend on the row space alone,
     so entries do not grow from step to step.
+
+    A block of size s whose first rank is below s falls to its floor
+    s - a, a the multiplicity of 0 in det(x I - Z) (``_berkowitz``), each
+    fall at least 1 and at most the one before (the Weyr characteristic),
+    so at its floor, 1 above it or after a fall of 1 it takes no more
+    elimination: its later ranks are known.
     """
     if not N.is_square:
         raise ShapeError(f"powers of a {N.rows}x{N.cols} matrix")
     n = N.rows
     flat, gaussian, times = _numerators(N)
+    one, zero = ((1, 0), (0, 0)) if gaussian else (1, 0)
 
-    def ranks(g):  # one block's, repeated once they stop changing
-        s, rank = len(g), None
+    def ranks(g):  # one block's
+        s = len(g)
         Z = flat if s == n else [flat[i * n + j] for i in g for j in g]
         rows = [Z[i * s : (i + 1) * s] for i in range(s)]
         columns = [Z[j::s] for j in range(s)]
-        while True:
-            prev, rank = rank, len(_eliminate(rows, s, gaussian, reduced=True)[0])
-            if rank in (prev, s):
-                yield from repeat(rank)
+        prev = floor = s
+        rank = len(_eliminate(rows, s, gaussian, reduced=True)[0])
+        if rank < s:  # s - a, the index of the last nonzero coefficient
+            poly = _berkowitz([one], Z, s, gaussian, times)
+            floor = max(j for j, c in enumerate(poly) if c != zero)
+        while min(prev - rank, rank - floor) > 1:
             yield rank
             rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
+            prev, rank = rank, len(_eliminate(rows, s, gaussian, reduced=True)[0])
+        yield from range(rank, floor, -1)
+        yield from repeat(floor)
 
     return map(sum, zip(repeat(0), *map(ranks, _diagonal_blocks(N))))
 
@@ -737,6 +724,34 @@ def _diagonal_blocks(M: Matrix):
             if not joins:  # one group is left
                 return [list(range(n))]
     return sorted(sorted(g) for g in members if g)
+
+
+def _berkowitz(poly, Z, s, gaussian, times):
+    """The coefficients, leading first, of poly(x) det(x I - Z) for the
+    s x s block Z of integer (or Gaussian-integer) numerators, row-major,
+    by Berkowitz's division-free algorithm (Berkowitz 1984): with Z_r the
+    leading r x r block, det(x I - Z_(r+1)) is the lower triangular
+    Toeplitz matrix with first column 1, -z, -R C, -R Z_r C, ... times
+    the coefficients of det(x I - Z_r), where z, R and C are the diagonal
+    entry, the row and the column that Z_(r+1) adds; where R or C is
+    zero, as in a triangular block, the column is 1, -z, 0, ....
+    """
+    one, zero, negate = ((1, 0), (0, 0), _negated) if gaussian else (1, 0, neg)
+    for r in range(s):
+        row, col, z = Z[r * s : r * s + r], Z[r : r * s : s], Z[r * s + r]
+        if row.count(zero) == r or col.count(zero) == r:
+            poly = _times_root(poly, z, gaussian)
+            continue
+        # the columns of the block and -C: one product gives R Z^(k+1) and -R Z^k C
+        cols = [Z[j : r * s : s] for j in range(r)] + [list(map(negate, col))]
+        t, k = [one, negate(z)], len(poly) - 1
+        for _ in range(k):
+            *row, c = times(row, cols)
+            t.append(c)
+        # row i of the Toeplitz matrix is u[k + 1 - i : 2k + 2 - i]
+        u = t[::-1] + [zero] * k
+        poly = times(poly, [u[k + 1 - i : 2 * k + 2 - i] for i in range(k + 2)])
+    return poly
 
 
 def _times_root(poly, z, gaussian):

@@ -5,11 +5,9 @@ the conjugate partition of the block sizes at lam.  Its ranks are taken
 on one integer clearing of M - lam I, each power's row space spanned by
 the previous power's pivot rows times M - lam I, and summed over the
 diagonal blocks that ``power_ranks`` finds from the zero pattern of
-M - lam I, which is M's off the diagonal.
-Given a proven algebraic multiplicity, a profile stops taking ranks
-where the multiplicity forces the rest (a forced tail): after an
-increment of 1, or with one dimension left, the remaining increments
-are all 1.
+M - lam I, which is M's off the diagonal; each block stops where the
+multiplicity of 0 in its own characteristic polynomial forces the rest.
+The oracle reads its matrix and the eigenvalue list alone.
 Nothing here depends on the closed-form classifiers; this module is
 what they are verified against; every cycle, theirs and its own, is
 read down from its top (``read_down``) and checked (``verify_cycles``).
@@ -18,7 +16,6 @@ read down from its top (``read_down``) and checked (``verify_cycles``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import ClassificationError, MissingEigenvalueError, ShapeError
 from .linalg import Matrix, _as_scalar, power_ranks
@@ -52,37 +49,22 @@ class WeyrProfile:
         )
 
 
-def weyr_profile(M: Matrix, lam, multiplicity=None) -> WeyrProfile:
+def weyr_profile(M: Matrix, lam) -> WeyrProfile:
     """Exact nullity sequence of (M - lam I)^j, stopping when stable.
 
     The ranks of the powers come from ``power_ranks``, which clears
-    M - lam I to integers once and never forms a full power, summing
-    over its diagonal blocks.  Given the algebraic multiplicity
-    of lam, the sequence also stops when the nullity reaches it, which
-    saves the power that would repeat it, and it stops early where the
-    multiplicity forces the rest: the nullity grows by at least 1 per
-    power until it reaches the multiplicity and its increments never
-    increase, so after an increment of 1, or with one dimension left,
-    every later increment is 1.  The first rank is always computed.
+    M - lam I to integers once, never forms a full power, and stops
+    eliminating a diagonal block once its later ranks are known, so the
+    repeat that ends the sequence costs no elimination.
     """
     lam = _as_scalar(lam)
     n = M.rows
-    null_dims = []
-    prev = 0
+    null_dims = [0]
     for rank in power_ranks(M.minus_identity(lam)):
-        d = n - rank
-        if d == prev:
+        if n - rank == null_dims[-1]:
             break
-        null_dims.append(d)
-        if d == n or d == multiplicity:
-            break
-        if multiplicity is not None and d < multiplicity and (
-            d - prev == 1 or multiplicity - d == 1
-        ):
-            null_dims.extend(range(d + 1, multiplicity + 1))
-            break
-        prev = d
-    prof = WeyrProfile(lam, tuple(null_dims))
+        null_dims.append(n - rank)
+    prof = WeyrProfile(lam, tuple(null_dims[1:]))
     inc = prof.increments
     if any(inc[i] < inc[i + 1] for i in range(len(inc) - 1)):
         raise ClassificationError(
@@ -91,23 +73,20 @@ def weyr_profile(M: Matrix, lam, multiplicity=None) -> WeyrProfile:
     return prof
 
 
-def oracle_segre(M: Matrix, eigenvalues, multiplicities=None) -> SegreCharacteristic:
+def oracle_segre(M: Matrix, eigenvalues) -> SegreCharacteristic:
     """Full Segre characteristic from a covering eigenvalue list.
 
-    multiplicities, when given, lists the algebraic multiplicity of each
-    eigenvalue in the same order, and each Weyr profile stops there.
+    Each eigenvalue's multiplicity comes from M alone, each diagonal
+    block's from its own characteristic polynomial (``power_ranks``); a
+    list that misses an eigenvalue of M raises MissingEigenvalueError.
     """
     n = M.rows
-    seen = {}
-    for lam, mult in zip(eigenvalues, repeat(None) if multiplicities is None else multiplicities):
-        seen.setdefault(_as_scalar(lam), mult)
-    blocks = []
-    total = 0
-    for lam, mult in seen.items():
-        prof = weyr_profile(M, lam, mult)
-        for size in prof.block_sizes():
-            blocks.append((lam, size))
-            total += size
+    blocks = [
+        (lam, size)
+        for lam in dict.fromkeys(map(_as_scalar, eigenvalues))
+        for size in weyr_profile(M, lam).block_sizes()
+    ]
+    total = sum(size for _, size in blocks)
     if total != n:
         raise MissingEigenvalueError(
             f"supplied eigenvalues cover {total} of {n} dimensions"

@@ -402,9 +402,9 @@ def test_instance_pools_oracle_in_basis_equals_direct_oracle(guarded):
 def test_identity_basis_oracle_reads_a_hat(monkeypatch):
     seen = []
 
-    def recording(M, eigenvalues, multiplicities=None):
+    def recording(M, eigenvalues):
         seen.append(M)
-        return oracle_segre(M, eigenvalues, multiplicities)
+        return oracle_segre(M, eigenvalues)
 
     monkeypatch.setattr(reporting, "oracle_segre", recording)
     doc = {"target_eigenvalue": "1", "new_eigenvalue": "2", "k": 2,

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from eigenshift import cli, reporting
+from eigenshift import cli, linalg, reporting
 
 ALL_PASS = dict.fromkeys(["spectrum_check", "half_chain_invariance", "prediction_vs_oracle"], "pass")
 
@@ -106,6 +106,35 @@ def test_shift_report(tmp_path, job, verdicts, digest):
     assert code == 0
     assert verdicts is None or got == verdicts
     assert sha == digest
+
+
+# The oracle's eliminations on each golden shift job when every diagonal
+# block still took its ranks until one repeated: the bounds of the cost guard.
+ORACLE_ELIMINATIONS = {"n64": 841, "n128": 3721, "derogatory-n16": 23, "r_free": 0, "explicit-n3": 1, "brauer-m1": 9}
+
+
+@pytest.mark.parametrize("name", SHIFT_JOBS)
+def test_oracle_eliminations_do_not_grow(tmp_path, monkeypatch, name):
+    """A cost guard without timing noise: the ``_eliminate`` calls made
+    inside the oracle on each golden shift job stay within their bound."""
+    calls, inside = [], []
+    eliminate, oracle_segre = linalg._eliminate, reporting.oracle_segre
+
+    def counting(*args, **kwargs):
+        calls.extend(inside)
+        return eliminate(*args, **kwargs)
+
+    def oracle(*args):
+        inside.append(1)
+        try:
+            return oracle_segre(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(reporting, "oracle_segre", oracle)
+    assert run_report(tmp_path, "shift", SHIFT_JOBS[name][0])[0] == 0
+    assert len(calls) <= ORACLE_ELIMINATIONS[name]
 
 
 def test_verify_report_past_two_singular_points(tmp_path):

@@ -494,6 +494,18 @@ def random_block(rng, size, complex_prob):
     return S @ jordan_block(rng.choice(EIGENVALUES), size) @ S.inverse()
 
 
+def direct_sum(blocks):
+    """The rows of entries of the direct sum of the square blocks."""
+    n = sum(X.rows for X in blocks)
+    D = [[ZERO] * n for _ in range(n)]
+    t = 0
+    for X in blocks:
+        for i in range(X.rows):
+            D[t + i][t : t + X.rows] = X.row(i).entries
+        t += X.rows
+    return D
+
+
 def permuted_direct_sum(rng, complex_prob):
     """(M, owner): M = Q (X_1 + ... + X_b) Q^T for 1 to 4 random blocks
     X_i of size 1 to 5 and a random permutation Q; owner[i] is the block
@@ -504,13 +516,7 @@ def permuted_direct_sum(rng, complex_prob):
     ]
     owner = [b for b, X in enumerate(blocks) for _ in range(X.rows)]
     n = len(owner)
-    D = [[ZERO] * n for _ in range(n)]
-    t = 0
-    for X in blocks:
-        for i in range(X.rows):
-            for j in range(X.rows):
-                D[t + i][t + j] = X[i, j]
-        t += X.rows
+    D = direct_sum(blocks)
     perm = list(range(n))
     rng.shuffle(perm)
     M = Matrix(n, n, [D[perm[i]][perm[j]] for i in range(n) for j in range(n)])
@@ -536,6 +542,35 @@ def test_permuted_direct_sums_split_exactly(complex_prob):
         for lam in EIGENVALUES:
             N = M.minus_identity(lam)
             assert power_rank_list(N, n + 1) == explicit_power_ranks(N, n + 1)
+
+
+@st.composite
+def dense_sums_holding_zero(draw):
+    """A direct sum of dense blocks, each a Jordan matrix in a
+    ``random_unimodular`` basis: the first holds 0 in one to three Jordan
+    blocks beside at most one other eigenvalue, the others hold no 0; the
+    sum is taken as it is or times 1 + i."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nonzero = st.sampled_from((ONE, CR(-2), CR(Fraction(1, 2)), CR(0, 1), CR(1, -1)))
+    zero_blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    other = draw(st.lists(st.tuples(nonzero, st.integers(1, 3)), max_size=1))
+    rest = draw(st.lists(st.lists(st.tuples(nonzero, st.integers(1, 2)), min_size=1, max_size=2), max_size=2))
+    dense = []
+    for blocks in [[(ZERO, s) for s in zero_blocks] + other, *rest]:
+        segre = SegreCharacteristic(blocks)
+        dense.append(build_matrix(segre, random_unimodular(segre.total_size, rng))[0])
+    unit = draw(st.sampled_from((ONE, CR(1, 1))))
+    D = direct_sum(dense)
+    return Matrix(len(D), len(D), [x * unit for row in D for x in row])
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_sums_holding_zero())
+def test_power_ranks_of_dense_blocks_holding_zero_match_explicit_powers(N):
+    """Each block that holds 0 stops at the floor its characteristic
+    polynomial gives, and every rank is that of the explicit power."""
+    n = N.rows
+    assert power_rank_list(N, n + 1) == explicit_power_ranks(N, n + 1)
 
 
 def connected_dense_matrices():

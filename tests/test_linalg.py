@@ -125,6 +125,28 @@ def test_row_and_col_refuse_indices_out_of_range():
             read(index)
 
 
+def test_submatrix_refuses_ranges_out_of_range():
+    """Each range must lie in the matrix with its start at most its end,
+    also when the other range is empty."""
+    A = Matrix.identity(2)
+    for bounds in [(5, 7, 0, 0), (0, 0, 3, 4), (-1, 1, 0, 2), (0, 2, 0, 3), (2, 1, 0, 2), (0, 2, 1, 0)]:
+        with pytest.raises(ShapeError):
+            A.submatrix(*bounds)
+    assert A.submatrix(2, 2, 0, 0).shape == (0, 0)
+    assert A.submatrix(0, 2, 2, 2).shape == (2, 0)
+
+
+def test_vector_index_out_of_range_raises_shape_error():
+    """As Matrix.row and Matrix.col do: no negative index wraps."""
+    v = Vector([CR(1), CR(2), CR(3)])
+    assert [v[i] for i in range(3)] == [CR(1), CR(2), CR(3)]
+    for i in (-1, -3, 3, 7):
+        with pytest.raises(ShapeError):
+            v[i]
+    with pytest.raises(ShapeError):
+        Vector([])[0]
+
+
 def test_float_entries_refused_for_exact_ops():
     """A float or complex value is refused when the object is built."""
     with pytest.raises(BackendError):

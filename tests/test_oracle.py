@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 
 import eigenshift
-from eigenshift import oracle
+from eigenshift import linalg, oracle
 from eigenshift.canonical import classify_odd, predict_structure
 from eigenshift.errors import ClassificationError, MissingEigenvalueError, ShapeError
 from eigenshift.linalg import (
     Matrix,
     Vector,
+    _diagonal_blocks,
     jordan_block,
-    power_ranks,
 )
 from eigenshift.oracle import (
     WeyrProfile,
@@ -287,10 +287,22 @@ def test_package_has_no_unread_public_names():
     assert found == []
 
 
+def explicit_null_dims(A, lam):
+    """dim ker (A - lam I)^j for j = 1.. until stable, from the explicit
+    powers, formed with @, and ``exact_rank``."""
+    N = A.minus_identity(lam)
+    dims, power = [0], N
+    while len(dims) < 2 or dims[-1] != dims[-2]:
+        dims.append(A.rows - power.exact_rank())
+        power = power @ N
+    return tuple(dims[1:-1])
+
+
 def test_weyr_profile_stops_at_the_multiplicity_with_the_same_result():
-    """The early stops, the forced tail included, give the profile that
-    every rank gives, at repeated and complex eigenvalues with several
-    blocks each."""
+    """Each diagonal block stops where the multiplicity of 0 in its own
+    characteristic polynomial forces the rest, and the profile is the one
+    the explicit powers give, at repeated and complex eigenvalues with
+    several blocks each."""
     rng = random.Random(11)
     pool = [CR(0), CR(1), CR(1, 1), CR(Fraction(-1, 2)), CR(2, -1)]
     for _ in range(30):
@@ -298,47 +310,70 @@ def test_weyr_profile_stops_at_the_multiplicity_with_the_same_result():
         segre = SegreCharacteristic(blocks)
         A, _ = build_matrix(segre, random_unimodular(segre.total_size, rng))
         for lam in dict.fromkeys(lam for lam, _ in segre.canonical().blocks):
-            mult = sum(segre.sizes_at(lam))
-            prof = weyr_profile(A, lam, mult)
-            assert prof == weyr_profile(A, lam)
+            prof = weyr_profile(A, lam)
+            assert prof.null_dims == explicit_null_dims(A, lam)
             assert prof.block_sizes() == segre.sizes_at(lam)
-        mults = [sum(segre.sizes_at(lam)) for lam, _ in blocks]
-        assert oracle_segre(A, [lam for lam, _ in blocks], mults) == segre
+        assert oracle_segre(A, [lam for lam, _ in blocks]) == segre
 
 
-def counted_power_ranks(monkeypatch):
-    """Patch oracle.power_ranks to count the ranks taken from it."""
-    steps = []
+def counted_eliminations(monkeypatch):
+    """Patch linalg._eliminate to count its calls."""
+    calls = []
 
-    def counting(N):
-        for rank in power_ranks(N):
-            steps.append(rank)
-            yield rank
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "power_ranks", counting)
-    return steps
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    return calls
 
 
 @pytest.mark.parametrize(
     "sizes, mult, want_steps",
     [
-        ((8,), 8, 1),  # increment 1: the tail 2..8 is forced
-        ((2, 2), 4, 2),  # increment 2 forces nothing
+        ((8,), 8, 1),  # fall 1: the ranks down to the floor are forced
+        ((2, 2), 4, 2),  # fall 2 forces nothing; the second rank is the floor
         ((3, 1), 4, 2),  # Weyr (2, 1, 1): forced after the second rank
-        ((2, 1, 1), 4, 1),  # Weyr (3, 1): one dimension left after the first
-        ((3, 2, 1), 6, 2),  # Weyr (3, 2, 1): one dimension left after the second
-        ((3, 3, 1), 7, 3),  # Weyr (3, 2, 2): nothing forced, the third rank ends it
+        ((2, 1, 1), 4, 1),  # Weyr (3, 1): 1 above the floor after the first
+        # two diagonal blocks: J_2(3), forced after its first rank, and
+        # Weyr (2, 1, 1) at 3, forced after its second
+        ((3, 2, 1), 6, 3),
+        ((3, 3, 1), 7, 3),  # Weyr (3, 2, 2): nothing forced, the third rank is the floor
         ((1,), 1, 1),
     ],
 )
 def test_forced_tail_steps(monkeypatch, sizes, mult, want_steps):
+    """The profile at 3, whose multiplicity mult the diagonal blocks'
+    characteristic polynomials give, takes want_steps eliminations."""
     rng = random.Random(len(sizes))
     segre = SegreCharacteristic([(CR(3), s) for s in sizes] + [(CR(-1), 2)])
     A, _ = build_matrix(segre, random_unimodular(segre.total_size, rng))
-    steps = counted_power_ranks(monkeypatch)
-    prof = weyr_profile(A, 3, mult)
+    calls = counted_eliminations(monkeypatch)
+    prof = weyr_profile(A, 3)
     assert prof.block_sizes() == tuple(sorted(sizes, reverse=True))
-    assert len(steps) == want_steps
-    steps.clear()
-    assert weyr_profile(A, 3) == prof  # without the multiplicity: every rank
-    assert len(steps) == len(prof.null_dims) + 1
+    assert prof.null_dims[-1] == mult
+    assert len(calls) == want_steps
+
+
+def test_one_jordan_block_takes_one_elimination_per_profile(monkeypatch):
+    """A single J_s(mu) in a dense basis falls by 1 at its first rank, so
+    every later rank is forced."""
+    rng = random.Random(6)
+    for lam, s in [(CR(2), 1), (CR(0), 4), (CR(1, -1), 6), (CR(Fraction(1, 3)), 9)]:
+        A, _ = build_matrix(SegreCharacteristic([(lam, s)]), random_unimodular(s, rng))
+        assert len(_diagonal_blocks(A)) == 1
+        calls = counted_eliminations(monkeypatch)
+        assert weyr_profile(A, lam).null_dims == tuple(range(1, s + 1))
+        assert len(calls) == 1
+
+
+def test_a_missing_eigenvalue_in_a_shared_block_is_refused():
+    """J_2(2) + J_1(5) in a dense basis is one diagonal block; the block's
+    floor at 2 stops its profile at 2 of 3 dimensions."""
+    segre = SegreCharacteristic([(2, 2), (5, 1)])
+    A, _ = build_matrix(segre, random_unimodular(3, random.Random(2)))
+    assert len(_diagonal_blocks(A)) == 1
+    with pytest.raises(MissingEigenvalueError):
+        oracle_segre(A, [2])
+    assert oracle_segre(A, [2, 5]) == segre
