@@ -14,7 +14,8 @@ integer parts; every operation reads and returns the form, ``texts``
 prints the entries straight from it, and a ``ComplexRational`` is made
 only when an entry is read.
 
-Products are integer dot products.  Rank, determinant, solve, inverse,
+Products are integer dot products; ``scale`` and ``outer_plain`` are
+entrywise products of numerators.  Rank, determinant, solve, inverse,
 null space and ``schur_blocks`` (diagonal blocks of C A^{-1} B from one
 forward pass over [A | B]) run on one fraction-free kernel: row i enters
 it as its numerators over g_i = gcd(den, content of row i), integers or
@@ -25,16 +26,16 @@ skipped, and the scale factors it missed, which telescope, are applied
 in its next update, so a sparse matrix costs what its nonzeros cost.
 The pivot is the first nonzero entry in its column, as in hand
 elimination, and the results equal those of elimination over
-``ComplexRational``.  ``power_ranks`` (the ranks of N, N^2, ...)
-reduces its matrix to integer rows once for every power.
-``Matrix.charpoly`` computes the coefficients of det(x I - M) with no
-division at all, by Berkowitz's algorithm on the numerators (Berkowitz
-1984).  Both first split their own argument into diagonal blocks, whose
-direct sum it is up to a permutation similarity (``_diagonal_blocks``);
-``power_ranks`` stops eliminating a block once the multiplicity of 0 in
-its own characteristic polynomial (``_berkowitz``) forces its later ranks.
-``Matrix.minus_identity`` changes only the diagonal, so M - lam I splits
-as M does.
+``ComplexRational``.  ``Matrix.charpoly`` computes the coefficients of
+det(x I - M) with no division at all, by Berkowitz's algorithm on the
+numerators (Berkowitz 1984).  It and ``power_ranks`` (the ranks of
+(M - mu I)^j at each mu of a list) split their matrix once into diagonal
+blocks, whose direct sum it is up to a permutation similarity
+(``_diagonal_blocks``), and take each block's characteristic polynomial
+once (``_block_polys``).  M - mu I changes only the diagonal, so it
+splits as M does; ``power_ranks`` reads how often mu is a root of each
+block's polynomial by exact deflation (``_multiplicity``), and
+eliminates a block only where it is, until its later ranks are forced.
 """
 
 from __future__ import annotations
@@ -177,11 +178,22 @@ def _product(a, b, p, b_im):
     return _normal(a.den * b.den, *_mul(a.rows, a.cols, p, a.re, a.im, b.re, b_im))
 
 
+def _outer(ar, ai, br, bi):
+    """(re, im), row-major, of every product a_s b_t of the numerators
+    (ar, ai) and (br, bi), with no dot product; im is None for a real
+    product."""
+    if ai is None and bi is None:
+        return [x * y for x in ar for y in br], None
+    ai, bi = ai or [0] * len(ar), bi or [0] * len(br)
+    pairs = [(x, u, y, v) for x, u in zip(ar, ai) for y, v in zip(br, bi)]
+    return [x * y - u * v for x, u, y, v in pairs], [x * v + u * y for x, u, y, v in pairs]
+
+
 def _scaled(form, c):
-    """The form of c times each entry: a column times a 1 x 1."""
+    """The form of c times each entry."""
     den, re, im = form
     dc, cr, ci = _entries_form((c,))
-    return _normal(den * dc, *_mul(len(re), 1, 1, re, im, cr, ci))
+    return _normal(den * dc, *_outer(cr, ci, re, im))
 
 
 def _divided(zs, d, gaussian):
@@ -316,7 +328,7 @@ def inner(u: Vector, v: Vector):
 
 def outer_plain(u: Vector, v: Vector) -> "Matrix":
     """Rank-one matrix u v^T (plain transpose, Brauer's convention)."""
-    return _matrix(u.dim, v.dim, _product(u.as_column(), v, v.dim, v.im))
+    return _matrix(u.dim, v.dim, _normal(u.den * v.den, *_outer(u.re, u.im, v.re, v.im)))
 
 
 class Matrix(_Exact):
@@ -508,20 +520,20 @@ class Matrix(_Exact):
     def charpoly(self) -> Vector:
         """The n + 1 coefficients of det(x I - self), leading 1 first.
 
-        Berkowitz's division-free algorithm (``_berkowitz``) on the
-        numerators Z = den self, taken block by block (a permutation
-        similarity, ``_diagonal_blocks``).  Coefficient j of
-        det(x I - self) is c_j / den^j for c_j that of det(x I - Z).
+        The product of the characteristic polynomials of the diagonal
+        blocks of the numerators Z = den self, each taken on its own
+        (``_block_polys``), so a block costs the same wherever it comes in
+        the split.  Coefficient j of det(x I - self) is c_j / den^j for
+        c_j that of det(x I - Z).
         """
         if not self.is_square:
             raise ShapeError(f"charpoly of a {self.rows}x{self.cols} matrix")
         n, den = self.rows, self.den
-        flat, gaussian, times = _numerators(self)
-        poly = [(1, 0) if gaussian else 1]
-        for g in _diagonal_blocks(self):
-            s = len(g)
-            Z = flat if s == n else [flat[i * n + j] for i in g for j in g]
-            poly = _berkowitz(poly, Z, s, gaussian, times)
+        blocks, gaussian, times = _block_polys(self)
+        one, zero = ((1, 0), (0, 0)) if gaussian else (1, 0)
+        poly = [one]
+        for _, _, block_poly in blocks:
+            poly = _poly_product(poly, block_poly, zero, times)
         scaled = lambda xs: [x * den ** (n - j) for j, x in enumerate(xs)]
         re, im = map(scaled, zip(*poly)) if gaussian else (scaled(poly), None)
         return _vector(_normal(den**n, re, im))
@@ -614,48 +626,44 @@ def _matrix(rows, cols, form) -> Matrix:
     return _set_form(out, form)
 
 
-def power_ranks(N: Matrix):
-    """Iterate rank(N), rank(N^2), rank(N^3), ... of a square matrix:
-    the sums over N's diagonal blocks (``_diagonal_blocks``).
+def power_ranks(M: Matrix, eigenvalues) -> list:
+    """For each mu of eigenvalues, an iterator of rank((M - mu I)^j) for
+    j = 1, 2, ...: the sum over M's diagonal blocks (``_diagonal_blocks``),
+    which M - mu I shares, as it changes only the diagonal.
 
-    A block's numerators Z = den N are integral (or Gaussian-integral);
-    Z^j and N^j have the same rank.  The row space of Z^(j+1) is spanned
-    by (rows spanning that of Z^j) Z, so each step multiplies only the
-    rank(Z^j) pivot rows that elimination leaves by the columns of Z.
-    The pivot rows are reduced (fraction-free Gauss-Jordan) and cut to
-    their least integer multiples, which depend on the row space alone,
-    so entries do not grow from step to step.
-
-    A block of size s whose first rank is below s falls to its floor
-    s - a, a the multiplicity of 0 in det(x I - Z) (``_berkowitz``), each
-    fall at least 1 and at most the one before (the Weyr characteristic),
-    so at its floor, 1 above it or after a fall of 1 it takes no more
-    elimination: its later ranks are known.
+    M is split once, and each block's characteristic polynomial is taken
+    once (``_block_polys``), on the numerators Z = den M, so that
+    den (M - mu I) is Z - r I on each block, r = den mu.  Z is integral,
+    so r is an eigenvalue of Z only as an integer, or a Gaussian integer
+    (Z[i] is integrally closed): with mu = m / e in lowest terms, only
+    when e divides den.  Then a block of size s where r is a root a times
+    (``_multiplicity``) falls to its floor s - a (``_block_ranks``), and a
+    block where a = 0 adds s to every rank and takes no elimination.
+    Entries and r are ints, or (re, im) pairs where M or mu is complex.
     """
-    if not N.is_square:
-        raise ShapeError(f"powers of a {N.rows}x{N.cols} matrix")
-    n = N.rows
-    flat, gaussian, times = _numerators(N)
-    one, zero = ((1, 0), (0, 0)) if gaussian else (1, 0)
+    if not M.is_square:
+        raise ShapeError(f"powers of a {M.rows}x{M.cols} matrix")
+    den = M.den
+    blocks, gaussian, _ = _block_polys(M)
 
-    def ranks(g):  # one block's
-        s = len(g)
-        Z = flat if s == n else [flat[i * n + j] for i in g for j in g]
-        rows = [Z[i * s : (i + 1) * s] for i in range(s)]
-        columns = [Z[j::s] for j in range(s)]
-        prev = floor = s
-        rank = len(_eliminate(rows, s, gaussian, reduced=True)[0])
-        if rank < s:  # s - a, the index of the last nonzero coefficient
-            poly = _berkowitz([one], Z, s, gaussian, times)
-            floor = max(j for j, c in enumerate(poly) if c != zero)
-        while min(prev - rank, rank - floor) > 1:
-            yield rank
-            rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
-            prev, rank = rank, len(_eliminate(rows, s, gaussian, reduced=True)[0])
-        yield from range(rank, floor, -1)
-        yield from repeat(floor)
+    def ranks(mu):
+        e, (re,), im = _entries_form((mu,))
+        if den % e:  # r = den mu is no (Gaussian) integer
+            return repeat(M.rows)
+        complex_ = gaussian or im is not None
+        r = (den // e * re, den // e * im[0] if im else 0) if complex_ else den // e * re
+        full, held = 0, []
+        for Z, s, poly in blocks:
+            if complex_ and not gaussian:  # a real block at a complex mu
+                Z, poly = [(x, 0) for x in Z], [(c, 0) for c in poly]
+            a = _multiplicity(poly, r, complex_)
+            if a:
+                held.append(_block_ranks(Z, s, r, s - a, complex_))
+            else:
+                full += s
+        return map(sum, zip(repeat(full), *held))
 
-    return map(sum, zip(repeat(0), *map(ranks, _diagonal_blocks(N))))
+    return [ranks(mu) for mu in eigenvalues]
 
 
 def schur_blocks(C: Matrix, A: Matrix, B: Matrix, sizes) -> list:
@@ -726,10 +734,25 @@ def _diagonal_blocks(M: Matrix):
     return sorted(sorted(g) for g in members if g)
 
 
-def _berkowitz(poly, Z, s, gaussian, times):
-    """The coefficients, leading first, of poly(x) det(x I - Z) for the
-    s x s block Z of integer (or Gaussian-integer) numerators, row-major,
-    by Berkowitz's division-free algorithm (Berkowitz 1984): with Z_r the
+def _block_polys(M: Matrix):
+    """(blocks, gaussian, times): for each diagonal block of M
+    (``_diagonal_blocks``) the numerators Z = den M on it, row-major, its
+    size s and the coefficients of det(x I - Z) (``_berkowitz``), as
+    (Z, s, poly); and ``_numerators``' gaussian and times."""
+    n = M.rows
+    flat, gaussian, times = _numerators(M)
+    blocks = []
+    for g in _diagonal_blocks(M):
+        s = len(g)
+        Z = flat if s == n else [flat[i * n + j] for i in g for j in g]
+        blocks.append((Z, s, _berkowitz(Z, s, gaussian, times)))
+    return blocks, gaussian, times
+
+
+def _berkowitz(Z, s, gaussian, times):
+    """The coefficients, leading first, of det(x I - Z) for the s x s
+    block Z of integer (or Gaussian-integer) numerators, row-major, by
+    Berkowitz's division-free algorithm (Berkowitz 1984): with Z_r the
     leading r x r block, det(x I - Z_(r+1)) is the lower triangular
     Toeplitz matrix with first column 1, -z, -R C, -R Z_r C, ... times
     the coefficients of det(x I - Z_r), where z, R and C are the diagonal
@@ -737,6 +760,7 @@ def _berkowitz(poly, Z, s, gaussian, times):
     zero, as in a triangular block, the column is 1, -z, 0, ....
     """
     one, zero, negate = ((1, 0), (0, 0), _negated) if gaussian else (1, 0, neg)
+    poly = [one]
     for r in range(s):
         row, col, z = Z[r * s : r * s + r], Z[r : r * s : s], Z[r * s + r]
         if row.count(zero) == r or col.count(zero) == r:
@@ -761,6 +785,65 @@ def _times_root(poly, z, gaussian):
     zr, zi = z
     pairs = zip(poly + [(0, 0)], [(0, 0)] + poly)
     return [(ar - zr * br + zi * bi, ai - zr * bi - zi * br) for (ar, ai), (br, bi) in pairs]
+
+
+def _poly_product(p, q, zero, times):
+    """The coefficients, leading first, of p(x) q(x): the shorter row
+    times the Toeplitz columns of the longer."""
+    if len(p) > len(q):
+        p, q = q, p
+    pad = [zero] * (len(p) - 1)
+    q = pad + q + pad
+    return times(p, [q[k : k + len(p)][::-1] for k in range(len(q) - len(p) + 1)])
+
+
+def _multiplicity(poly, r, gaussian):
+    """How often x - r divides the monic poly, whose coefficients, leading
+    first, are ints, as is r, or (re, im) pairs when gaussian: the
+    divisions by Horner's scheme, exact over Z and Z[i] for a monic
+    divisor, that leave remainder 0."""
+    if gaussian:
+        rr, ri = r
+        step = lambda b, c: (c[0] + rr * b[0] - ri * b[1], c[1] + rr * b[1] + ri * b[0])
+        zero = (0, 0)
+    else:
+        step = lambda b, c: c + r * b
+        zero = 0
+    a = 0
+    while len(poly) > 1:
+        *quotient, rest = accumulate(poly, step)
+        if rest != zero:
+            break
+        poly, a = quotient, a + 1
+    return a
+
+
+def _block_ranks(Z, s, r, floor, gaussian):
+    """Iterate rank(N^j), j = 1, 2, ..., for N = Z - r I, Z an s x s
+    block, whose ranks fall to floor.
+
+    The row space of N^(j+1) is spanned by (rows spanning that of N^j) N,
+    so each step multiplies only the rank(N^j) pivot rows that
+    elimination leaves by the columns of N.  The pivot rows are reduced
+    (fraction-free Gauss-Jordan) and cut to their least integer
+    multiples, which depend on the row space alone, so entries do not
+    grow from step to step.  Each fall is at least 1 and at most the one
+    before (the Weyr characteristic), so at the floor, 1 above it or
+    after a fall of 1 the later ranks are known and take no elimination.
+    """
+    times = _times_gaussian if gaussian else _times_integer
+    N, d = list(Z), Z[:: s + 1]
+    N[:: s + 1] = [(x - r[0], y - r[1]) for x, y in d] if gaussian else [x - r for x in d]
+    rows = [N[i * s : (i + 1) * s] for i in range(s)]
+    columns = [N[j::s] for j in range(s)]
+    prev, rank = s + 2, s  # rank(N^0), after no fall that forces anything
+    while min(prev - rank, rank - floor) > 1:
+        if rank < s:
+            rows = [times(_primitive(row, gaussian), columns) for row in rows[:rank]]
+        prev, rank = rank, len(_eliminate(rows, s, gaussian, reduced=True)[0])
+        yield rank
+    yield from range(rank - 1, floor, -1)
+    yield from repeat(floor)
 
 
 def _integer_rows(M: Matrix, gaussian=False):

@@ -1,12 +1,13 @@
 """Independent ground truth for Jordan structure via exact rank sequences.
 
 The Weyr characteristic (nullity increments of powers of M - lam I) is
-the conjugate partition of the block sizes at lam.  Its ranks are taken
-on one integer clearing of M - lam I, each power's row space spanned by
-the previous power's pivot rows times M - lam I, and summed over the
-diagonal blocks that ``power_ranks`` finds from the zero pattern of
-M - lam I, which is M's off the diagonal; each block stops where the
-multiplicity of 0 in its own characteristic polynomial forces the rest.
+the conjugate partition of the block sizes at lam.  One ``power_ranks``
+call takes the ranks at every listed eigenvalue: it splits M into the
+diagonal blocks of its zero pattern off the diagonal, which every
+M - lam I shares, takes each block's characteristic polynomial once,
+and eliminates a block at lam only when lam is a root of it, each power's
+row space spanned by the previous power's pivot rows times the block of
+M - lam I, until the root's multiplicity forces the rest.
 The oracle reads its matrix and the eigenvalue list alone.
 Nothing here depends on the closed-form classifiers; this module is
 what they are verified against; every cycle, theirs and its own, is
@@ -50,17 +51,19 @@ class WeyrProfile:
 
 
 def weyr_profile(M: Matrix, lam) -> WeyrProfile:
-    """Exact nullity sequence of (M - lam I)^j, stopping when stable.
-
-    The ranks of the powers come from ``power_ranks``, which clears
-    M - lam I to integers once, never forms a full power, and stops
-    eliminating a diagonal block once its later ranks are known, so the
-    repeat that ends the sequence costs no elimination.
-    """
+    """Exact nullity sequence of (M - lam I)^j, stopping when stable:
+    the one-eigenvalue call of the ranks that ``oracle_segre`` reads."""
     lam = _as_scalar(lam)
-    n = M.rows
+    (ranks,) = power_ranks(M, [lam])
+    return _profile(M.rows, lam, ranks)
+
+
+def _profile(n, lam, ranks) -> WeyrProfile:
+    """The profile at lam of an n x n matrix from the ranks of the powers
+    of its shift, read until one repeats; ClassificationError unless the
+    increments are non-increasing."""
     null_dims = [0]
-    for rank in power_ranks(M.minus_identity(lam)):
+    for rank in ranks:
         if n - rank == null_dims[-1]:
             break
         null_dims.append(n - rank)
@@ -76,15 +79,18 @@ def weyr_profile(M: Matrix, lam) -> WeyrProfile:
 def oracle_segre(M: Matrix, eigenvalues) -> SegreCharacteristic:
     """Full Segre characteristic from a covering eigenvalue list.
 
-    Each eigenvalue's multiplicity comes from M alone, each diagonal
-    block's from its own characteristic polynomial (``power_ranks``); a
-    list that misses an eigenvalue of M raises MissingEigenvalueError.
+    One ``power_ranks`` call takes the ranks at every eigenvalue: M is
+    split into its diagonal blocks once, each block's characteristic
+    polynomial says which listed eigenvalues it holds and how often, and
+    only those (block, eigenvalue) pairs are eliminated.  A list that
+    misses an eigenvalue of M raises MissingEigenvalueError.
     """
     n = M.rows
+    lams = list(dict.fromkeys(map(_as_scalar, eigenvalues)))
     blocks = [
         (lam, size)
-        for lam in dict.fromkeys(map(_as_scalar, eigenvalues))
-        for size in weyr_profile(M, lam).block_sizes()
+        for lam, ranks in zip(lams, power_ranks(M, lams))
+        for size in _profile(n, lam, ranks).block_sizes()
     ]
     total = sum(size for _, size in blocks)
     if total != n:

@@ -291,7 +291,8 @@ def _job_inputs(job: ShiftJob):
     is its target block's, as ``build_matrix`` returns it; prediction
     reads that pair alone and needs no basis.  basis is (P0, J, every
     block's chain pair) for a segre job with a change of basis, and None
-    otherwise."""
+    otherwise; without one, A is the Jordan matrix J itself and the pair
+    is the unit vectors of the target block, with no inverse or product."""
     lam0 = job.target_eigenvalue
     if job.segre is not None:
         segre = job.segre
@@ -310,12 +311,14 @@ def _job_inputs(job: ShiftJob):
         # the chain length is the target block's size: check k before
         # any n x n matrix is built
         _check_k(job.k, segre.blocks[t][1])
-        A, chain_list = build_matrix(
-            segre, Matrix.identity(n) if P0 is None else P0
-        )
         others = [b for i, b in enumerate(segre.blocks) if i != t]
-        basis = None if P0 is None else (P0, jordan_matrix(segre), chain_list)
-        return A, chain_list[t], others, basis
+        if P0 is None:  # A is J, and the chains are unit vectors
+            lam, size = segre.blocks[t]
+            offset = sum(s for _, s in segre.blocks[:t])
+            units = [Vector.unit(n, offset + i) for i in range(size)]
+            return jordan_matrix(segre), ChainPair(lam, units[::-1], units), others, None
+        A, chain_list = build_matrix(segre, P0)
+        return A, chain_list[t], others, (P0, jordan_matrix(segre), chain_list)
     A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     _check_k(job.k, chains.length)

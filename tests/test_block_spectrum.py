@@ -413,6 +413,24 @@ def test_identity_basis_oracle_reads_a_hat(monkeypatch):
     assert seen == [Matrix.from_texts(report["shifted_matrix"])]
 
 
+@pytest.mark.parametrize("target, k", [("1", 1), ("1/2+i", 1), ("-3", 2)])
+def test_identity_basis_segre_job_takes_j_and_unit_chains(monkeypatch, target, k):
+    """With no change of basis, A is the Jordan matrix and the target
+    block's chain pair is unit vectors: what ``build_matrix`` gives for
+    P = I, made with no inverse or product."""
+    segre = [["2", 1], ["1", 3], ["1/2+i", 2], ["-3", 4]]
+    job = parse_shift_job({"target_eigenvalue": target, "new_eigenvalue": "7", "k": k, "segre": segre})
+    want_A, chain_list = build_matrix(job.segre, Matrix.identity(10))
+    t = [lam for lam, _ in job.segre.blocks].index(job.target_eigenvalue)
+    monkeypatch.setattr(reporting, "build_matrix", None)
+    A, chains, others, basis = _job_inputs(job)
+    assert (A, basis) == (want_A, None) and A == jordan_matrix(job.segre)
+    assert (chains.lam, chains.left, chains.right) == (
+        chain_list[t].lam, chain_list[t].left, chain_list[t].right
+    )
+    assert others == [b for i, b in enumerate(job.segre.blocks) if i != t]
+
+
 def test_corrupted_basis_inverse_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         reporting, "basis_inverse", lambda chains: basis_inverse(chains).scale(2)

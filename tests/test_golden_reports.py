@@ -108,9 +108,10 @@ def test_shift_report(tmp_path, job, verdicts, digest):
     assert sha == digest
 
 
-# The oracle's eliminations on each golden shift job when every diagonal
-# block still took its ranks until one repeated: the bounds of the cost guard.
-ORACLE_ELIMINATIONS = {"n64": 841, "n128": 3721, "derogatory-n16": 23, "r_free": 0, "explicit-n3": 1, "brauer-m1": 9}
+# The oracle's eliminations on each golden shift job once a diagonal block
+# is eliminated only at the listed eigenvalues that are roots of its
+# characteristic polynomial at least twice: the bounds of the cost guard.
+ORACLE_ELIMINATIONS = {"n64": 29, "n128": 61, "derogatory-n16": 5, "r_free": 0, "explicit-n3": 1, "brauer-m1": 1}
 
 
 @pytest.mark.parametrize("name", SHIFT_JOBS)
@@ -135,6 +136,42 @@ def test_oracle_eliminations_do_not_grow(tmp_path, monkeypatch, name):
     monkeypatch.setattr(reporting, "oracle_segre", oracle)
     assert run_report(tmp_path, "shift", SHIFT_JOBS[name][0])[0] == 0
     assert len(calls) <= ORACLE_ELIMINATIONS[name]
+
+
+@pytest.mark.parametrize("name", [name for name in SHIFT_JOBS if name != "r_free"])
+def test_oracle_splits_once_and_takes_one_charpoly_per_block(tmp_path, monkeypatch, name):
+    """However many eigenvalues it is given, each oracle call on a golden
+    shift job splits its matrix into diagonal blocks once and takes at
+    most one characteristic polynomial per block (the r_free job has no
+    prediction, so no oracle call)."""
+    records, split, berkowitz, oracle_segre = [], linalg._diagonal_blocks, linalg._berkowitz, reporting.oracle_segre
+    inside = []  # the record of the oracle call that is running
+
+    def splitting(M):
+        groups = split(M)
+        for record in inside:
+            record["splits"].append(len(groups))
+        return groups
+
+    def charpoly(*args):
+        for record in inside:
+            record["polys"] += 1
+        return berkowitz(*args)
+
+    def oracle(*args):
+        inside.append({"splits": [], "polys": 0})
+        try:
+            return oracle_segre(*args)
+        finally:
+            records.append(inside.pop())
+
+    monkeypatch.setattr(linalg, "_diagonal_blocks", splitting)
+    monkeypatch.setattr(linalg, "_berkowitz", charpoly)
+    monkeypatch.setattr(reporting, "oracle_segre", oracle)
+    assert run_report(tmp_path, "shift", SHIFT_JOBS[name][0])[0] == 0
+    assert records
+    for record in records:
+        assert len(record["splits"]) == 1 and record["polys"] <= record["splits"][0]
 
 
 def test_verify_report_past_two_singular_points(tmp_path):

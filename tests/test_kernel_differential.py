@@ -28,20 +28,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift.errors import ShapeError, SingularMatrixError
+from eigenshift import linalg
+from eigenshift.errors import MissingEigenvalueError, ShapeError, SingularMatrixError
 from eigenshift.linalg import (
     Matrix,
     Vector,
     _diagonal_blocks,
     _eliminate,
+    _multiplicity,
     hstack,
     inner,
     jordan_block,
+    jordan_sum,
     outer_plain,
     power_ranks,
     schur_blocks,
     vstack,
 )
+from eigenshift.oracle import oracle_segre
 from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.shifting import charpoly_ratio_check, shift_even, shift_odd
 from eigenshift.synthesis import SegreCharacteristic, build_matrix, random_unimodular
@@ -266,6 +270,29 @@ def test_scaling_matches_scalar_products(complex_prob):
         assert A.row(1).scale(c).entries == tuple(expected[4:8])
 
 
+@pytest.mark.parametrize("complex_prob", [0.0, 0.5])
+def test_scale_and_outer_match_the_one_wide_product(complex_prob):
+    """``scale`` and ``outer_plain`` multiply the numerators directly; each
+    equals the product of a column and a 1 x 1 or a 1 x p matrix, whose
+    dot products are one term long, for real, complex and zero scalars
+    and empty shapes, and keeps the canonical form."""
+    rng = random.Random(17 + int(10 * complex_prob))
+    scalars = [0, ZERO, 3, CR(Fraction(-5, 6)), CR(0, 1), CR(Fraction(1, 2), -3)]
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 3)]:
+        X = random_matrix(rng, rows, cols, complex_prob)
+        column = Matrix(rows * cols, 1, X.entries)
+        u = Vector([random_scalar(rng, complex_prob) for _ in range(rows)])
+        v = Vector([random_scalar(rng, complex_prob) for _ in range(cols)])
+        for c in scalars + [random_scalar(rng, 1.0)]:
+            scaled = X.scale(c)
+            assert scaled == Matrix(rows, cols, (column @ Matrix(1, 1, [c])).entries)
+            assert u.scale(c) == (u.as_column() @ Matrix(1, 1, [c])).col(0)
+            assert_canonical(scaled)
+        outer = outer_plain(u, v)
+        assert outer == u.as_column() @ Matrix(1, cols, v.entries)
+        assert_canonical(outer)
+
+
 def test_mixed_real_and_complex_products():
     rng = random.Random(7)
     R = random_matrix(rng, 3, 4)
@@ -350,8 +377,11 @@ def test_kernel_matches_reference_property(A):
 # -- characteristic polynomials at integer points and ranks of powers ----------
 
 
-def power_rank_list(M, count):
-    return list(islice(power_ranks(M), count))
+def power_rank_list(M, count, lam=ZERO):
+    """The first count ranks of the powers of M - lam I, from the one
+    eigenvalue call of ``power_ranks``."""
+    (ranks,) = power_ranks(M, [lam])
+    return list(islice(ranks, count))
 
 
 def explicit_power_ranks(M, count):
@@ -424,7 +454,7 @@ def test_power_ranks_match_explicit_powers(complex_prob):
         assert power_rank_list(M, count) == explicit_power_ranks(M, count)
         for lam in (ZERO, ONE, CR(0, 1)):
             N = M.minus_identity(lam)
-            assert power_rank_list(N, count) == explicit_power_ranks(N, count)
+            assert power_rank_list(M, count, lam) == explicit_power_ranks(N, count)
 
 
 def test_points_and_powers_refuse_bad_input():
@@ -435,7 +465,7 @@ def test_points_and_powers_refuse_bad_input():
         with pytest.raises(ShapeError):
             M.det()
         with pytest.raises(ShapeError):
-            next(power_ranks(M))
+            power_ranks(M, [ZERO])
 
 
 @st.composite
@@ -515,12 +545,17 @@ def permuted_direct_sum(rng, complex_prob):
         for _ in range(rng.randint(1, 4))
     ]
     owner = [b for b, X in enumerate(blocks) for _ in range(X.rows)]
-    n = len(owner)
-    D = direct_sum(blocks)
+    M, perm = permuted(rng, direct_sum(blocks))
+    return M, [owner[i] for i in perm]
+
+
+def permuted(rng, D):
+    """(Q D Q^T, perm) for the rows of entries D and a random permutation
+    Q: entry (i, j) is D[perm[i]][perm[j]]."""
+    n = len(D)
     perm = list(range(n))
     rng.shuffle(perm)
-    M = Matrix(n, n, [D[perm[i]][perm[j]] for i in range(n) for j in range(n)])
-    return M, [owner[perm[i]] for i in range(n)]
+    return Matrix(n, n, [D[perm[i]][perm[j]] for i in range(n) for j in range(n)]), perm
 
 
 @pytest.mark.parametrize("complex_prob", [0.0, 0.5])
@@ -541,7 +576,7 @@ def test_permuted_direct_sums_split_exactly(complex_prob):
         assert charpoly_dets(M, points) == [M.minus_identity(t).det() for t in points]
         for lam in EIGENVALUES:
             N = M.minus_identity(lam)
-            assert power_rank_list(N, n + 1) == explicit_power_ranks(N, n + 1)
+            assert power_rank_list(M, n + 1, lam) == explicit_power_ranks(N, n + 1)
 
 
 @st.composite
@@ -573,6 +608,103 @@ def test_power_ranks_of_dense_blocks_holding_zero_match_explicit_powers(N):
     assert power_rank_list(N, n + 1) == explicit_power_ranks(N, n + 1)
 
 
+# real, rational with a denominator, and Gaussian: each listed or not
+LISTABLE = (ZERO, CR(-2), CR(Fraction(1, 3)), CR(Fraction(-3, 2)), CR(0, 1), CR(Fraction(1, 2), -1))
+
+
+@st.composite
+def listed_direct_sums(draw):
+    """(M, listed, segre): M is a permuted direct sum of one to three dense
+    blocks, each a Jordan matrix in a ``random_unimodular`` basis with
+    zero to three Jordan blocks at listed eigenvalues, repeats allowed,
+    and perhaps one at an unlisted eigenvalue; listed may hold values
+    that are no eigenvalue, and segre is M's Segre characteristic."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    listed = draw(st.lists(st.sampled_from(LISTABLE), min_size=1, max_size=4, unique=True))
+    unlisted = [lam for lam in LISTABLE if lam not in listed]
+    dense, blocks = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        held = draw(st.lists(st.sampled_from(listed), max_size=3))
+        extra = draw(st.lists(st.sampled_from(unlisted), min_size=0 if held else 1, max_size=1))
+        segre = [(lam, draw(st.integers(1, 3))) for lam in held + extra]
+        blocks += segre
+        segre = SegreCharacteristic(segre)
+        dense.append(build_matrix(segre, random_unimodular(segre.total_size, rng))[0])
+    return permuted(rng, direct_sum(dense))[0], listed, SegreCharacteristic(blocks).canonical()
+
+
+@settings(max_examples=40, deadline=None)
+@given(listed_direct_sums())
+def test_power_ranks_at_listed_eigenvalues_match_explicit_powers(case):
+    """One call takes the ranks at every listed value, and each equals the
+    explicit powers' (to one power past the largest Jordan block); the
+    oracle finds the Segre characteristic when the list covers M and
+    refuses it with the covered dimension count when it does not."""
+    M, listed, segre = case
+    n = M.rows
+    for lam, ranks in zip(listed, power_ranks(M, listed)):
+        assert list(islice(ranks, 4)) == explicit_power_ranks(M.minus_identity(lam), 4)
+    covered = sum(size for lam, size in segre.blocks if lam in listed)
+    if covered == n:
+        assert oracle_segre(M, listed) == segre
+    else:
+        with pytest.raises(MissingEigenvalueError, match=f"supplied eigenvalues cover {covered} of {n} dimensions"):
+            oracle_segre(M, listed)
+
+
+def test_root_multiplicity_by_exact_deflation():
+    """_multiplicity divides by x - r while the remainder is 0: no root,
+    a simple root, a full root and a double one among others, over Z and
+    over Z[i] (a real polynomial at a complex root, too)."""
+    cube = [1, -6, 12, -8]  # (x - 2)^3
+    mixed = [1, -3, 0, 4]  # (x - 2)^2 (x + 1)
+    assert [_multiplicity(mixed, r, False) for r in (2, -1, 3, 0)] == [2, 1, 0, 0]
+    assert _multiplicity(cube, 2, False) == 3 and _multiplicity([1], 2, False) == 0
+    # (x - i)^2 (x - 1 - i) and x^2 + 1 = (x - i)(x + i)
+    gauss = [(1, 0), (-1, -3), (-3, 2), (1, 1)]
+    assert [_multiplicity(gauss, r, True) for r in ((0, 1), (1, 1), (1, -1))] == [2, 1, 0]
+    assert _multiplicity([(1, 0), (0, 0), (1, 0)], (0, -1), True) == 1
+
+
+def test_roots_with_a_denominator_and_listed_values_that_are_no_root(monkeypatch):
+    """At mu = m / e the block of den (M - mu I) is Z - den mu I: a
+    denominator of mu that divides den gives an integer root, as in
+    J_2(1/3) + J_1(2/3) at 1/3, and one that does not, as 1/2 there or
+    beside an integer M, is no eigenvalue and takes no elimination."""
+    M = jordan_sum(((CR(Fraction(1, 3)), 2), (CR(Fraction(2, 3)), 1), (CR(0, 1), 1)))
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a, **k: calls.append(1) or eliminate(*a, **k))
+    third, half, two_thirds, i = power_ranks(M, [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), CR(0, 1)])
+    assert list(islice(third, 3)) == [3, 2, 2] and len(calls) == 1
+    assert list(islice(half, 3)) == [4, 4, 4] and list(islice(two_thirds, 2)) == [3, 3]
+    assert list(islice(i, 2)) == [3, 3] and len(calls) == 1
+    (ranks,) = power_ranks(jordan_block(CR(2), 3), [Fraction(5, 2)])
+    assert list(islice(ranks, 2)) == [3, 3] and len(calls) == 1
+
+
+def test_charpoly_takes_each_block_on_its_own(monkeypatch):
+    """The characteristic polynomial is the product of its diagonal
+    blocks', each taken from 1, so a dense block, J_3(2) + J_2(5) in a
+    ``random_unimodular`` basis, costs the same integer products before
+    or after J_30(1), and the result, the same either way, has the values
+    of det(M - t I)."""
+    segre = SegreCharacteristic([(2, 3), (5, 2)])
+    dense = build_matrix(segre, random_unimodular(5, random.Random(4)))[0]
+    lead = jordan_block(ONE, 30)
+    products, polys, counts = [], [], []
+    times = linalg._times_integer
+    monkeypatch.setattr(linalg, "_times_integer", lambda *a: products.append(1) or times(*a))
+    for blocks in ([dense, lead], [lead, dense]):
+        M = Matrix(35, 35, [x for row in direct_sum(blocks) for x in row])
+        assert len(_diagonal_blocks(M)) == 2
+        products.clear()
+        polys.append(M.charpoly())
+        counts.append(len(products))
+    assert polys[0] == polys[1] and counts[0] == counts[1]
+    assert charpoly_dets(M, [0, 3]) == [M.minus_identity(t).det() for t in (0, 3)]
+
+
 def connected_dense_matrices():
     """Real and complex matrices of size 1 to 6 with no zero entry, each
     generic or of rank at most 2: one diagonal block each."""
@@ -596,10 +728,7 @@ def test_connected_dense_matrices_are_one_block_with_unchanged_results():
     record = []
     for M in connected_dense_matrices():
         assert _diagonal_blocks(M) == [list(range(M.rows))]
-        ranks = [
-            list(islice(power_ranks(M.minus_identity(lam)), M.rows + 1))
-            for lam in EIGENVALUES
-        ]
+        ranks = [power_rank_list(M, M.rows + 1, lam) for lam in EIGENVALUES]
         record.append([M.charpoly().texts(), *ranks])
     assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == (
         "e8ce7f0a88bf0823b6077fd624f4c9b210f899e64acb6b5b95487873d5eb73c7"
