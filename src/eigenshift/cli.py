@@ -5,9 +5,9 @@
     eigenshift classify <form.json> [-o report.json]
     eigenshift selftest [--seed N] [--count N]
 
-Exit codes: 0 all applicable verdicts pass, 2 parse error,
-3 precondition violation or a job too large to hold, 4 internal
-discrepancy (report still written).
+Exit codes: 0 all applicable verdicts pass, 2 parse error or a file
+argument that cannot be read or written, 3 precondition violation or a
+job too large to hold, 4 internal discrepancy (report still written).
 """
 
 from __future__ import annotations
@@ -51,15 +51,20 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise JobParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+        # integer literal past the interpreter's digit limit
         raise JobParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(report: dict, out_path):
     text = dumps(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise JobParseError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -173,9 +173,9 @@ def _mul(n, k, p, ar, ai, br, bi):
     return re, im
 
 
-def _product(a, b, p, b_im):
-    """The form of a @ b, for b with p columns and imaginary parts b_im."""
-    return _normal(a.den * b.den, *_mul(a.rows, a.cols, p, a.re, a.im, b.re, b_im))
+def _product(a, b, p):
+    """The form of a @ b, for b with p columns."""
+    return _normal(a.den * b.den, *_mul(a.rows, a.cols, p, a.re, a.im, b.re, b.im))
 
 
 def _outer(ar, ai, br, bi):
@@ -464,13 +464,13 @@ class Matrix(_Exact):
         if isinstance(other, Vector):
             if self.cols != other.dim:
                 raise ShapeError(f"{self.shape} @ vector of dim {other.dim}")
-            return _vector(_product(self, other, 1, other.im))
+            return _vector(_product(self, other, 1))
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         p = other.cols
-        return _matrix(self.rows, p, _product(self, other, p, other.im))
+        return _matrix(self.rows, p, _product(self, other, p))
 
     def transpose(self) -> "Matrix":
         return _matrix(self.cols, self.rows, self._turned(self.im))

@@ -61,7 +61,8 @@ from .synthesis import (
 
 
 class JobParseError(EigenShiftError):
-    """Malformed job or form document (CLI exit code 2)."""
+    """Malformed job or form document, or a file argument that cannot be
+    read or written (CLI exit code 2)."""
 
 
 PASS, FAIL, NA = "pass", "fail", "not-applicable"

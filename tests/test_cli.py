@@ -109,6 +109,39 @@ def test_parse_error_exit_2(tmp_path, capsys):
         assert run_cli(["shift", write(tmp_path, "z.json", bad_size)]) == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(b'{"k": "\xff"}', id="not-utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deep"),
+        pytest.param(
+            b"1" * 5000,
+            id="int-past-digit-limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="int() has no digit limit in this interpreter",
+            ),
+        ),
+    ],
+)
+def test_unreadable_json_file_exit_2(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert run_cli(["shift", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid JSON: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_path_exit_2(tmp_path, capsys):
+    job = write(tmp_path, "job.json", GOLDEN_JOB)
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli(["shift", job, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_zero_denominator_shift_job_exit_2(tmp_path, capsys):
     basis = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
     basis[0][1] = "1/0i"

@@ -3,11 +3,17 @@ report's bytes is fixed.
 
 Every input is built here from ``fractions.Fraction`` alone, so a bug in the
 package cannot shape its own golden input.
+
+The seed-1 trace digests of the benchmark workloads are pinned here too.
+Their inputs come from ``perfbench/workloads.py``, which uses the standard
+library only, except that ``selftest-pool`` pins ``randgen``'s own draws, as
+``SELFTEST_STREAM_DIGEST`` does.
 """
 
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +208,29 @@ def test_failing_verify_report(tmp_path, monkeypatch):
     monkeypatch.setattr(reporting, "check_chains", lambda A, chains: [None] * len(chains))
     code, _, sha = run_report(tmp_path, "verify", A, doc)
     assert (code, sha) == (4, "9d2ec6d39bc1d7554d42ef43aa1e5467ec253fa837b4bbd9927e714ffdec0459")
+
+
+# The SHA-256 of the joined outputs of each workload's counted jobs at seed 1:
+# the ``digest`` line of ``perfbench/run.py --seed 1 --trace 1``.
+TRACE_DIGESTS = {
+    "shift-general": "89b397d83f235ee61f1025ddaac20e1ba6387a893965c6e264fa0ad70243d218",
+    "selftest-pool": "53ff5ed75dcc6c8c4cb59c5404e0d0423c591539aef024e493b434b04b634921",
+    "verify-complex": "e17ff7de34ebd96360073b42e7c864feceb94c835028606c7b6eb406061bff7c",
+}
+
+
+@pytest.mark.parametrize("workload", TRACE_DIGESTS)
+def test_seed_1_trace_digest(monkeypatch, workload):
+    """The first ``bench.COUNT_ITEMS`` jobs of the seed-1 pool, run in-process
+    through the workload's runner: every gate holds and the outputs hash to
+    the pinned digest."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import bench
+    import workloads
+
+    pool = workloads.make_pool(workload, 1)
+    done = []
+    for item in pool[: bench.COUNT_ITEMS[workload]]:
+        workloads.runner(workload)(item, lambda took, ok, text: done.append((ok, text)))
+    assert all(ok for ok, _ in done)
+    assert hashlib.sha256("".join(text for _, text in done).encode()).hexdigest() == TRACE_DIGESTS[workload]

@@ -203,16 +203,45 @@ def test_weyr_check_raises_instead_of_asserting(monkeypatch):
         weyr_profile(jordan_block(CR(0), 4), 0)
 
 
+def _reads_optimize_state(node):
+    """An assert, which python -O strips, or a read of __debug__ or
+    sys.flags, the two ways code can see -O."""
+    return (
+        isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
+        or (isinstance(node, ast.Attribute) and node.attr == "flags"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+        or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+            and any(alias.name == "flags" for alias in node.names))
+    )
+
+
 def test_package_has_no_assert_statements():
-    """Internal checks must also run under python -O, which strips asserts."""
+    """Internal checks must also run under python -O, and the package must
+    not behave differently under it: with no assert and no read of
+    __debug__ or sys.flags, -O changes nothing, so tier-1 needs no -O run."""
     package = Path(eigenshift.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if _reads_optimize_state(node)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("assert x", True),
+        ("if __debug__:\n    pass", True),
+        ("level = sys.flags.optimize", True),
+        ("from sys import flags", True),
+        ("flags = sys.argv; debug = x.__debug__; y = obj.flags", False),
+    ],
+)
+def test_optimize_guard_flags_each_way_to_see_o(source, flagged):
+    assert any(map(_reads_optimize_state, ast.walk(ast.parse(source)))) is flagged
 
 
 
