@@ -9,9 +9,9 @@ one forward Bareiss pass over [A - lam I | V] (``linalg.schur_blocks``),
 below whose pivot rows each pair's rows of U* are reduced over its own
 columns of V alone: that leaves the pair's diagonal block of
 U* (A - lam I)^{-1} V with no solve, no product and no cross-pair entry.
-With the chain recurrences, which ``synthesis.check_chains`` checks with
-one product per side, A V and A* U, a verify job therefore makes one
-forward pass and three products, however many chain pairs it holds.
+With the chain recurrences, one product per side of each chain
+(``synthesis.check_chains``), a verify job with p chain pairs therefore
+makes one forward pass and 2p + 1 products.
 
 A table is a plain ``Matrix``, and the checks read its integer form: one
 denominator serves every entry, so two entries are equal, or an entry

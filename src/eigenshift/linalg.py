@@ -373,6 +373,8 @@ class Matrix(_Exact):
         n = columns[0].dim
         if any(v.dim != n for v in columns):
             raise ShapeError("columns of different dimensions")
+        if dim is not None and n != dim:
+            raise ShapeError(f"columns of dimension {n}, expected {dim}")
         d, res, ims = _common([v._form for v in columns])
         rows = lambda parts: [x for row in zip(*parts) for x in row]
         return _matrix(n, len(columns), _normal(d, rows(res), ims and rows(ims)))
@@ -450,15 +452,18 @@ class Matrix(_Exact):
         """self - lam I, changing only the diagonal (square matrices)."""
         if not self.is_square:
             raise ShapeError(f"{self.shape} matrix minus a multiple of I")
-        n = self.rows
+        n, lam = self.rows, _as_scalar(lam)
+        d = lcm(self.den, lam.re.denominator, lam.im.denominator)
+        s = d // self.den
 
-        def shifted(xs, part):  # xs less lam's one numerator on the diagonal
-            xs = list(xs)
-            xs[:: n + 1] = [x - part[0] for x in xs[:: n + 1]]
+        def shifted(xs, part):  # xs over d, less part over d on the diagonal
+            xs = [s * x for x in xs] if s != 1 else list(xs)
+            part = part.numerator * (d // part.denominator)
+            xs[:: n + 1] = [x - part for x in xs[:: n + 1]]
             return xs
 
-        d, res, ims = _common([self._form, _entries_form((lam,))])
-        return self._like(_normal(d, shifted(*res), ims and shifted(*ims)))
+        im = self.im if self.im is not None or not lam.im else (0,) * (n * n)
+        return self._like(_normal(d, shifted(self.re, lam.re), im and shifted(im, lam.im)))
 
     def __matmul__(self, other):
         if isinstance(other, Vector):
@@ -475,9 +480,6 @@ class Matrix(_Exact):
     def transpose(self) -> "Matrix":
         return _matrix(self.cols, self.rows, self._turned(self.im))
 
-    def conj_transpose(self) -> "Matrix":
-        return _matrix(self.cols, self.rows, self._turned(_negated(self.im)))
-
     def _turned(self, im):
         """The transposed form, with im as the imaginary parts."""
         c = self.cols
@@ -486,7 +488,7 @@ class Matrix(_Exact):
 
     @property
     def H(self) -> "Matrix":
-        return self.conj_transpose()
+        return _matrix(self.cols, self.rows, self._turned(_negated(self.im)))
 
     def __repr__(self):
         body = "; ".join(", ".join(map(str, row)) for row in self.row_list())
@@ -624,6 +626,31 @@ def _matrix(rows, cols, form) -> Matrix:
     _set_rows(out, rows)
     _set_cols(out, cols)
     return _set_form(out, form)
+
+
+def _adjoint_of_columns(columns) -> Matrix:
+    """Matrix.from_columns(columns).H, read straight from the conjugated
+    numerators of the columns, which are its rows: no transpose."""
+    n = columns[0].dim
+    if any(v.dim != n for v in columns):
+        raise ShapeError("columns of different dimensions")
+    den, re, im = _concat([v._form for v in columns])
+    return _matrix(len(columns), n, (den, re, _negated(im)))
+
+
+def _moved(M: Matrix, down: bool) -> Matrix:
+    """M moved one row down, or one column right, its first row or column
+    zero: the numerators moved on by a row, or by one place and cleared."""
+    n, c = M.rows, M.cols
+
+    def move(xs):
+        if down:
+            return (0,) * c + xs[:-c]
+        xs = [0, *xs[:-1]]
+        xs[::c] = [0] * n
+        return xs
+
+    return _matrix(n, c, _normal(M.den, move(M.re), M.im and move(M.im)))
 
 
 def power_ranks(M: Matrix, eigenvalues) -> list:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import ClassificationError, MissingEigenvalueError, ShapeError
 from .linalg import Matrix, _as_scalar, power_ranks
 from .scalars import ComplexRational
-from .synthesis import SegreCharacteristic, _first_failures
+from .synthesis import SegreCharacteristic, _first_failure
 
 
 @dataclass(frozen=True)
@@ -171,16 +171,16 @@ def read_down(N: Matrix, tops) -> list:
 
 
 def verify_cycles(M: Matrix, lam, cycles) -> bool:
-    """Chain recurrences hold, all in one product
-    (``synthesis._first_failures``), and the stacked cycles have full
+    """Chain recurrences hold, one product with M - lam I per cycle
+    (``synthesis._first_failure``), and the stacked cycles have full
     rank; an empty set is refused, and a misfit vector raises ShapeError."""
-    chains = [(_as_scalar(lam), c) for c in cycles if c]
-    if not chains:
+    cycles = list(cycles)
+    flat = [v for c in cycles for v in c]
+    if not flat:
         return False
-    failures = _first_failures(M, chains)
-    if None in failures or not M.is_square:
+    if not M.is_square or any(v.dim != M.cols for v in flat):
         raise ShapeError(f"cycles do not fit a {M.rows}x{M.cols} matrix")
-    flat = [v for _, c in chains for v in c]
-    return not any(failures) and (
+    N = M.minus_identity(lam)
+    return not any(_first_failure(N, c) for c in cycles) and (
         Matrix.from_columns(flat).exact_rank() == len(flat)
     )

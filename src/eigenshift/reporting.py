@@ -443,8 +443,8 @@ def parse_chain_sets(doc):
 def run_verify_job(A: Matrix, pairs) -> dict:
     """Biorthogonality, Hankel-pattern and resolvent identity report.
 
-    Every recurrence is checked first, all chains sharing one product
-    per side (``check_chains``); the chains that pass then share one
+    Every recurrence is checked first, each chain with one product per
+    side (``check_chains``); the chains that pass then share one
     Gram table, of which each pair reads its own blocks, and one forward
     pass that gives each pair's own block of the resolvent table
     (``resolvent_identities``).

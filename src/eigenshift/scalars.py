@@ -128,11 +128,6 @@ class ComplexRational:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "ComplexRational":
-        if not self.im:
-            return self  # immutable, so a real value is its own conjugate
-        return ComplexRational(self.re, -self.im)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

@@ -69,7 +69,7 @@ def brauer_shift(A: Matrix, v: Vector, r: Vector, lambda0, lambda1) -> Matrix:
     lambda1 = _as_scalar(lambda1)
     if A @ v != v.scale(lambda0):
         raise InvalidChainError("v is not an eigenvector of A for lambda0")
-    rv = sum((a * b for a, b in zip(r.entries, v.entries)), start=_as_scalar(0))
+    (rv,) = r.as_column().transpose() @ v  # refuses an r of another dimension
     if rv != ONE:
         raise NormalizationError(f"r^T v = {rv}, expected 1")
     return A + outer_plain(v, r).scale(lambda1 - lambda0)

@@ -7,10 +7,10 @@ provides the parametrized chain family of a Jordan block
 (``parametric_chain_matrices``), which the random instances draw from,
 and its checked forms for a single block and for a pair of equal blocks.
 
-A chain pair is checked as two matrix equations, A V = V J_p(lam) and
-U* A = J_p(lam)^T U*; the shift's half-chain invariance runs the same
-check on A_hat, and a verify job checks all its chains at once, with
-one product per side (``check_chains``).
+A chain pair is checked as A V = V J_p(lam) and U* A = J_p(lam)^T U*,
+one product with A - lam I per side (``check_chains``); the shift's
+half-chain invariance, a verify job and ``oracle.verify_cycles`` run the
+same body.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .errors import InvalidChainError, InvalidParameterError, ShapeError
 from .linalg import (
     Matrix,
+    _adjoint_of_columns,
     _as_scalar,
-    _clear,
-    _mul,
+    _moved,
     jordan_sum,
     vstack,
 )
@@ -105,101 +105,38 @@ class ChainPair:
 
 
 def check_chains(A: Matrix, chains):
-    """Check the recurrences of many chains with one product per side.
-
-    chains holds (lam, left, right) triples.  Yields, chain by chain,
-    None when A V = V J_p(lam) and U* A = J_p(lam)^T U* both hold, or
-    else the InvalidChainError of the first index at which the right
-    chain, checked first, or the left chain fails.  Row i of
-    J_p(lam)^T U* is lam u_i* + u_(i-1)*, so the left recurrences are
-    the right ones of A* at conj(lam): every right chain meets A, and
-    every left chain A*, in one product (``_first_failures``).
-
-    A chain whose vectors do not fit A raises, when its turn comes, the
-    ShapeError of its own product; its left chain only once its right
-    chain passes.  So the chains give what checking them one by one
-    gives.
-    """
-    chains = list(chains)
-    rights = _first_failures(A, [(lam, right) for lam, _, right in chains])
-    lefts = _first_failures(
-        A.H, [(lam.conjugate(), left) for lam, left, _ in chains]
-    )
-    for (_, left, right), r, u in zip(chains, rights, lefts):
-        if r is None:  # the chain does not fit A, so its product raises
-            A @ Matrix.from_columns(list(right))
-        if r:
+    """For each (lam, left, right) of chains, None when A V = V J_p(lam)
+    and U* A = J_p(lam)^T U* hold, or else the InvalidChainError of the
+    first index at which the right chain, checked first, or the left
+    chain fails (``_first_failure``, one A - lam I per chain).  A misfit
+    chain raises the ShapeError of its own product when its turn comes,
+    its left chain only once its right chain passes.  A non-square A has
+    no A - lam I, and a fitting chain fails at index 1."""
+    for lam, left, right in chains:
+        N = A.minus_identity(lam) if A.is_square else A
+        if r := _first_failure(N, right):
             yield InvalidChainError(f"right chain recurrence fails at index {r}")
-        elif u is None:  # likewise
-            Matrix.from_columns(list(left)).H @ A
-        elif u:
+        elif u := _first_failure(N, left, left=True):
             yield InvalidChainError(f"left chain recurrence fails at index {u}")
         else:
             yield None
 
 
-def _first_failures(M: Matrix, blocks) -> list:
-    """For each (lam, chain) of blocks: None when the chain's vectors do
-    not all have M's column count, else the first index c, 1-based, with
-    M x_c != lam x_c + x_(c-1) (x_0 = 0), or 0 when there is none (as
-    for an empty chain, which adds no column).
-
-    The fitting chains, stacked as the columns of X, meet M in one
-    product M X, which is compared with X J, J the direct sum of the
-    J_p(lam).  X J is not multiplied out: with lam = (a + b i) / e, its
-    column c is lam x_c + x_(c-1), so column c holds when the residue
-    e (M X)_c - den(M) ((a + b i) x_c + e x_(c-1)) is zero, on the
-    numerators of X and of the product.
-    """
-    fits = [all(x.dim == M.cols for x in chain) for _, chain in blocks]
-    stacked = [block for block, ok in zip(blocks, fits) if ok]
-    if not stacked:
-        return [None] * len(blocks)
-    if not M.is_square:  # M x_c and x_c differ in length
-        return [
-            min(len(chain), 1) if ok else None
-            for (_, chain), ok in zip(blocks, fits)
-        ]
-    X = Matrix.from_columns([x for _, chain in stacked for x in chain], M.cols)
-    n, s, den = M.rows, X.cols, M.den
-    got_re, got_im = _mul(n, n, s, M.re, M.im, X.re, X.im)
-    # (a, b, carry, e) for each column, carry = e where x_(c-1) is added
-    starts, terms = [], []
-    for lam, chain in stacked:
-        e, (a,), b = _clear((lam,))
-        b = b[0] if b else 0
-        starts.append(len(terms))
-        terms += [(a, b, e if c else 0, e) for c in range(len(chain))]
-    terms *= n  # row-major, as the entries of X
-    x = X.re
-    y = X.im or [0] * (n * s)
-    # entry t - 1 is the previous column of the same row; carry is 0 in
-    # column 0, so the previous row's last entry never enters
-    x_prev, y_prev = [0, *x[:-1]], [0, *y[:-1]]
-    bad = [
-        t
-        for t, ((a, b, c, e), g, xt, yt, pt) in enumerate(
-            zip(terms, got_re, x, y, x_prev)
-        )
-        if e * g != den * (a * xt - b * yt + c * pt)
-    ]
-    if got_im is not None or any(b for _, b, _, _ in terms):
-        got_im = got_im or [0] * (n * s)
-        bad += [
-            t
-            for t, ((a, b, c, e), g, xt, yt, qt) in enumerate(
-                zip(terms, got_im, x, y, y_prev)
-            )
-            if e * g != den * (a * yt + b * xt + c * qt)
-        ]
-    bad_columns = {t % s for t in bad}
-    firsts = iter(
-        [
-            next((c + 1 for c in range(len(chain)) if j0 + c in bad_columns), 0)
-            for j0, (_, chain) in zip(starts, stacked)
-        ]
-    )
-    return [next(firsts) if ok else None for ok in fits]
+def _first_failure(N: Matrix, chain, left=False) -> int:
+    """The first index c, 1-based, at which chain breaks its recurrence
+    at N = A - lam I, or 0 (as for an empty chain): a right chain V holds
+    when N V is V moved one column right, (A - lam I) v_c = v_(c-1), and a
+    left chain U when U* N is U* moved one row down; the columns or rows
+    are compared only when the sides differ."""
+    if not chain:
+        return 0
+    side = _adjoint_of_columns(chain) if left else Matrix.from_columns(chain)
+    got = side @ N if left else N @ side
+    want = _moved(side, down=left)
+    if got == want:
+        return 0
+    part = Matrix.row if left else Matrix.col
+    return next(c for c in range(len(chain)) if part(got, c) != part(want, c)) + 1
 
 
 def jordan_matrix(segre: SegreCharacteristic) -> Matrix:

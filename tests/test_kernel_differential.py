@@ -153,10 +153,15 @@ def ref_matmul(A, B):
     return Matrix(A.rows, B.cols, out)
 
 
+def conj(x):
+    """The complex conjugate of a scalar, from its parts."""
+    return CR(x.re, -x.im)
+
+
 def ref_inner(u, v):
     s = ZERO
     for a, b in zip(u.entries, v.entries):
-        s = s + a.conjugate() * b
+        s = s + conj(a) * b
     return s
 
 
@@ -794,7 +799,7 @@ def form_results(A, B, S, v, w, lam, box, k):
     """(result, entrywise reference) for every operation on the stored
     form; A and B are r x c, S is r x r, v has c entries, w has r."""
     (r, c), (r0, r1, c0, c1) = A.shape, box
-    vbar = Vector([x.conjugate() for x in v])
+    vbar = Vector([conj(x) for x in v])
     pairs = [
         (A + B, ref_matrix(r, c, lambda i, j: A[i, j] + B[i, j])),
         (A - B, ref_matrix(r, c, lambda i, j: A[i, j] - B[i, j])),
@@ -802,7 +807,7 @@ def form_results(A, B, S, v, w, lam, box, k):
         (A.scale(lam), ref_matrix(r, c, lambda i, j: lam * A[i, j])),
         (S.minus_identity(lam), ref_matrix(r, r, lambda i, j: S[i, j] - lam * (i == j))),
         (A.transpose(), ref_matrix(c, r, lambda i, j: A[j, i])),
-        (A.H, ref_matrix(c, r, lambda i, j: A[j, i].conjugate())),
+        (A.H, ref_matrix(c, r, lambda i, j: conj(A[j, i]))),
         (
             A.submatrix(r0, r1, c0, c1),
             ref_matrix(r1 - r0, c1 - c0, lambda i, j: A[r0 + i, c0 + j]),
@@ -812,7 +817,7 @@ def form_results(A, B, S, v, w, lam, box, k):
         (Matrix.zeros(r, c), ref_matrix(r, c, lambda i, j: ZERO)),
         (Matrix.identity(r), ref_matrix(r, r, lambda i, j: ONE if i == j else ZERO)),
         (Vector.zero(c), Vector([ZERO] * c)),
-        (v + vbar, Vector([x + x.conjugate() for x in v])),
+        (v + vbar, Vector([x + conj(x) for x in v])),
         (Vector([*w, *v, *w]).as_column().submatrix(r, r + c, 0, 1).col(0), v),
         (v.scale(lam), Vector([lam * x for x in v])),
         (-v, Vector([-x for x in v])),
@@ -822,7 +827,7 @@ def form_results(A, B, S, v, w, lam, box, k):
             jordan_block(lam, k),
             ref_matrix(k, k, lambda i, j: lam if i == j else ONE if j == i + 1 else ZERO),
         ),
-        (v.as_column() @ w.as_column().H, ref_matrix(c, r, lambda i, j: v[i] * w[j].conjugate())),
+        (v.as_column() @ w.as_column().H, ref_matrix(c, r, lambda i, j: v[i] * conj(w[j]))),
         (outer_plain(v, w), ref_matrix(c, r, lambda i, j: v[i] * w[j])),
         (A @ v, ref_matmul(A, v.as_column()).col(0)),
         (A @ A.H, ref_matmul(A, A.H)),

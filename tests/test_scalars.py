@@ -28,6 +28,11 @@ rationals = st.fractions(
 scalars = st.builds(CR, rationals, rationals)
 
 
+def conj(x):
+    """The complex conjugate of a scalar, from its parts."""
+    return CR(x.re, -x.im)
+
+
 # -- the Fraction-based parser and formatter, kept as the reference ----------
 
 _REF_RAT = r"[+-]?\d+(?:/\d+)?"
@@ -189,8 +194,8 @@ def test_powers_refuse_negative_and_non_integer_exponents(n):
 
 def test_conjugate_and_zero_test():
     a = CR(1, -2)
-    assert a.conjugate() == CR(1, 2)
-    assert (a * a.conjugate()).im == 0
+    assert Matrix.from_rows([[a]]).H[0, 0] == conj(a) == CR(1, 2)
+    assert (a * conj(a)).im == 0
     assert ZERO.is_zero
     assert not ONE.is_zero
     assert not bool(ZERO)
@@ -280,8 +285,8 @@ def test_texts_round_trip_through_the_integer_form(form):
 def test_field_axioms_sample(a, b):
     assert a + b == b + a
     assert a * b == b * a
-    assert (a + b).conjugate() == a.conjugate() + b.conjugate()
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert conj(a + b) == conj(a) + conj(b)
+    assert conj(a * b) == conj(a) * conj(b)
 
 
 @settings(deadline=None)

@@ -11,6 +11,7 @@ from eigenshift.errors import (
     InvalidParameterError,
     InverseIdentityError,
     NormalizationError,
+    ShapeError,
     SingularMatrixError,
 )
 from eigenshift.linalg import Matrix, Vector, jordan_block, outer_plain
@@ -53,6 +54,16 @@ def test_brauer_rejects_bad_normalization_and_vector():
         brauer_shift(A, v, Vector([CR(2), ZERO]), 2, 7)
     with pytest.raises(InvalidChainError):
         brauer_shift(A, Vector([ONE, ONE]), Vector([ONE, ZERO]), 2, 7)
+
+
+def test_brauer_refuses_r_of_another_dimension():
+    """r^T v is one product, which refuses an r longer or shorter than v
+    (a truncated sum passed both as normalized)."""
+    A = Matrix.from_rows([[CR(2), ONE], [ZERO, CR(3)]])
+    v = Vector([ONE, ZERO])
+    for r in (Vector([ONE, CR(5), CR(7)]), Vector([ONE])):
+        with pytest.raises(ShapeError, match=rf"^\(1, {r.dim}\) @ vector of dim 2$"):
+            brauer_shift(A, v, r, 2, 7)
 
 
 def test_make_right_inverse_identity_and_free_part():

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from eigenshift.errors import InvalidChainError, InvalidParameterError, ShapeError
 from eigenshift.linalg import Matrix, Vector, jordan_block
-from eigenshift.oracle import oracle_segre
+from eigenshift import linalg, synthesis
+from eigenshift.oracle import jordan_cycles, oracle_segre, verify_cycles
 from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.synthesis import (
     ChainPair,
     SegreCharacteristic,
-    _first_failures,
     basis_inverse,
     build_matrix,
     check_chains,
@@ -599,19 +599,65 @@ def test_batched_chain_check_matches_the_per_pair_reference(job):
             assert str(exc.value) == message
 
 
-def test_first_failures_reads_past_an_empty_chain():
-    """An empty chain adds no column and no term: it reads 0, and the
-    chains after it are read against their own recurrences."""
+def test_chain_checks_read_past_an_empty_chain():
+    """An empty chain reads as passing, and the chains after it are read
+    against their own recurrences, in ``check_chains`` and in
+    ``verify_cycles`` alike; a non-square A fails a fitting chain at
+    index 1."""
     J = jordan_block(2, 2)
     good = [Vector.unit(2, 0), Vector.unit(2, 1)]
     bad = [Vector.unit(2, 1), Vector.unit(2, 0)]
     lam = CR(2)
-    assert _first_failures(J, [(lam, []), (lam, good)]) == [0, 0]
-    assert _first_failures(J, [(lam, good), (lam, []), (lam, bad)]) == [0, 0, 1]
-    assert _first_failures(J, [(lam, []), (lam, bad), (lam, [])]) == [0, 1, 0]
-    assert _first_failures(J, [(lam, [])]) == [0]
+
+    def verdicts(A, chains):
+        return [f and str(f) for f in check_chains(A, [(lam, *c) for c in chains])]
+
+    right_1, left_1 = (f"{side} chain recurrence fails at index 1" for side in ("right", "left"))
+    # J's left chain is its right chain reversed
+    assert verdicts(J, [([], []), (bad, good)]) == [None, None]
+    assert verdicts(J, [(bad, good), ([], []), (bad, bad)]) == [None, None, right_1]
+    assert verdicts(J, [([], []), (good, good), ([], [])]) == [None, left_1, None]
+    assert verdicts(J, [([], [])]) == [None]
+    assert verify_cycles(J, lam, [[], good]) and verify_cycles(J, lam, [good, []])
+    assert not verify_cycles(J, lam, [[], bad, []])
+    assert not verify_cycles(J, lam, [[]])
     wide = Matrix.zeros(2, 3)
-    assert _first_failures(wide, [(lam, []), (lam, [Vector.unit(3, 0)])]) == [0, 1]
+    right, left = [Vector.unit(3, 0)], [Vector.unit(2, 0)]
+    assert verdicts(wide, [([], []), ([], right)]) == [None, right_1]
+    assert verdicts(wide, [([], []), (left, []), (left, right)]) == [None, left_1, right_1]
+
+
+def test_chain_checks_make_one_product_per_side(monkeypatch):
+    """A cost guard without timing noise: ``check_chains`` over p chains
+    forms p shifts A - lam I and makes 2p products, one per side per
+    chain, and builds no Jordan block; ``verify_cycles`` forms M - lam I
+    once per call and makes one product per cycle."""
+    calls = []
+
+    def counting(name, method):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("__matmul__", "minus_identity"):
+        monkeypatch.setattr(Matrix, name, counting(name, getattr(Matrix, name)))
+    for module in (linalg, synthesis):
+        monkeypatch.setattr(module, "jordan_sum", counting("jordan_sum", linalg.jordan_sum))
+    monkeypatch.setattr(linalg, "jordan_block", counting("jordan_block", linalg.jordan_block))
+    A, pairs = build_matrix(
+        SegreCharacteristic([(CR(1, 1), 1), (CR(2), 3), (CR(-1), 2), (CR(2), 2)]),
+        random_unimodular(8, random.Random(6)),
+    )
+    calls.clear()
+    assert list(check_chains(A, [(p.lam, p.left, p.right) for p in pairs])) == [None] * 4
+    assert sorted(calls) == ["__matmul__"] * 8 + ["minus_identity"] * 4
+    J = jordan_matrix(SegreCharacteristic([(0, 3), (0, 2), (0, 2), (1, 1)]))
+    cycles = jordan_cycles(J, 0)
+    calls.clear()
+    assert verify_cycles(J, 0, cycles)
+    assert sorted(calls) == ["__matmul__"] * 3 + ["minus_identity"]
 
 
 def test_batched_chain_check_when_every_pair_fails():
