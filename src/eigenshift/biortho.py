@@ -4,11 +4,13 @@ Inner products are conjugate-linear in the left argument throughout
 (u* v), matching the star convention used by the shift construction.
 
 Tables are batched: a Gram table is one product U* V of the stacked
-chains, and the resolvent identities of several chain pairs come from
-one forward Bareiss pass over [A - lam I | V] (``linalg.schur_blocks``),
-below whose pivot rows each pair's rows of U* are reduced over its own
-columns of V alone: that leaves the pair's diagonal block of
-U* (A - lam I)^{-1} V with no solve, no product and no cross-pair entry.
+chains, U* read in one step from the left chain's conjugated numerators
+(``linalg._adjoint_of_columns``), and the resolvent identities of
+several chain pairs come from one forward Bareiss pass over
+[A - lam I | V] (``linalg.schur_blocks``), below whose pivot rows each
+pair's rows of U* are reduced over its own columns of V alone: that
+leaves the pair's diagonal block of U* (A - lam I)^{-1} V with no solve,
+no product and no cross-pair entry.
 With the chain recurrences, one product per side of each chain
 (``synthesis.check_chains``), a verify job with p chain pairs therefore
 makes one forward pass and 2p + 1 products.
@@ -24,7 +26,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .errors import ResolventError, ShapeError, SingularMatrixError
-from .linalg import Matrix, Vector, _as_scalar, schur_blocks
+from .linalg import Matrix, Vector, _adjoint_of_columns, _as_scalar, schur_blocks
 from .synthesis import ChainPair
 
 
@@ -35,7 +37,7 @@ def gram_table(left: Sequence[Vector], right: Sequence[Vector]) -> Matrix:
     n = left[0].dim
     if any(v.dim != n for v in left) or any(v.dim != n for v in right):
         raise ShapeError("all chain vectors must share the ambient dimension")
-    return Matrix.from_columns(list(left)).H @ Matrix.from_columns(list(right))
+    return _adjoint_of_columns(left) @ Matrix.from_columns(list(right))
 
 
 def _parts(table: Matrix) -> list:
@@ -85,10 +87,10 @@ def resolvent_identities(A: Matrix, lam, pairs: Sequence[ChainPair]) -> list:
     lam = _as_scalar(lam)
     n = A.rows
     heads = [pair.length - 1 for pair in pairs]
-    U = Matrix.from_columns([u for pair in pairs for u in pair.left[:-1]], n)
+    U_H = _adjoint_of_columns([u for pair in pairs for u in pair.left[:-1]], n)
     V = Matrix.from_columns([v for pair in pairs for v in pair.right[:-1]], n)
     try:
-        own = schur_blocks(U.H, A.minus_identity(lam), V, [(h, h) for h in heads])
+        own = schur_blocks(U_H, A.minus_identity(lam), V, [(h, h) for h in heads])
     except SingularMatrixError:
         raise ResolventError(
             f"resolvent point {lam} lies in the spectrum"

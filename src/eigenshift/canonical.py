@@ -23,6 +23,7 @@ from .errors import ExtractionError, ReductionError, SingularMatrixError
 from .linalg import (
     Matrix,
     Vector,
+    _adjoint_of_columns,
     _matrix,
     _normal,
     _vector,
@@ -79,8 +80,8 @@ class OddCanonical(_Assembled):
         return jordan_sum(
             ((lam, k), (lam, 1), (lam, k)),
             (
-                (0, k, self.a.as_column()),
-                (k, k + 1, self.b.as_column().transpose()),
+                (0, k, self.a),
+                (k, k + 1, self.b.transpose()),
                 (0, k + 1, self.C),
             ),
         )
@@ -109,7 +110,7 @@ class ConcentratedForm(_Assembled):
             (
                 (k - 1, k, Matrix(1, 1, [self.a_k])),
                 (k, k + 1, Matrix(1, 1, [self.b_1])),
-                (k - 1, k + 1, self.last_row.as_column().transpose()),
+                (k - 1, k + 1, self.last_row.transpose()),
             ),
         )
 
@@ -221,8 +222,8 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
     Y = jordan_sum(
         ((ONE, 1),) * (2 * k + 1),
         (
-            (0, k, y.as_column()),
-            (k, k + 1, z.as_column().transpose()),
+            (0, k, y),
+            (k, k + 1, z.transpose()),
             (0, k + 1, W),
         ),
     )
@@ -359,7 +360,7 @@ def _extract_leading_block(shift: ShiftResult, m: int) -> Matrix:
     A_hat, chains = shift.A_hat, shift.chains
     n = A_hat.rows
     V = Matrix.from_columns(list(chains.right), dim=n)
-    Ut_H = Matrix.from_columns(list(reversed(chains.left)), dim=n).H
+    Ut_H = _adjoint_of_columns(chains.left[::-1], n)
     G = Ut_H @ V
     try:
         # the chains of build_matrix come from P and P^{-1}: G = I

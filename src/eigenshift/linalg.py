@@ -3,16 +3,18 @@
 Everything is immutable and every operation returns a fresh value, so
 values are safe to share freely.
 
-A ``Matrix`` or ``Vector`` stores one integer form: a denominator
-``den`` > 0 and row-major tuples ``re`` and ``im`` of integer numerators,
-entry t being (re[t] + im[t] i) / den, with ``im`` None when every
-imaginary part is zero.  The form is canonical (gcd(den, every
-numerator) = 1), so equal values have equal fields.  A value is built
-from scalars, converted once (a plain int entry is its own numerator),
-or from scalar texts ("3", "-1/2", "1/2+3i"), parsed straight into
-integer parts; every operation reads and returns the form, ``texts``
-prints the entries straight from it, and a ``ComplexRational`` is made
-only when an entry is read.
+A ``Matrix`` stores one integer form: a denominator ``den`` > 0 and
+row-major tuples ``re`` and ``im`` of integer numerators, entry t being
+(re[t] + im[t] i) / den, with ``im`` None when every imaginary part is
+zero.  The form is canonical (gcd(den, every numerator) = 1), so equal
+values have equal fields.  A value is built from scalars, converted once
+(a plain int entry is its own numerator), or from scalar texts ("3",
+"-1/2", "1/2+3i"), parsed straight into integer parts; every operation
+reads and returns the form, ``texts`` prints the entries straight from
+it, and a ``ComplexRational`` is made only when an entry is read.  A
+``Vector`` is a Matrix with one column, read by one index.  The rows of
+U* for columns u_1 .. u_p are their conjugated numerators, so U* of a
+chain list is read in one step (``_adjoint_of_columns``).
 
 Products are integer dot products; ``scale`` and ``outer_plain`` are
 entrywise products of numerators.  Rank, determinant, solve, inverse,
@@ -212,13 +214,33 @@ def _divided(zs, d, gaussian):
     )
 
 
-class _Exact:
-    """The stored form shared by Matrix and Vector (see the module doc)."""
+class Matrix:
+    """Dense row-major matrix of exact scalars, in the stored form of the
+    module doc."""
 
-    __slots__ = ("den", "re", "im")
+    __slots__ = ("rows", "cols", "den", "re", "im")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable):
+        entries = tuple(entries)
+        form = _entries_form(entries)
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        _set(self, rows, cols, form)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, form):
+        return _matrix(self.rows, self.cols, form)
+
+    def _key(self):
+        return (self.rows, self.cols, *self._form)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def _form(self):
@@ -243,114 +265,6 @@ class _Exact:
     def is_zero(self) -> bool:
         return self.im is None and not any(self.re)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __neg__(self):
-        return self._like((self.den, _negated(self.re), _negated(self.im)))
-
-    def scale(self, c):
-        return self._like(_scaled(self._form, c))
-
-
-class Vector(_Exact):
-    """An exact column vector."""
-
-    __slots__ = ()
-
-    def __init__(self, entries: Iterable):
-        _set_form(self, _entries_form(tuple(entries)))
-
-    @staticmethod
-    def from_texts(texts: Sequence) -> "Vector":
-        """The vector of scalar texts such as '3', '-1/2' or '1/2+3i'."""
-        return _vector(_parsed(texts))
-
-    def _like(self, form):
-        return _vector(form)
-
-    def _key(self):
-        return self._form
-
-    @property
-    def dim(self) -> int:
-        return len(self.re)
-
-    @staticmethod
-    def zero(n: int) -> "Vector":
-        return _vector((1, (0,) * n, None))
-
-    @staticmethod
-    def unit(n: int, i: int) -> "Vector":
-        """Standard basis vector e_{i+1} (0-based index i) in C^n."""
-        if not 0 <= i < n:
-            raise ShapeError(f"unit index {i} out of range for dim {n}")
-        return _vector((1, (0,) * i + (1,) + (0,) * (n - i - 1), None))
-
-    def __getitem__(self, i: int):
-        if not 0 <= i < self.dim:
-            raise ShapeError(f"index {i} out of range for dim {self.dim}")
-        return self._entry(i)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.re)
-
-    def __add__(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise ShapeError("vector dimensions differ")
-        return _vector(_sum(self._form, other._form, 1))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise ShapeError("vector dimensions differ")
-        return _vector(_sum(self._form, other._form, -1))
-
-    def as_column(self) -> "Matrix":
-        return _matrix(self.dim, 1, self._form)
-
-    def __repr__(self):
-        return "Vector([" + ", ".join(str(e) for e in self.entries) + "])"
-
-
-def inner(u: Vector, v: Vector):
-    """u* v, conjugate-linear in the left argument."""
-    if u.dim != v.dim:
-        raise ShapeError("inner product of different dimensions")
-    (re,), im = _mul(1, u.dim, 1, u.re, _negated(u.im), v.re, v.im)
-    return from_integers(re, im[0] if im else 0, u.den * v.den)
-
-
-def outer_plain(u: Vector, v: Vector) -> "Matrix":
-    """Rank-one matrix u v^T (plain transpose, Brauer's convention)."""
-    return _matrix(u.dim, v.dim, _normal(u.den * v.den, *_outer(u.re, u.im, v.re, v.im)))
-
-
-class Matrix(_Exact):
-    """Dense row-major matrix of exact scalars."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(entries)
-        form = _entries_form(entries)
-        if len(entries) != rows * cols:
-            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        _set_rows(self, rows)
-        _set_cols(self, cols)
-        _set_form(self, form)
-
-    def _like(self, form):
-        return _matrix(self.rows, self.cols, form)
-
-    def _key(self):
-        return (self.rows, self.cols, *self._form)
-
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -366,15 +280,7 @@ class Matrix(_Exact):
 
     @staticmethod
     def from_columns(columns: Sequence[Vector], dim: int | None = None) -> "Matrix":
-        if not columns:
-            if dim is None:
-                raise ShapeError("cannot infer dimension of empty column set")
-            return Matrix.zeros(dim, 0)
-        n = columns[0].dim
-        if any(v.dim != n for v in columns):
-            raise ShapeError("columns of different dimensions")
-        if dim is not None and n != dim:
-            raise ShapeError(f"columns of dimension {n}, expected {dim}")
+        n = _columns_dim(columns, dim)
         d, res, ims = _common([v._form for v in columns])
         rows = lambda parts: [x for row in zip(*parts) for x in row]
         return _matrix(n, len(columns), _normal(d, rows(res), ims and rows(ims)))
@@ -448,6 +354,12 @@ class Matrix(_Exact):
             raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
         return self._like(_sum(self._form, other._form, -1))
 
+    def __neg__(self):
+        return self._like((self.den, _negated(self.re), _negated(self.im)))
+
+    def scale(self, c):
+        return self._like(_scaled(self._form, c))
+
     def minus_identity(self, lam) -> "Matrix":
         """self - lam I, changing only the diagonal (square matrices)."""
         if not self.is_square:
@@ -466,16 +378,16 @@ class Matrix(_Exact):
         return self._like(_normal(d, shifted(self.re, lam.re), im and shifted(im, lam.im)))
 
     def __matmul__(self, other):
-        if isinstance(other, Vector):
-            if self.cols != other.dim:
-                raise ShapeError(f"{self.shape} @ vector of dim {other.dim}")
-            return _vector(_product(self, other, 1))
         if not isinstance(other, Matrix):
             return NotImplemented
+        vector = isinstance(other, Vector)
         if self.cols != other.rows:
+            if vector:
+                raise ShapeError(f"{self.shape} @ vector of dim {other.rows}")
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         p = other.cols
-        return _matrix(self.rows, p, _product(self, other, p))
+        form = _product(self, other, p)
+        return _vector(form) if vector else _matrix(self.rows, p, form)
 
     def transpose(self) -> "Matrix":
         return _matrix(self.cols, self.rows, self._turned(self.im))
@@ -540,19 +452,15 @@ class Matrix(_Exact):
         re, im = map(scaled, zip(*poly)) if gaussian else (scaled(poly), None)
         return _vector(_normal(den**n, re, im))
 
-    def solve(self, rhs):
-        """Solve self @ X = rhs for square nonsingular self.
-
-        rhs may be a Vector or a Matrix; the result has matching kind.
-        """
+    def solve(self, rhs: "Matrix") -> "Matrix":
+        """Solve self @ X = rhs for square nonsingular self; X has rhs's
+        shape and kind (``_like``), a Vector for a Vector."""
         if not self.is_square:
             raise ShapeError("solve requires a square matrix")
-        vector_rhs = isinstance(rhs, Vector)
-        B = rhs.as_column() if vector_rhs else rhs
-        if B.rows != self.rows:
+        if rhs.rows != self.rows:
             raise ShapeError("right-hand side has wrong number of rows")
-        n, m = self.rows, B.cols
-        _, rows, gaussian = _integer_rows(_hcat([self, B]))
+        n = self.rows
+        _, rows, gaussian = _integer_rows(_hcat([self, rhs]))
         piv_cols, _ = _eliminate(rows, n, gaussian, reduced=True)
         if len(piv_cols) < n:
             raise SingularMatrixError(
@@ -561,8 +469,7 @@ class Matrix(_Exact):
             )
         # rows are now d [I | X] with d the last pivot
         d = rows[-1][n - 1] if n else 1
-        form = _divided([x for row in rows for x in row[n:]], d, gaussian)
-        return _vector(form) if vector_rhs else _matrix(n, m, form)
+        return rhs._like(_divided([x for row in rows for x in row[n:]], d, gaussian))
 
     def inverse(self) -> "Matrix":
         return self.solve(Matrix.identity(self.rows))
@@ -596,6 +503,67 @@ class Matrix(_Exact):
         return basis
 
 
+class Vector(Matrix):
+    """An exact column vector: a Matrix with one column, read by one index,
+    whose own results (``_like``) and products A @ v stay Vectors."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Iterable):
+        form = _entries_form(tuple(entries))
+        _set(self, len(form[1]), 1, form)
+
+    @staticmethod
+    def from_texts(texts: Sequence) -> "Vector":
+        """The vector of scalar texts such as '3', '-1/2' or '1/2+3i'."""
+        return _vector(_parsed(texts))
+
+    def _like(self, form):
+        return _vector(form)
+
+    @property
+    def dim(self) -> int:
+        return self.rows
+
+    @staticmethod
+    def zero(n: int) -> "Vector":
+        return _vector((1, (0,) * n, None))
+
+    @staticmethod
+    def unit(n: int, i: int) -> "Vector":
+        """Standard basis vector e_{i+1} (0-based index i) in C^n."""
+        if not 0 <= i < n:
+            raise ShapeError(f"unit index {i} out of range for dim {n}")
+        return _vector((1, (0,) * i + (1,) + (0,) * (n - i - 1), None))
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < self.rows:
+            raise ShapeError(f"index {i} out of range for dim {self.rows}")
+        return self._entry(i)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return self.rows
+
+    def __repr__(self):
+        return "Vector([" + ", ".join(str(e) for e in self.entries) + "])"
+
+
+def inner(u: Vector, v: Vector):
+    """u* v, conjugate-linear in the left argument."""
+    if u.dim != v.dim:
+        raise ShapeError("inner product of different dimensions")
+    (re,), im = _mul(1, u.dim, 1, u.re, _negated(u.im), v.re, v.im)
+    return from_integers(re, im[0] if im else 0, u.den * v.den)
+
+
+def outer_plain(u: Vector, v: Vector) -> Matrix:
+    """Rank-one matrix u v^T (plain transpose, Brauer's convention)."""
+    return _matrix(u.dim, v.dim, _normal(u.den * v.den, *_outer(u.re, u.im, v.re, v.im)))
+
+
 def _flattened(rows):
     """(row count, column count, entries row-major) of equal-length rows."""
     r = len(rows)
@@ -605,12 +573,15 @@ def _flattened(rows):
     return r, c, [e for row in rows for e in row]
 
 
-# the slot setters, which the immutable classes' __setattr__ does not reach
-_set_den, _set_re, _set_im = (_Exact.__dict__[f].__set__ for f in _Exact.__slots__)
-_set_rows, _set_cols = (Matrix.__dict__[f].__set__ for f in Matrix.__slots__)
+# the slot setters, which the immutable class's __setattr__ does not reach
+_set_rows, _set_cols, _set_den, _set_re, _set_im = (
+    Matrix.__dict__[f].__set__ for f in Matrix.__slots__
+)
 
 
-def _set_form(out, form):
+def _set(out, rows, cols, form):
+    _set_rows(out, rows)
+    _set_cols(out, cols)
     _set_den(out, form[0])
     _set_re(out, form[1])
     _set_im(out, form[2])
@@ -618,22 +589,33 @@ def _set_form(out, form):
 
 
 def _vector(form) -> Vector:
-    return _set_form(object.__new__(Vector), form)
+    return _set(object.__new__(Vector), len(form[1]), 1, form)
 
 
 def _matrix(rows, cols, form) -> Matrix:
-    out = object.__new__(Matrix)
-    _set_rows(out, rows)
-    _set_cols(out, cols)
-    return _set_form(out, form)
+    return _set(object.__new__(Matrix), rows, cols, form)
 
 
-def _adjoint_of_columns(columns) -> Matrix:
-    """Matrix.from_columns(columns).H, read straight from the conjugated
-    numerators of the columns, which are its rows: no transpose."""
+def _columns_dim(columns, dim):
+    """The dimension that columns share, which must be dim when given;
+    an empty list has dimension dim."""
+    if not columns:
+        if dim is None:
+            raise ShapeError("cannot infer dimension of empty column set")
+        return dim
     n = columns[0].dim
     if any(v.dim != n for v in columns):
         raise ShapeError("columns of different dimensions")
+    if dim is not None and n != dim:
+        raise ShapeError(f"columns of dimension {n}, expected {dim}")
+    return n
+
+
+def _adjoint_of_columns(columns, dim: int | None = None) -> Matrix:
+    """Matrix.from_columns(columns, dim).H, read straight from the
+    conjugated numerators of the columns, which are its rows: U* of a
+    chain list in one step, with no transpose."""
+    n = _columns_dim(columns, dim)
     den, re, im = _concat([v._form for v in columns])
     return _matrix(len(columns), n, (den, re, _negated(im)))
 

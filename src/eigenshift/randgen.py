@@ -30,7 +30,6 @@ from .shifting import ShiftResult, shift_even, shift_odd
 from .synthesis import (
     ChainPair,
     SegreCharacteristic,
-    basis_inverse,
     build_matrix,
     parametric_chain_matrices,
     random_unimodular,
@@ -162,7 +161,8 @@ def _make_instance(
     n = segre.total_size
     P0 = random_unimodular(n, rng)
     A, blocks = build_matrix(segre, P0)
-    P0_invH = basis_inverse(blocks).H
+    # each block's left chain, reversed, is P0^{-*}'s columns in that block
+    P0_invH = Matrix.from_columns([u for pair in blocks for u in reversed(pair.left)])
     a, b = _int_params(rng, m), _int_params(rng, m)
     left_j, right_j = parametric_chain_matrices(m, n, a, b)
     right = P0 @ right_j

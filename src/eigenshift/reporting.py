@@ -323,6 +323,9 @@ def _job_inputs(job: ShiftJob):
     A = _check_square(job.matrix)
     chains = ChainPair(lam0, job.left_chain, job.right_chain)
     _check_k(job.k, chains.length)
+    for v in (*chains.left, *chains.right):  # with or without a free part
+        if v.dim != A.rows:
+            raise ShapeError(f"columns of dimension {v.dim}, expected {A.rows}")
     return A, chains, [], None
 
 

@@ -69,7 +69,7 @@ def brauer_shift(A: Matrix, v: Vector, r: Vector, lambda0, lambda1) -> Matrix:
     lambda1 = _as_scalar(lambda1)
     if A @ v != v.scale(lambda0):
         raise InvalidChainError("v is not an eigenvector of A for lambda0")
-    (rv,) = r.as_column().transpose() @ v  # refuses an r of another dimension
+    (rv,) = r.transpose() @ v  # refuses an r of another dimension
     if rv != ONE:
         raise NormalizationError(f"r^T v = {rv}, expected 1")
     return A + outer_plain(v, r).scale(lambda1 - lambda0)
@@ -143,9 +143,9 @@ def _shift(A, chains: ChainPair, lambda1, R, L, parity: int) -> ShiftResult:
     ident = Matrix.identity(k)
     if R.H @ V != ident:
         raise InverseIdentityError("R* V != I_k")
-    if U.H @ L != ident:
+    if L.H @ U != ident:  # L* U = (U* L)*, so I exactly when U* L is
         raise InverseIdentityError("U* L != I_k")
-    mid = [[x.as_column()] for x in middle] if middle else [[], []]
+    mid = [[x] for x in middle] if middle else [[], []]
     R1 = hstack(V, *mid[0], L)  # [V v_{k+1} L], or [V L] when even
     R2 = hstack(R, *mid[1], U)  # [R r U], or [R U] when even
     A_hat = A + (R1 @ R2.H).scale(lambda1 - chains.lam)

@@ -175,9 +175,10 @@ def basis_inverse(chains) -> Matrix:
     """P^{-1} for the chain pairs ``build_matrix`` returned from P.
 
     Each block's left chain, reversed, is the conjugated rows of P^{-1}
-    in that block, so no solve is needed.
+    in that block, so P^{-1} is read from their conjugated numerators in
+    one step, with no solve.
     """
-    return Matrix.from_columns([u for pair in chains for u in reversed(pair.left)]).H
+    return _adjoint_of_columns([u for pair in chains for u in reversed(pair.left)])
 
 
 def parametric_chain_matrices(m: int, n: int, a, b):

@@ -40,8 +40,8 @@ def _ref_even(k, lam, C):
 
 def _ref_odd(k, lam, a, b, C):
     J = _ref_jordan_block(lam, k)
-    top = hstack(J, a.as_column(), C)
-    mid = hstack(Matrix.zeros(1, k), Matrix(1, 1, [lam]), b.as_column().transpose())
+    top = hstack(J, Matrix.from_columns([a]), C)
+    mid = hstack(Matrix.zeros(1, k), Matrix(1, 1, [lam]), Matrix.from_columns([b]).transpose())
     bot = hstack(Matrix.zeros(k, k), Matrix.zeros(k, 1), J)
     return vstack(top, mid, bot)
 
@@ -49,7 +49,7 @@ def _ref_odd(k, lam, a, b, C):
 def _ref_concentrated(k, lam, a_k, b_1, last_row):
     a = Vector([ZERO] * (k - 1) + [a_k])
     b = Vector([b_1] + [ZERO] * (k - 1))
-    C = vstack(Matrix.zeros(k - 1, k), last_row.as_column().transpose())
+    C = vstack(Matrix.zeros(k - 1, k), Matrix.from_columns([last_row]).transpose())
     return _ref_odd(k, lam, a, b, C)
 
 

@@ -379,8 +379,8 @@ def test_brauer_job_free_part_has_no_columns(tmp_path, capsys):
 
 def test_chain_of_wrong_dimension_is_blamed_not_the_free_part(tmp_path, capsys):
     """A 2x2 job whose chain vectors have 3 entries is refused on the
-    chains' dimension against the matrix's, even beside a free part that
-    fits the matrix."""
+    chains' dimension against the matrix's, with the same text whether
+    or not a free part that fits the matrix is given."""
     job = {
         "target_eigenvalue": "1",
         "new_eigenvalue": "2",
@@ -391,8 +391,7 @@ def test_chain_of_wrong_dimension_is_blamed_not_the_free_part(tmp_path, capsys):
             "right": [["1", "0", "0"], ["0", "1", "0"]],
         },
     }
-    for side in ("r_free", "l_free"):
-        misfit = dict(job, **{side: [["0"], ["0"]]})
+    for misfit in [job] + [dict(job, **{side: [["0"], ["0"]]}) for side in ("r_free", "l_free")]:
         assert run_cli(["shift", write(tmp_path, "job.json", misfit)]) == 3
         assert capsys.readouterr().err == "error: columns of dimension 3, expected 2\n"
 

@@ -203,7 +203,7 @@ def _perturbed(shift, chain_list, rng):
     or couples it to another block, or stays outside it."""
     u = rng.choice(rng.choice(chain_list).right)
     v = rng.choice(rng.choice(chain_list).left)
-    A_hat = shift.A_hat + u.as_column() @ v.as_column().H
+    A_hat = shift.A_hat + Matrix.from_columns([u]) @ Matrix.from_columns([v]).H
     return ShiftResult(shift.A, A_hat, shift.chains, shift.lambda1, shift.middle)
 
 

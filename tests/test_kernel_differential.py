@@ -259,7 +259,7 @@ def test_products_match_reference(n, m, p, complex_prob):
     B = random_matrix(rng, m, p, complex_prob)
     assert A @ B == ref_matmul(A, B)
     v = Vector([random_scalar(rng, complex_prob) for _ in range(m)])
-    assert A @ v == ref_matmul(A, v.as_column()).col(0)
+    assert A @ v == ref_matmul(A, Matrix.from_columns([v])).col(0)
     for i in range(n):
         assert inner(A.row(i), v) == ref_inner(A.row(i), v)
         assert inner(v, A.row(i)) == ref_inner(v, A.row(i))
@@ -291,10 +291,10 @@ def test_scale_and_outer_match_the_one_wide_product(complex_prob):
         for c in scalars + [random_scalar(rng, 1.0)]:
             scaled = X.scale(c)
             assert scaled == Matrix(rows, cols, (column @ Matrix(1, 1, [c])).entries)
-            assert u.scale(c) == (u.as_column() @ Matrix(1, 1, [c])).col(0)
+            assert u.scale(c) == (Matrix.from_columns([u]) @ Matrix(1, 1, [c])).col(0)
             assert_canonical(scaled)
         outer = outer_plain(u, v)
-        assert outer == u.as_column() @ Matrix(1, cols, v.entries)
+        assert outer == Matrix.from_columns([u]) @ Matrix(1, cols, v.entries)
         assert_canonical(outer)
 
 
@@ -783,10 +783,10 @@ def assert_canonical(X):
     assert all(type(x) is int for x in parts)
     assert gcd(X.den, *parts) == 1
     assert (X.im is None) == all(e.im == 0 for e in X.entries)
-    if isinstance(X, Matrix):
-        rebuilt = Matrix(X.rows, X.cols, X.entries)
-    else:
+    if isinstance(X, Vector):  # a Vector is a Matrix too
         rebuilt = Vector(X.entries)
+    else:
+        rebuilt = Matrix(X.rows, X.cols, X.entries)
     assert X == rebuilt and hash(X) == hash(rebuilt)
 
 
@@ -818,18 +818,18 @@ def form_results(A, B, S, v, w, lam, box, k):
         (Matrix.identity(r), ref_matrix(r, r, lambda i, j: ONE if i == j else ZERO)),
         (Vector.zero(c), Vector([ZERO] * c)),
         (v + vbar, Vector([x + conj(x) for x in v])),
-        (Vector([*w, *v, *w]).as_column().submatrix(r, r + c, 0, 1).col(0), v),
+        (Matrix.from_columns([Vector([*w, *v, *w])]).submatrix(r, r + c, 0, 1).col(0), v),
         (v.scale(lam), Vector([lam * x for x in v])),
         (-v, Vector([-x for x in v])),
-        (v.as_column(), ref_matrix(c, 1, lambda i, j: v[i])),
+        (Matrix.from_columns([v]), ref_matrix(c, 1, lambda i, j: v[i])),
         (vstack(A, B), ref_matrix(2 * r, c, lambda i, j: (A if i < r else B)[i % r, j])),
         (
             jordan_block(lam, k),
             ref_matrix(k, k, lambda i, j: lam if i == j else ONE if j == i + 1 else ZERO),
         ),
-        (v.as_column() @ w.as_column().H, ref_matrix(c, r, lambda i, j: v[i] * conj(w[j]))),
+        (Matrix.from_columns([v]) @ Matrix.from_columns([w]).H, ref_matrix(c, r, lambda i, j: v[i] * conj(w[j]))),
         (outer_plain(v, w), ref_matrix(c, r, lambda i, j: v[i] * w[j])),
-        (A @ v, ref_matmul(A, v.as_column()).col(0)),
+        (A @ v, ref_matmul(A, Matrix.from_columns([v])).col(0)),
         (A @ A.H, ref_matmul(A, A.H)),
     ]
     if r or c:
@@ -946,7 +946,7 @@ def test_a_matrix_never_equals_a_vector():
     pairs = [
         (Matrix(1, 1, [x]), Vector([x])),
         (Matrix(0, 0, []), Vector([])),
-        (Vector([x, ONE]).as_column(), Vector([x, ONE])),
+        (Matrix.from_columns([Vector([x, ONE])]), Vector([x, ONE])),
         (Matrix.zeros(2, 1), Vector.zero(2)),
     ]
     for M, v in pairs:

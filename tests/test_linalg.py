@@ -1,6 +1,7 @@
 """Exact dense linear algebra: rank, determinant, solve, null space."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from eigenshift.errors import BackendError, ShapeError, SingularMatrixError
 from eigenshift.linalg import (
     Matrix,
     Vector,
+    _adjoint_of_columns,
     hstack,
     inner,
     jordan_block,
@@ -213,3 +215,78 @@ def test_conj_transpose():
     A = Matrix.from_rows([[I, CR(2)], [ZERO, -I]])
     assert A.H == Matrix.from_rows([[-I, ZERO], [CR(2), I]])
     assert (A.H).H == A
+
+
+_A2, _A23, _v2, _v3 = Matrix.identity(2), Matrix.zeros(2, 3), Vector([1, 2]), Vector([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: Vector.unit(3, 3), "unit index 3 out of range for dim 3"),
+        (lambda: inner(_v2, _v3), "inner product of different dimensions"),
+        (lambda: Matrix(2, 2, [1, 2, 3]), "2x2 matrix needs 4 entries, got 3"),
+        (lambda: Matrix.from_columns([]), "cannot infer dimension of empty column set"),
+        (lambda: _A2[2, 0], "index (2, 0) out of range for (2, 2)"),
+        (lambda: _A2 + _A23, "cannot add (2, 2) and (2, 3)"),
+        (lambda: _A2 - _A23, "cannot subtract (2, 3) from (2, 2)"),
+        (lambda: _v3 + _v2, "cannot add (3, 1) and (2, 1)"),
+        (lambda: _v3 - _v2, "cannot subtract (2, 1) from (3, 1)"),
+        (lambda: _A23.solve(_v2), "solve requires a square matrix"),
+        (lambda: _A2.solve(_v3), "right-hand side has wrong number of rows"),
+        (lambda: _A2.solve(_A23.H), "right-hand side has wrong number of rows"),
+        (lambda: Matrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: jordan_block(ONE, 0), "Jordan block size must be >= 1, got 0"),
+        (lambda: hstack(), "hstack of nothing"),
+        (lambda: hstack(_A2, _v3), "hstack with differing row counts"),
+        (lambda: vstack(_A2, _A23), "vstack with differing column counts"),
+    ],
+)
+def test_shape_guards_raise_their_texts(call, text):
+    """Each shape guard of the stored form raises ShapeError with its own
+    text; a Vector's sum and difference are guarded as a one-column
+    Matrix's are."""
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_reprs():
+    """A Vector prints as its entries, a Matrix as its shape and rows."""
+    half_i = CR(Fraction(1, 2), 1)
+    assert repr(Vector([half_i, 3, CR(0, -2)])) == "Vector([1/2+1i, 3, -2i])"
+    assert repr(Vector([])) == "Vector([])"
+    assert repr(Matrix.from_rows([[1, CR(Fraction(-1, 3))], [I, 0]])) == "Matrix(2x2: [1, -1/3; 1i, 0])"
+    assert repr(Matrix.zeros(0, 2)) == "Matrix(0x2: [])"
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_ENTRIES = {
+    "real": st.integers(-9, 9).map(CR),
+    "rational": _fractions.map(CR),
+    "gaussian": st.tuples(_fractions, _fractions).map(lambda parts: CR(*parts)),
+}
+
+
+def _shape_error(build, *args):
+    with pytest.raises(ShapeError) as info:
+        build(*args)
+    return str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_ENTRIES)), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_adjoint_of_columns_is_the_adjoint_of_the_stacked_columns(kind, n, p, data):
+    """U* of a list of columns, read from their conjugated numerators in
+    one step, is the adjoint of the matrix they stack into, for an empty
+    list too, and it refuses misfit columns with the same texts."""
+    entries = st.lists(_ENTRIES[kind], min_size=n, max_size=n)
+    columns = [Vector(data.draw(entries)) for _ in range(p)]
+    U_H = _adjoint_of_columns(columns, n)
+    assert U_H == Matrix.from_columns(columns, n).H and U_H.shape == (p, n)
+    misfits = [([], None)]
+    if columns:
+        assert _adjoint_of_columns(columns) == U_H
+        misfits += [(columns + [Vector([1] * (n + 1))], None), (columns, n + 1)]
+    for misfit in misfits:
+        assert _shape_error(_adjoint_of_columns, *misfit) == _shape_error(Matrix.from_columns, *misfit)

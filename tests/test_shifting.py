@@ -245,7 +245,7 @@ def test_half_chain_invariance_random():
 
 def outer_star(x, y):
     """The rank-one matrix x y*."""
-    return x.as_column() @ y.as_column().H
+    return Matrix.from_columns([x]) @ Matrix.from_columns([y]).H
 
 
 def test_half_chain_invariance_detects_each_side():

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from eigenshift.errors import InvalidChainError, InvalidParameterError, ShapeError
 from eigenshift.linalg import Matrix, Vector, jordan_block
 from eigenshift import linalg, synthesis
+from eigenshift.biortho import gram_table, resolvent_identities
+from eigenshift.canonical import predict_structure
 from eigenshift.oracle import jordan_cycles, oracle_segre, verify_cycles
+from eigenshift.randgen import random_even_shift_instance, random_odd_shift_instance
 from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.synthesis import (
     ChainPair,
@@ -658,6 +661,27 @@ def test_chain_checks_make_one_product_per_side(monkeypatch):
     calls.clear()
     assert verify_cycles(J, 0, cycles)
     assert sorted(calls) == ["__matmul__"] * 3 + ["minus_identity"]
+
+
+def test_chain_adjoints_read_no_conjugate_transpose(monkeypatch):
+    """A cost guard without timing noise: the Gram table, the resolvent
+    identities, extraction (through ``predict_structure``) and
+    ``basis_inverse`` each build U* of a chain list in one step, from the
+    conjugated numerators of its vectors, and read ``Matrix.H`` zero
+    times."""
+    P = random_unimodular(6, random.Random(4))
+    A, pairs = build_matrix(SegreCharacteristic([(CR(1, 1), 1), (CR(2), 3), (CR(-1), 2)]), P)
+    rng = random.Random(3)
+    shifts = [random_even_shift_instance(rng).shift, random_odd_shift_instance(rng).shift]
+    reads, H = [], Matrix.H
+    monkeypatch.setattr(Matrix, "H", property(lambda M: reads.append(M.shape) or H.fget(M)))
+    assert gram_table(pairs[1].left, pairs[1].right).shape == (3, 3)
+    assert resolvent_identities(A, 5, pairs) == [True] * 3
+    assert basis_inverse(pairs) == P.inverse()
+    for shift in shifts:
+        predict_structure(shift)
+    assert reads == []
+    assert A.H.shape == (6, 6) and reads == [(6, 6)]  # the count sees a read
 
 
 def test_batched_chain_check_when_every_pair_fails():
