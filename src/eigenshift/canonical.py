@@ -17,8 +17,6 @@ cycles replace it and the discrepancy is reported in the diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExtractionError, ReductionError, SingularMatrixError
 from .linalg import (
     Matrix,
@@ -32,7 +30,7 @@ from .linalg import (
     outer_plain,
 )
 from .oracle import jordan_cycles, read_down, verify_cycles
-from .scalars import ComplexRational, ONE
+from .scalars import ONE, _Value
 from .shifting import ShiftResult
 from .synthesis import SegreCharacteristic
 
@@ -41,53 +39,47 @@ from .synthesis import SegreCharacteristic
 # canonical form containers
 
 
-class _Assembled:
+class _Assembled(_Value):
     """A form that assembles its matrix once, when it is made."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_assembled", self._assemble())
+    __slots__ = ("_assembled",)
 
     def matrix(self) -> Matrix:
         """The form's matrix, assembled when the form was made."""
         return self._assembled
 
 
-@dataclass(frozen=True)
 class EvenCanonical(_Assembled):
     """T = [[J_k(lam), C], [0, J_k(lam)]]."""
 
-    k: int
-    lam: ComplexRational
-    C: Matrix
+    __slots__ = ("k", "lam", "C")
 
-    def _assemble(self) -> Matrix:
-        k, lam = self.k, self.lam
-        return jordan_sum(((lam, k), (lam, k)), ((0, k, self.C),))
+    def __init__(self, k, lam, C):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "C", C)
+        T = jordan_sum(((lam, k), (lam, k)), ((0, k, C),))
+        object.__setattr__(self, "_assembled", T)
 
 
-@dataclass(frozen=True)
 class OddCanonical(_Assembled):
     """S = [[J_k(lam), a, C], [0, lam, b^T], [0, 0, J_k(lam)]]."""
 
-    k: int
-    lam: ComplexRational
-    a: Vector
-    b: Vector
-    C: Matrix
+    __slots__ = ("k", "lam", "a", "b", "C")
 
-    def _assemble(self) -> Matrix:
-        k, lam = self.k, self.lam
-        return jordan_sum(
+    def __init__(self, k, lam, a, b, C):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "C", C)
+        S = jordan_sum(
             ((lam, k), (lam, 1), (lam, k)),
-            (
-                (0, k, self.a),
-                (k, k + 1, self.b.transpose()),
-                (0, k + 1, self.C),
-            ),
+            ((0, k, a), (k, k + 1, b.transpose()), (0, k + 1, C)),
         )
+        object.__setattr__(self, "_assembled", S)
 
 
-@dataclass(frozen=True)
 class ConcentratedForm(_Assembled):
     """Lower concentrated reduction of an OddCanonical.
 
@@ -96,35 +88,42 @@ class ConcentratedForm(_Assembled):
     Y S Y^{-1} = S_tilde.
     """
 
-    k: int
-    lam: ComplexRational
-    a_k: ComplexRational
-    b_1: ComplexRational
-    last_row: Vector
-    transform: Matrix
+    __slots__ = ("k", "lam", "a_k", "b_1", "last_row", "transform")
 
-    def _assemble(self) -> Matrix:
-        k, lam = self.k, self.lam
-        return jordan_sum(
+    def __init__(self, k, lam, a_k, b_1, last_row, transform):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "a_k", a_k)
+        object.__setattr__(self, "b_1", b_1)
+        object.__setattr__(self, "last_row", last_row)
+        object.__setattr__(self, "transform", transform)
+        S_tilde = jordan_sum(
             ((lam, k), (lam, 1), (lam, k)),
             (
-                (k - 1, k, Matrix(1, 1, [self.a_k])),
-                (k, k + 1, Matrix(1, 1, [self.b_1])),
-                (k - 1, k + 1, self.last_row.transpose()),
+                (k - 1, k, Matrix(1, 1, [a_k])),
+                (k, k + 1, Matrix(1, 1, [b_1])),
+                (k - 1, k + 1, last_row.transpose()),
             ),
         )
+        object.__setattr__(self, "_assembled", S_tilde)
 
 
-@dataclass(frozen=True)
-class StructurePrediction:
+class StructurePrediction(_Value):
     """Predicted canonical structure at the shifted eigenvalue."""
 
-    segre: SegreCharacteristic
-    cycles: tuple
-    case_label: str
-    canonical: Matrix
-    fallback_used: bool = False
-    diagnostics: tuple = ()
+    __slots__ = (
+        "segre", "cycles", "case_label", "canonical", "fallback_used", "diagnostics"
+    )
+
+    def __init__(
+        self, segre, cycles, case_label, canonical, fallback_used=False, diagnostics=()
+    ):
+        object.__setattr__(self, "segre", segre)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "case_label", case_label)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "fallback_used", fallback_used)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     @property
     def sizes(self) -> tuple:

@@ -16,18 +16,18 @@ read down from its top (``read_down``) and checked (``verify_cycles``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ClassificationError, MissingEigenvalueError, ShapeError
 from .linalg import Matrix, _as_scalar, power_ranks
-from .scalars import ComplexRational
+from .scalars import _Value
 from .synthesis import SegreCharacteristic, _first_failure
 
 
-@dataclass(frozen=True)
-class WeyrProfile:
-    lam: ComplexRational
-    null_dims: tuple  # dim ker (M - lam I)^j for j = 1.. until stable
+class WeyrProfile(_Value):
+    __slots__ = ("lam", "null_dims")  # dim ker (M - lam I)^j, j = 1.. until stable
+
+    def __init__(self, lam, null_dims):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "null_dims", null_dims)
 
     @property
     def increments(self) -> tuple:

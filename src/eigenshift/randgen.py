@@ -19,14 +19,13 @@ reachable on demand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import ConcentratedForm
 from .errors import InvalidParameterError
 from .linalg import Matrix, Vector, hstack
-from .scalars import CR, ComplexRational, ZERO
-from .shifting import ShiftResult, shift_even, shift_odd
+from .scalars import CR, ComplexRational, ZERO, _Value
+from .shifting import shift_even, shift_odd
 from .synthesis import (
     ChainPair,
     SegreCharacteristic,
@@ -36,18 +35,20 @@ from .synthesis import (
 )
 
 
-@dataclass(frozen=True)
-class ShiftInstance:
+class ShiftInstance(_Value):
     """One randomized shift together with everything tests need."""
 
-    A: Matrix
-    chains: ChainPair
-    lambda1: ComplexRational
-    shift: ShiftResult
-    # a Jordan basis whose leading columns are the full right chain;
+    # P is a Jordan basis whose leading columns are the full right chain;
     # prediction reads the chain pair alone, and tests compare with P
-    P: Matrix
-    segre: SegreCharacteristic
+    __slots__ = ("A", "chains", "lambda1", "shift", "P", "segre")
+
+    def __init__(self, A, chains, lambda1, shift, P, segre):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "chains", chains)
+        object.__setattr__(self, "lambda1", lambda1)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "segre", segre)
 
     @property
     def lambda0(self) -> ComplexRational:

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
 
 from .biortho import check_hankel, gram_table, resolvent_identities
 from .canonical import (
@@ -40,7 +38,7 @@ from .errors import (
 )
 from .linalg import Matrix, Vector
 from .oracle import oracle_segre
-from .scalars import CR, ComplexRational, format_scalar, parse_scalar
+from .scalars import CR, ComplexRational, _Value, format_scalar, parse_scalar
 from .shifting import (
     ShiftResult,
     charpoly_ratio_check,
@@ -175,6 +173,9 @@ def _write(x, out, newline):
         out.append(int.__repr__(x))
     elif isinstance(x, (list, tuple, dict)) and not x:
         out.append("{}" if isinstance(x, dict) else "[]")
+    elif isinstance(x, (list, tuple)) and all(isinstance(item, str) for item in x):
+        inner = newline + "  "  # a row of texts, in one join
+        out.append(f"[{inner}{(',' + inner).join(map(_quote, x))}{newline}]")
     elif isinstance(x, (list, tuple)):
         inner = newline + "  "
         out.append("[")
@@ -200,20 +201,31 @@ def _write(x, out, newline):
 # shift jobs
 
 
-@dataclass
-class ShiftJob:
+class ShiftJob(_Value):
     """Parsed shift job (one of the two source forms)."""
 
-    target_eigenvalue: ComplexRational
-    new_eigenvalue: ComplexRational
-    k: int
-    segre: Optional[SegreCharacteristic] = None
-    change_of_basis: Optional[Matrix] = None
-    matrix: Optional[Matrix] = None
-    left_chain: Optional[list] = None
-    right_chain: Optional[list] = None
-    r_free: Optional[Matrix] = None
-    l_free: Optional[Matrix] = None
+    __slots__ = (
+        "target_eigenvalue", "new_eigenvalue", "k", "segre", "change_of_basis",
+        "matrix", "left_chain", "right_chain", "r_free", "l_free",
+    )
+    # mutable and unhashable: parse_shift_job fills it field by field
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(
+        self, target_eigenvalue, new_eigenvalue, k, segre=None, change_of_basis=None,
+        matrix=None, left_chain=None, right_chain=None, r_free=None, l_free=None,
+    ):
+        self.target_eigenvalue = target_eigenvalue
+        self.new_eigenvalue = new_eigenvalue
+        self.k = k
+        self.segre = segre
+        self.change_of_basis = change_of_basis
+        self.matrix = matrix
+        self.left_chain = left_chain
+        self.right_chain = right_chain
+        self.r_free = r_free
+        self.l_free = l_free
 
     def normalized(self) -> dict:
         """Canonical document form; embedding this in a report and

@@ -164,6 +164,31 @@ _Q0 = ZERO.re
 _Q1 = ONE.re
 
 
+class _Value:
+    """An immutable value, compared, hashed and printed over the fields its
+    class names in ``__slots__`` and sets in its own ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
 def from_integers(re: int, im: int, den: int) -> ComplexRational:
     """(re + im i) / den for integers re, im and nonzero den.
 

@@ -13,7 +13,6 @@ blocks', and compared coefficient by coefficient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -34,21 +33,23 @@ from .linalg import (
     inner,
     outer_plain,
 )
-from .scalars import ComplexRational, ONE
+from .scalars import ONE, _Value
 from .synthesis import ChainPair, check_chains
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(_Value):
     """A_hat = A + (lam1 - lam0) R1 R2*, the chain pair it shifted, whose
     first k vectors are U and V, and the middle pair (v_{k+1}, r) of an
-    odd chain."""
+    odd chain (None for an even one)."""
 
-    A: Matrix
-    A_hat: Matrix
-    chains: ChainPair
-    lambda1: ComplexRational
-    middle: Optional[tuple] = None
+    __slots__ = ("A", "A_hat", "chains", "lambda1", "middle")
+
+    def __init__(self, A, A_hat, chains, lambda1, middle=None):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A_hat", A_hat)
+        object.__setattr__(self, "chains", chains)
+        object.__setattr__(self, "lambda1", lambda1)
+        object.__setattr__(self, "middle", middle)
 
     @property
     def multiplicity(self) -> int:

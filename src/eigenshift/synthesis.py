@@ -16,7 +16,6 @@ same body.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InvalidChainError, InvalidParameterError, ShapeError
 from .linalg import (
@@ -27,14 +26,13 @@ from .linalg import (
     jordan_sum,
     vstack,
 )
-from .scalars import ComplexRational
+from .scalars import _Value
 
 
-@dataclass(frozen=True)
-class SegreCharacteristic:
+class SegreCharacteristic(_Value):
     """Multiset of (eigenvalue, block size) pairs describing a Jordan form."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks):
         norm = tuple((_as_scalar(lam), size) for lam, size in blocks)
@@ -69,17 +67,14 @@ class SegreCharacteristic:
         return hash(self.canonical().blocks)
 
 
-@dataclass(frozen=True)
-class ChainPair:
+class ChainPair(_Value):
     """Left chain {u_i} and right chain {v_i} for one Jordan block.
 
     Chains are stored leading-vector-first: u_1 / v_1 (the genuine
     eigenvectors) come first.
     """
 
-    lam: ComplexRational
-    left: tuple
-    right: tuple
+    __slots__ = ("lam", "left", "right")
 
     def __init__(self, lam, left, right):
         object.__setattr__(self, "lam", _as_scalar(lam))

@@ -14,7 +14,6 @@ what was handed to ``charpoly_ratio_check``.
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,7 +37,12 @@ from eigenshift.reporting import (
     vector_to_obj,
 )
 from eigenshift.scalars import CR
-from eigenshift.shifting import charpoly_ratio_check, shift_even, shift_odd
+from eigenshift.shifting import (
+    ShiftResult,
+    charpoly_ratio_check,
+    shift_even,
+    shift_odd,
+)
 from eigenshift.synthesis import (
     SegreCharacteristic,
     basis_inverse,
@@ -290,7 +294,9 @@ def test_perturbed_shifted_matrices_pick_their_path(m):
     _, (_, before) = _verdict(shift, basis)
 
     def perturbed(delta):
-        return replace(shift, A_hat=shift.A_hat + delta)
+        return ShiftResult(
+            shift.A, shift.A_hat + delta, shift.chains, shift.lambda1, shift.middle
+        )
 
     def predicts(s):
         try:

@@ -1,7 +1,6 @@
 """Rank-one and rank-k shift construction and its defining identities."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ from eigenshift.randgen import (
 )
 from eigenshift.scalars import CR, ONE, ZERO
 from eigenshift.shifting import (
+    ShiftResult,
     brauer_shift,
     charpoly_ratio_check,
     half_chain_invariance_holds,
@@ -263,7 +263,9 @@ def test_half_chain_invariance_detects_each_side():
     right_only = outer_star(pair.right[0], pair.left[3])
     left_only = outer_star(pair.right[3], pair.left[0])
     for E in (right_only, left_only):
-        bad = replace(shift, A_hat=shift.A_hat + E)
+        bad = ShiftResult(
+            shift.A, shift.A_hat + E, shift.chains, shift.lambda1, shift.middle
+        )
         assert not half_chain_invariance_holds(bad)
 
     # k = 0: the middle pair (v_1, u_1) is the half chain on both sides
@@ -277,7 +279,9 @@ def test_half_chain_invariance_detects_each_side():
     right_only = outer_star(other.right[0], pair.left[0])
     left_only = outer_star(pair.right[0], other.left[0])
     for E in (right_only, left_only):
-        bad = replace(shift, A_hat=shift.A_hat + E)
+        bad = ShiftResult(
+            shift.A, shift.A_hat + E, shift.chains, shift.lambda1, shift.middle
+        )
         assert not half_chain_invariance_holds(bad)
 
 
