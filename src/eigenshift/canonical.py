@@ -243,7 +243,8 @@ def reduce_to_concentrated(oc: OddCanonical) -> ConcentratedForm:
 
 def _first_nonzero(row: Vector):
     """0-based index of the first nonzero entry of row, or None."""
-    return next((i for i in range(row.dim) if not row[i].is_zero), None)
+    parts = row.re if row.im is None else [a or b for a, b in zip(row.re, row.im)]
+    return next((i for i, x in enumerate(parts) if x), None)
 
 
 def classify_even(ec: EvenCanonical) -> StructurePrediction:

@@ -7,11 +7,13 @@ A ``Matrix`` stores one integer form: a denominator ``den`` > 0 and
 row-major tuples ``re`` and ``im`` of integer numerators, entry t being
 (re[t] + im[t] i) / den, with ``im`` None when every imaginary part is
 zero.  The form is canonical (gcd(den, every numerator) = 1), so equal
-values have equal fields.  A value is built from scalars, converted once
-(a plain int entry is its own numerator), or from scalar texts ("3",
-"-1/2", "1/2+3i"), parsed straight into integer parts; every operation
-reads and returns the form, ``texts`` prints the entries straight from
-it, and a ``ComplexRational`` is made only when an entry is read.  A
+values have equal fields.  A ``ComplexRational`` stores the same form
+for one value (``den``, ``nre``, ``nim``).  A value is built from
+scalars, converted once by reading their fields (a plain int entry is
+its own numerator), or from scalar texts ("3", "-1/2", "1/2+3i"), parsed
+straight into integer parts; every operation reads and returns the
+form, ``texts`` prints the entries straight from it, and a scalar is
+made only when an entry is read, from its numerators with one gcd.  A
 ``Vector`` is a Matrix with one column, read by one index.  The rows of
 U* for columns u_1 .. u_p are their conjugated numerators, so U* of a
 chain list is read in one step (``_adjoint_of_columns``).
@@ -76,29 +78,19 @@ def _common_parts(re, re_den, im, im_den):
     return d, re, im
 
 
-def _clear(values):
-    """The form of exact values, each an int or a ComplexRational: each
-    part is an int or a reduced Fraction, so no prime of the common
-    denominator divides every numerator and no gcd is needed."""
-    res = [x if type(x) is int else x.re for x in values]
-    ims = [0 if type(x) is int else x.im for x in values]
-    ims = ims if any(ims) else ()  # a real value reads no imaginary parts
-    d, re, im = _common_parts(
-        [q.numerator for q in res],
-        [q.denominator for q in res],
-        [q.numerator for q in ims],
-        [q.denominator for q in ims],
-    )
-    return d, tuple(re), im and tuple(im)
-
-
 def _entries_form(entries):
     """The form of a tuple of entries.  A plain int is its own
     numerator; any other entry is read by ``_as_scalar``, which refuses
-    a bool, float, complex or malformed text."""
+    a bool, float, complex or malformed text, and then by its fields: a
+    scalar's own form is canonical, so no prime of the common denominator
+    divides every numerator and no gcd is needed."""
     if all(type(x) is int for x in entries):
         return 1, entries, None
-    return _clear([x if type(x) is int else _as_scalar(x) for x in entries])
+    xs = [x if type(x) is int else _as_scalar(x) for x in entries]
+    dens = [1 if type(x) is int else x.den for x in xs]
+    re = [x if type(x) is int else x.nre for x in xs]
+    d, re, im = _common_parts(re, dens, [0 if type(x) is int else x.nim for x in xs], dens)
+    return d, tuple(re), im and tuple(im)
 
 
 def _parsed(texts):
@@ -365,17 +357,16 @@ class Matrix:
         if not self.is_square:
             raise ShapeError(f"{self.shape} matrix minus a multiple of I")
         n, lam = self.rows, _as_scalar(lam)
-        d = lcm(self.den, lam.re.denominator, lam.im.denominator)
-        s = d // self.den
+        d = lcm(self.den, lam.den)
+        s, t = d // self.den, d // lam.den
 
         def shifted(xs, part):  # xs over d, less part over d on the diagonal
             xs = [s * x for x in xs] if s != 1 else list(xs)
-            part = part.numerator * (d // part.denominator)
-            xs[:: n + 1] = [x - part for x in xs[:: n + 1]]
+            xs[:: n + 1] = [x - t * part for x in xs[:: n + 1]]
             return xs
 
-        im = self.im if self.im is not None or not lam.im else (0,) * (n * n)
-        return self._like(_normal(d, shifted(self.re, lam.re), im and shifted(im, lam.im)))
+        im = self.im if self.im is not None or not lam.nim else (0,) * (n * n)
+        return self._like(_normal(d, shifted(self.re, lam.nre), im and shifted(im, lam.nim)))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):

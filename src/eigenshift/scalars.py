@@ -1,7 +1,9 @@
 """Exact complex-rational scalars and their one text form.
 
-A complex number is a pair of stdlib ``Fraction``s, so every zero test
-made by the classifiers is decidable.
+A complex number is stored as a matrix entry is: a denominator ``den`` >
+0 and integer numerators ``nre`` and ``nim`` with no common factor, so
+every zero test made by the classifiers is a test of integers, and
+arithmetic takes one gcd per result.
 
 Scalars travel as text ("3", "-1/2", "1/2+3i").  ``parse_parts`` reads a
 text into integer parts and ``format_parts`` prints (re + im i) / den,
@@ -28,10 +30,30 @@ def rational(x) -> Fraction:
 _NOT_EXACT = (float, complex, bool)
 
 
-class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of one exact part, in lowest terms."""
+    q = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return q.numerator, q.denominator
 
-    __slots__ = ("re", "im")
+
+def _parts(x):
+    """(den, nre, nim) of an exact operand, or None for any other value;
+    arithmetic keeps Python's bool as 0 or 1 (x * (i == j)), and only the
+    constructor refuses a bool as a value."""
+    if isinstance(x, ComplexRational):
+        return x.den, x.nre, x.nim
+    if isinstance(x, int):
+        return 1, int(x), 0
+    if isinstance(x, Fraction):
+        return x.denominator, x.numerator, 0
+    return None
+
+
+class ComplexRational:
+    """A complex number (nre + nim i) / den with exact rational real and
+    imaginary parts; den > 0 and gcd(den, nre, nim) = 1."""
+
+    __slots__ = ("den", "nre", "nim")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, _NOT_EXACT) or isinstance(im, _NOT_EXACT):
@@ -41,127 +63,143 @@ class ComplexRational:
                 f"({re!r}, {im!r}) is not exact; scalar parts must be int, "
                 "Fraction or a rational string"
             )
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        (a, b), (c, e) = _ratio(re), _ratio(im)
+        # each part is in lowest terms, so no prime of lcm(b, e) divides
+        # both numerators and the form needs no gcd
+        den = b if b == e else lcm(b, e)
+        _set(self, den, a * (den // b), c * (den // e))
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.nre, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.nim, self.den)
+
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, ComplexRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            # arithmetic keeps Python's bool as 0 or 1 (x * (i == j)); only
-            # the constructor refuses a bool as a value
-            return ComplexRational(int(x) if isinstance(x, bool) else x)
-        return NotImplemented
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        (d, r, i), e = o, self.den
+        return from_integers(self.nre * d + r * e, self.nim * d + i * e, e * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        (d, r, i), e = o, self.den
+        return from_integers(self.nre * d - r * e, self.nim * d - i * e, e * d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return o - self
+        (d, r, i), e = o, self.den
+        return from_integers(r * e - self.nre * d, i * e - self.nim * d, e * d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        (d, r, i), a, b = o, self.nre, self.nim
+        return from_integers(a * r - b * i, a * i + b * r, self.den * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _quotient((self.den, self.nre, self.nim), o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(o, (self.den, self.nre, self.nim))
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _set(object.__new__(ComplexRational), self.den, -self.nre, -self.nim)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        if not self.im:
-            return ComplexRational(self.re**n)
-        # square and multiply on the Fraction parts; one object at the end
-        re, im = _Q1, _Q0
-        br, bi = self.re, self.im
+        # square and multiply on the numerators; one gcd at the end
+        re, im, den = 1, 0, self.den**n
+        br, bi = self.nre, self.nim
         while n:
             if n & 1:
                 re, im = re * br - im * bi, re * bi + im * br
             br, bi = br * br - bi * bi, 2 * br * bi
             n >>= 1
-        return ComplexRational(re, im)
+        return from_integers(re, im, den)
 
     # -- structure ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.nre and not self.nim
 
     def __bool__(self):
         return not self.is_zero
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self.den, self.nre, self.nim) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes like it
+        return hash((self.den, self.nre, self.nim) if self.nim else self.re)
 
     def sort_key(self):
-        """Lexicographic key on (re, im) for deterministic ordering."""
-        return (self.re, self.im)
+        """Lexicographic key on (re, im) for deterministic ordering; the
+        parts of a value with denominator 1 are their own keys."""
+        return (self.nre, self.nim) if self.den == 1 else (self.re, self.im)
 
     # -- formatting ---------------------------------------------------------
 
     def __str__(self):
-        return format_scalar(self)
+        return format_parts(self.den, self.nre, self.nim)
 
     def __repr__(self):
         return f"ComplexRational({self.re!s}, {self.im!s})"
 
 
+# the slot setters, which the immutable class's __setattr__ does not reach
+_set_den, _set_nre, _set_nim = (
+    ComplexRational.__dict__[f].__set__ for f in ComplexRational.__slots__
+)
+
+
+def _set(x, den, nre, nim):
+    _set_den(x, den)
+    _set_nre(x, nre)
+    _set_nim(x, nim)
+    return x
+
+
+def _quotient(p, q):
+    """p / q for (den, nre, nim) parts: a product with conj(q) over |q|^2."""
+    (d, a, b), (e, r, i) = p, q
+    n = r * r + i * i
+    if not n:
+        raise ZeroDivisionError("division by zero ComplexRational")
+    return from_integers(e * (a * r + b * i), e * (b * r - a * i), d * n)
+
+
 ZERO = ComplexRational(0)
 ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
-_Q0 = ZERO.re
-_Q1 = ONE.re
 
 
 class _Value:
@@ -190,17 +228,13 @@ class _Value:
 
 
 def from_integers(re: int, im: int, den: int) -> ComplexRational:
-    """(re + im i) / den for integers re, im and nonzero den.
-
-    Builds the value directly, without the coercions of the constructor;
-    a matrix or vector makes each entry this way when it is read.
-    """
+    """(re + im i) / den for integers re, im and nonzero den, made
+    canonical with one gcd; a matrix or vector makes each entry this way
+    when it is read.  A zero den raises ZeroDivisionError."""
     if not re and not im:
         return ZERO
-    x = object.__new__(ComplexRational)
-    object.__setattr__(x, "re", Fraction(re, den) if re else _Q0)
-    object.__setattr__(x, "im", Fraction(im, den) if im else _Q0)
-    return x
+    g = gcd(den, re, im) if den > 0 else -gcd(den, re, im) if den else 0
+    return _set(object.__new__(ComplexRational), den // g, re // g, im // g)
 
 
 def CR(re, im=0) -> ComplexRational:
@@ -210,13 +244,7 @@ def CR(re, im=0) -> ComplexRational:
 
 def format_scalar(x: ComplexRational) -> str:
     """Canonical string form: '3', '-1/2', '1/2+3i', '-2i', '1-1/3i'."""
-    re, im = x.re, x.im
-    den = lcm(re.denominator, im.denominator)
-    return format_parts(
-        den,
-        re.numerator * (den // re.denominator),
-        im.numerator * (den // im.denominator),
-    )
+    return format_parts(x.den, x.nre, x.nim)
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -286,4 +314,4 @@ def parse_scalar(text) -> ComplexRational:
     if isinstance(text, ComplexRational):
         return text
     re, re_den, im, im_den = parse_parts(text)
-    return ComplexRational(Fraction(re, re_den), Fraction(im, im_den))
+    return from_integers(re * im_den, im * re_den, re_den * im_den)

@@ -27,7 +27,6 @@ from .linalg import (
     Matrix,
     Vector,
     _as_scalar,
-    _clear,
     _normal,
     hstack,
     inner,
@@ -213,8 +212,7 @@ def _times_power(p: Vector, lam, m: int):
     """The canonical form of p(x) (x - lam)^m, leading coefficient first:
     with lam = (a + b i) / d, p's numerators are multiplied m times by
     d x - (a + b i) and put over den d^m."""
-    d, (a,), b = _clear((lam,))
-    b = b[0] if b else 0
+    d, a, b = lam.den, lam.nre, lam.nim
     re, im = list(p.re), p.im and list(p.im)
     if b and im is None:
         im = [0] * len(re)

@@ -1,7 +1,9 @@
 """Exact complex-rational scalar arithmetic and string round trips."""
 
+import operator
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from eigenshift.scalars import (
     format_parts,
     _regex_parts,
     format_scalar,
+    from_integers,
     parse_parts,
     parse_scalar,
 )
@@ -301,6 +304,124 @@ def test_additive_and_multiplicative_identity(a):
 def test_hashable_and_immutable():
     s = {CR(1), CR(1), CR(2)}
     assert len(s) == 2
+    # a real scalar equals its int or Fraction, and hashes like it
+    assert 3 in {CR(3)} and CR(3) in {3}
+    assert {CR(2): "x"}.get(2) == "x"
+    assert Fraction(-3, 4) in {CR(Fraction(-3, 4))}
+    assert {parse_scalar("-6/8"): "q"}.get(Fraction(-3, 4)) == "q"
+    assert {Fraction(1, 2): "h"}.get(parse_scalar("1/2")) == "h"
+    M = Matrix.from_texts([["1/2", "2"], ["0", "1/3+i"]])
+    texts = dict(zip(M.entries, M.texts()))
+    assert [texts.get(k) for k in (Fraction(1, 2), 2, 0, CR(Fraction(1, 3), 1))] == M.texts()
     a = CR(1)
-    with pytest.raises(AttributeError):
-        a.re = 5
+    for name in ("re", "im", "den", "nre", "nim"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 5)
+
+
+def test_from_integers_is_canonical_and_refuses_a_zero_denominator():
+    x = from_integers(3, -6, -9)
+    assert (x.den, x.nre, x.nim) == (3, -1, 2) and x == CR(Fraction(-1, 3), Fraction(2, 3))
+    assert from_integers(0, 0, 5) is ZERO
+    with pytest.raises(ZeroDivisionError):
+        from_integers(1, 0, 0)
+
+
+# -- the Fraction-pair formulas, kept as the reference for the integer form --
+
+
+def ref_pair(x):
+    """(re, im) of an operand as a pair of Fractions."""
+    if isinstance(x, ComplexRational):
+        return x.re, x.im
+    return Fraction(int(x) if isinstance(x, bool) else x), Fraction(0)
+
+
+def ref_div(p, q):
+    (ar, ai), (br, bi) = p, q
+    n = br * br + bi * bi
+    if n == 0:
+        raise ZeroDivisionError("division by zero ComplexRational")
+    return (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
+
+
+REF_OPS = {
+    operator.add: lambda p, q: (p[0] + q[0], p[1] + q[1]),
+    operator.sub: lambda p, q: (p[0] - q[0], p[1] - q[1]),
+    operator.mul: lambda p, q: (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]),
+    operator.truediv: ref_div,
+}
+
+
+def ref_pair_text(p) -> str:
+    re_part, im_part = p
+    if im_part == 0:
+        return str(re_part)
+    im_str = str(im_part)
+    if re_part == 0:
+        return f"{im_str}i"
+    return f"{re_part}{im_str}i" if im_str.startswith("-") else f"{re_part}+{im_str}i"
+
+
+def assert_value(got, pair):
+    """got is the scalar pair names, in its canonical integer form."""
+    assert type(got) is ComplexRational
+    assert (got.re, got.im) == pair
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert got.den > 0 and gcd(got.den, got.nre, got.nim) == 1
+
+
+small = st.integers(-60, 60)
+integer_forms = st.builds(from_integers, small, small, small.filter(bool))
+operands = st.one_of(integer_forms, scalars, small, rationals, st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_forms, scalars), operands)
+def test_arithmetic_matches_the_fraction_pair_reference(a, b):
+    """Every operation on the integer form gives the value of the
+    Fraction-pair formulas, in canonical form, with an int, Fraction or
+    bool on either side."""
+    pa, pb = ref_pair(a), ref_pair(b)
+    for op, ref in REF_OPS.items():
+        for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+            try:
+                want = ref(px, py)
+            except ZeroDivisionError as exc:
+                with pytest.raises(ZeroDivisionError, match=str(exc)):
+                    op(x, y)
+            else:
+                assert_value(op(x, y), want)
+    assert (a == b) is (b == a) is (pa == pb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert_value(-a, (-pa[0], -pa[1]))
+    power = (Fraction(1), Fraction(0))
+    for n in range(7):
+        assert_value(a**n, power)
+        power = REF_OPS[operator.mul](power, pa)
+    assert str(a) == format_scalar(a) == ref_pair_text(pa)
+    assert (a.re, a.im) == pa and a.is_zero is (pa == (0, 0))
+    if isinstance(b, ComplexRational):
+        ka, kb = a.sort_key(), b.sort_key()
+        assert (ka < kb, ka == kb, ka > kb) == (pa < pb, pa == pb, pa > pb)
+
+
+def test_reads_parses_and_operations_make_no_fraction(monkeypatch):
+    """A cost guard without timing noise: reading the entries of a
+    complex matrix or vector, testing an entry for zero, parsing a scalar
+    and the scalar operations of a shift work on the integer form and
+    construct no ``Fraction``."""
+    M = Matrix.from_texts([["1/2+3i", "-2/3"], ["5", "7/4-i"]])
+    v = M.col(1)
+    lam0, lam1 = parse_scalar("1/3-2i"), parse_scalar("5/6+i")
+    half_3i = CR(Fraction(1, 2), 3)
+    expected = [CR(Fraction(-2, 3)), CR(Fraction(7, 4), -1), False, half_3i, half_3i]
+    expected += [CR(Fraction(41, 18), Fraction(-4, 3)), CR(Fraction(-31, 74), Fraction(18, 37))]
+    made, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    got = [v[0], v[1], M[0, 1].is_zero, parse_scalar("1/2+3i"), lam1 - lam0, lam1 * lam0, lam1 / lam0]
+    entries = M.entries
+    assert made == []
+    assert got == expected and entries == (M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+    assert lam0.re == Fraction(1, 3) and made  # the count sees a construction
